@@ -66,12 +66,12 @@ func buildCampaign(t *testing.T) *campaign {
 	return c
 }
 
-// collect reads an archive back through the auto-detecting scanner,
-// attributing JSON results (which carry no in-band AS) from the probe
-// map, exactly as cmd/lmsurvey does.
-func collect(t *testing.T, c *campaign, archive []byte) []lastmile.AttributedResult {
+// collect streams an archive through the auto-detecting scanner into a
+// survey feed, attributing JSON results (which carry no in-band AS)
+// from the probe map, exactly as cmd/lmsurvey does.
+func collect(t *testing.T, c *campaign, archive []byte, opts lastmile.SurveyOptions) (*lastmile.Survey, []lastmile.SkippedAS) {
 	t.Helper()
-	var out []lastmile.AttributedResult
+	feed := lastmile.NewSurveyFeed(1, opts)
 	sc := lastmile.NewResultScanner(bytes.NewReader(archive))
 	for sc.Scan() {
 		res := sc.Result()
@@ -79,12 +79,18 @@ func collect(t *testing.T, c *campaign, archive []byte) []lastmile.AttributedRes
 		if asn == 0 {
 			asn = c.probeASN[res.ProbeID]
 		}
-		out = append(out, lastmile.AttributedResult{ASN: asn, Result: res.Clone()})
+		if err := feed.Add(asn, res); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	s, skipped, err := feed.Survey("2019-09")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, skipped
 }
 
 // seriesIdentical compares two series bit by bit.
@@ -107,10 +113,7 @@ func TestIngestEquivalenceSurvey(t *testing.T) {
 	opts := lastmile.SurveyOptions{Start: c.start, End: c.end}
 
 	run := func(archive []byte) *lastmile.Survey {
-		s, skipped, err := lastmile.RunSurvey("2019-09", collect(t, c, archive), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s, skipped := collect(t, c, archive, opts)
 		if len(skipped) != 0 {
 			t.Fatalf("skipped ASes: %v", skipped)
 		}

@@ -79,6 +79,7 @@ go test -race -count=1 -run 'SplitMerge|SnapshotRestore|ShardedEquivalence' \
   ./internal/core/ ./internal/experiments/
 go test -race -count=1 -run 'Checkpoint|RestoreMonitor' ./internal/stream/
 go test -race -count=1 -run 'ResumeAfterInterrupt' ./cmd/lmmonitor/
+go test -race -count=1 ./cmd/lmsurvey/
 
 # Telemetry registry: a dedicated uncached -race stress pass — eight
 # goroutines hammer one registry while snapshots render concurrently,
@@ -139,8 +140,8 @@ go run ./cmd/lmvet \
 # 0 allocs/op at every shard width. 200000 uncached iterations amortise
 # pool warm-up and window-map growth to steady state — the same
 # measurement scripts/bench.sh record checks into BENCH_engine.json.
-stage "zero-alloc ingest gate (BenchmarkMonitorObserve, 0 allocs/op)"
-go test -run '^$' -bench 'BenchmarkMonitorObserve' -benchmem -benchtime 200000x -count=1 . \
+stage "zero-alloc ingest gate (BenchmarkMonitorObserve, BenchmarkSurveyFeed, 0 allocs/op)"
+go test -run '^$' -bench 'BenchmarkMonitorObserve|BenchmarkSurveyFeed' -benchmem -benchtime 200000x -count=1 . \
   | tee /dev/stderr \
   | awk '
       /^Benchmark/ && /allocs\/op/ {
