@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"github.com/last-mile-congestion/lastmile/internal/telemetry"
@@ -25,27 +24,7 @@ func TestRunSurveyMetricsEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got.Len() != base.Len() || len(gotSkipped) != len(baseSkipped) {
-		t.Fatalf("shape: %d/%d results, %d/%d skipped",
-			got.Len(), base.Len(), len(gotSkipped), len(baseSkipped))
-	}
-	for asn, want := range base.Results {
-		g := got.Results[asn]
-		if g == nil {
-			t.Fatalf("AS%v missing from instrumented run", asn)
-		}
-		if g.Class != want.Class || g.Probes != want.Probes {
-			t.Fatalf("AS%v verdict {%v,%d} vs {%v,%d}", asn, g.Class, g.Probes, want.Class, want.Probes)
-		}
-		if math.Float64bits(g.DailyAmplitude) != math.Float64bits(want.DailyAmplitude) {
-			t.Fatalf("AS%v amplitude %v vs %v", asn, g.DailyAmplitude, want.DailyAmplitude)
-		}
-		for i := range want.Signal.Values {
-			if math.Float64bits(g.Signal.Values[i]) != math.Float64bits(want.Signal.Values[i]) {
-				t.Fatalf("AS%v signal[%d] %v vs %v", asn, i, g.Signal.Values[i], want.Signal.Values[i])
-			}
-		}
-	}
+	sameSurvey(t, "instrumented", got, base, gotSkipped, baseSkipped)
 
 	// The shared registry really did observe the run: the survey stage
 	// timers and the engine ingest counters it passes through must be

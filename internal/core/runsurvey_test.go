@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"net/netip"
 	"testing"
@@ -105,11 +106,41 @@ func TestRunSurveySkipReasons(t *testing.T) {
 	}
 }
 
+// sameSurvey asserts two surveys carry bit-identical verdicts, signals
+// and skipped ASes.
+func sameSurvey(t *testing.T, label string, got, want *Survey, gotSkipped, wantSkipped []SkippedAS) {
+	t.Helper()
+	if got.Len() != want.Len() || len(gotSkipped) != len(wantSkipped) {
+		t.Fatalf("%s: %d results / %d skips vs %d / %d", label, got.Len(), len(gotSkipped), want.Len(), len(wantSkipped))
+	}
+	for i := range wantSkipped {
+		if gotSkipped[i].ASN != wantSkipped[i].ASN {
+			t.Fatalf("%s: skip %d is AS%v, want AS%v", label, i, gotSkipped[i].ASN, wantSkipped[i].ASN)
+		}
+	}
+	for asn, w := range want.Results {
+		g := got.Results[asn]
+		if g == nil {
+			t.Fatalf("%s: AS%v missing", label, asn)
+		}
+		if g.Class != w.Class || g.Probes != w.Probes ||
+			math.Float64bits(g.DailyAmplitude) != math.Float64bits(w.DailyAmplitude) ||
+			math.Float64bits(g.Peak.Freq) != math.Float64bits(w.Peak.Freq) {
+			t.Fatalf("%s: AS%v verdict %+v vs %+v", label, asn, g.Classification, w.Classification)
+		}
+		for i := range w.Signal.Values {
+			if math.Float64bits(g.Signal.Values[i]) != math.Float64bits(w.Signal.Values[i]) {
+				t.Fatalf("%s: AS%v signal[%d] %v vs %v", label, asn, i, g.Signal.Values[i], w.Signal.Values[i])
+			}
+		}
+	}
+}
+
 func TestRunSurveyWorkerAndShardEquivalence(t *testing.T) {
 	results := diurnalResults(64500, 4, 6, 5)
 	results = append(results, diurnalResults(64501, 3, 6, 1.5)...)
 	results = append(results, diurnalResults(64502, 3, 6, 0)...)
-	base, _, err := RunSurvey("eq", results, SurveyOptions{Workers: 1, Shards: 1})
+	base, baseSkipped, err := RunSurvey("eq", results, SurveyOptions{Workers: 1, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,30 +149,11 @@ func TestRunSurveyWorkerAndShardEquivalence(t *testing.T) {
 		{Workers: 1, Shards: 8},
 		{Workers: 8, Shards: 8},
 	} {
-		got, _, err := RunSurvey("eq", results, cfg)
+		got, skipped, err := RunSurvey("eq", results, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Len() != base.Len() {
-			t.Fatalf("%+v: Len %d vs %d", cfg, got.Len(), base.Len())
-		}
-		for asn, want := range base.Results {
-			g := got.Results[asn]
-			if g == nil {
-				t.Fatalf("%+v: AS%v missing", cfg, asn)
-			}
-			if g.Class != want.Class || g.Probes != want.Probes {
-				t.Fatalf("%+v: AS%v verdict {%v,%d} vs {%v,%d}", cfg, asn, g.Class, g.Probes, want.Class, want.Probes)
-			}
-			if math.Float64bits(g.DailyAmplitude) != math.Float64bits(want.DailyAmplitude) {
-				t.Fatalf("%+v: AS%v amplitude %v vs %v", cfg, asn, g.DailyAmplitude, want.DailyAmplitude)
-			}
-			for i := range want.Signal.Values {
-				if math.Float64bits(g.Signal.Values[i]) != math.Float64bits(want.Signal.Values[i]) {
-					t.Fatalf("%+v: AS%v signal[%d] %v vs %v", cfg, asn, i, g.Signal.Values[i], want.Signal.Values[i])
-				}
-			}
-		}
+		sameSurvey(t, fmt.Sprintf("%+v", cfg), got, base, skipped, baseSkipped)
 	}
 }
 
@@ -157,34 +169,23 @@ func TestRunSurveyShardedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, split := range []int{2, 8, 1 << 20} { // oversized split clamps to len(results)
+	for _, split := range []int{2, 8, 1 << 20} {
 		got, skipped, err := RunSurveySharded("eq", results, split, SurveyOptions{})
 		if err != nil {
 			t.Fatalf("split=%d: %v", split, err)
 		}
-		if got.Len() != base.Len() || len(skipped) != len(baseSkipped) {
-			t.Fatalf("split=%d: Len %d vs %d, skipped %d vs %d",
-				split, got.Len(), base.Len(), len(skipped), len(baseSkipped))
+		sameSurvey(t, fmt.Sprintf("split=%d", split), got, base, skipped, baseSkipped)
+	}
+	// Engines are built on their first record, so the oversized split
+	// above cost one engine per record, not 1<<20 engines.
+	f := NewSurveyFeed(1<<20, SurveyOptions{})
+	for _, ar := range results {
+		if err := f.Add(ar.ASN, ar.Result); err != nil {
+			t.Fatal(err)
 		}
-		for asn, want := range base.Results {
-			g := got.Results[asn]
-			if g == nil {
-				t.Fatalf("split=%d: AS%v missing", split, asn)
-			}
-			if g.Class != want.Class || g.Probes != want.Probes {
-				t.Fatalf("split=%d: AS%v verdict {%v,%d} vs {%v,%d}",
-					split, asn, g.Class, g.Probes, want.Class, want.Probes)
-			}
-			if math.Float64bits(g.DailyAmplitude) != math.Float64bits(want.DailyAmplitude) {
-				t.Fatalf("split=%d: AS%v amplitude %v vs %v", split, asn, g.DailyAmplitude, want.DailyAmplitude)
-			}
-			for i := range want.Signal.Values {
-				if math.Float64bits(g.Signal.Values[i]) != math.Float64bits(want.Signal.Values[i]) {
-					t.Fatalf("split=%d: AS%v signal[%d] %v vs %v",
-						split, asn, i, g.Signal.Values[i], want.Signal.Values[i])
-				}
-			}
-		}
+	}
+	if len(f.engines) != len(results) {
+		t.Fatalf("split=1<<20 built %d engines for %d records", len(f.engines), len(results))
 	}
 }
 
