@@ -452,6 +452,35 @@ func BenchmarkIngestDecodeWire(b *testing.B) {
 	}
 }
 
+// BenchmarkIngestEncodeJSON is the Atlas JSON encoder: one op writes the
+// day's results through one reused Writer into io.Discard — 0 allocs/op
+// is gated by check.sh.
+func BenchmarkIngestEncodeJSON(b *testing.B) {
+	lines, jsonArchive, _, _ := ingestBenchData(b)
+	results := make([]*lastmile.Result, len(lines))
+	for i, line := range lines {
+		r, err := lastmile.ParseAtlasResult(line)
+		if err != nil {
+			b.Fatal(err)
+		}
+		results[i] = r
+	}
+	w := lastmile.NewResultWriter(io.Discard)
+	b.SetBytes(int64(len(jsonArchive)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range results {
+			if err := w.Write(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkIngestReplayJSON replays the whole JSONL archive through the
 // auto-detecting public scanner, end to end.
 func BenchmarkIngestReplayJSON(b *testing.B) {

@@ -14,10 +14,13 @@ import (
 	"time"
 
 	lastmile "github.com/last-mile-congestion/lastmile"
+	"github.com/last-mile-congestion/lastmile/internal/traceroute/tracetest"
 )
 
-// campaign holds one synthetic measurement period in both encodings.
+// campaign holds one synthetic measurement period in both encodings,
+// and the results it was written from.
 type campaign struct {
+	results     []*lastmile.Result
 	jsonArchive []byte
 	wireArchive []byte
 	probeASN    map[int]lastmile.ASN
@@ -45,6 +48,7 @@ func buildCampaign(t *testing.T) *campaign {
 				delta += 5.0 // the congested AS's evening bump
 			}
 			r := buildTrace(probe, ts, delta)
+			c.results = append(c.results, r)
 			if err := jw.Write(r); err != nil {
 				t.Fatal(err)
 			}
@@ -182,6 +186,27 @@ func TestIngestEquivalenceMonitor(t *testing.T) {
 			t.Fatalf("verdict %d differs:\njson: %+v\nwire: %+v", i, a, b)
 		}
 		seriesIdentical(t, "AS "+a.ASN.String(), a.Signal, b.Signal)
+	}
+}
+
+// TestCampaignJSONMatchesEncodingJSON: the JSONL archive is, line for
+// line, what encoding/json writes for every record of the campaign.
+func TestCampaignJSONMatchesEncodingJSON(t *testing.T) {
+	c := buildCampaign(t)
+	var want []byte
+	for _, r := range c.results {
+		line, err := tracetest.MarshalAtlas(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := lastmile.MarshalAtlasResult(r); err != nil || !bytes.Equal(got, line) {
+			t.Fatalf("probe %d at %v: MarshalAtlasResult = %s, %v\nencoding/json: %s",
+				r.ProbeID, r.Timestamp, got, err, line)
+		}
+		want = append(append(want, line...), '\n')
+	}
+	if !bytes.Equal(c.jsonArchive, want) {
+		t.Fatal("the ResultWriter archive differs from the encoding/json lines")
 	}
 }
 

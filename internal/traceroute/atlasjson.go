@@ -7,14 +7,16 @@ import (
 	"io"
 	"math"
 	"net/netip"
+	"reflect"
+	"strconv"
 	"time"
 
 	lmioutil "github.com/last-mile-congestion/lastmile/internal/ioutil"
 )
 
 // atlasResult mirrors the RIPE Atlas traceroute result schema (firmware
-// 4460+). Only the fields the pipeline needs are mapped; unknown fields
-// are ignored on decode.
+// 4460+) for ParseAtlas, the encoding/json reference decoder. Only the
+// fields the pipeline needs are mapped; unknown fields are ignored.
 type atlasResult struct {
 	Fw        int        `json:"fw"`
 	AF        int        `json:"af"`
@@ -44,42 +46,151 @@ type atlasReply struct {
 	TTL  int      `json:"ttl,omitempty"`
 }
 
-// MarshalAtlas encodes r in the RIPE Atlas result JSON format.
+// MarshalAtlas encodes r in the RIPE Atlas result JSON format. The bytes
+// are exactly those encoding/json produces for the Atlas schema; see
+// appendAtlas.
 func MarshalAtlas(r *Result) ([]byte, error) {
-	ar := atlasResult{
-		Fw:        5020,
-		AF:        r.AF,
-		PrbID:     r.ProbeID,
-		MsmID:     r.MsmID,
-		Timestamp: r.Timestamp.Unix(),
-		Proto:     r.Proto,
-	}
+	return appendAtlas(nil, r)
+}
+
+// appendAtlas appends r to dst as one Atlas JSON object and returns the
+// extended slice. The output is byte-identical to encoding/json over the
+// schema struct, which the package tests keep as the differential oracle:
+//
+//   - keys fw (always 5020), af, prb_id, msm_id, timestamp (Unix
+//     seconds), then src_addr, from, dst_addr and proto when non-empty,
+//     then result;
+//   - an answered reply is {"from","rtt","ttl"}, ttl omitted when 0; a
+//     timeout or a reply without a valid address is {"x":"*"};
+//   - a result with no hops and a hop with no replies encode as null;
+//   - floats and strings follow encoding/json's formatting and
+//     HTML-safe escaping.
+//
+// A non-finite RTT on an answered reply fails with encoding/json's
+// *json.UnsupportedValueError, and dst comes back unextended. Appending
+// into a buffer with room allocates nothing except for strings that
+// need escaping (zoned addresses, unusual proto tokens).
+func appendAtlas(dst []byte, r *Result) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, `{"fw":5020,"af":`...)
+	dst = strconv.AppendInt(dst, int64(r.AF), 10)
+	dst = append(dst, `,"prb_id":`...)
+	dst = strconv.AppendInt(dst, int64(r.ProbeID), 10)
+	dst = append(dst, `,"msm_id":`...)
+	dst = strconv.AppendInt(dst, int64(r.MsmID), 10)
+	dst = append(dst, `,"timestamp":`...)
+	dst = strconv.AppendInt(dst, r.Timestamp.Unix(), 10)
 	if r.SrcAddr.IsValid() {
-		ar.SrcAddr = r.SrcAddr.String()
+		dst = append(dst, `,"src_addr":`...)
+		dst = appendAddr(dst, r.SrcAddr)
 	}
 	if r.FromAddr.IsValid() {
-		ar.From = r.FromAddr.String()
+		dst = append(dst, `,"from":`...)
+		dst = appendAddr(dst, r.FromAddr)
 	}
 	if r.DstAddr.IsValid() {
-		ar.DstAddr = r.DstAddr.String()
+		dst = append(dst, `,"dst_addr":`...)
+		dst = appendAddr(dst, r.DstAddr)
 	}
-	for _, h := range r.Hops {
-		ah := atlasHop{Hop: h.Hop}
-		for _, rep := range h.Replies {
+	if r.Proto != "" {
+		dst = append(dst, `,"proto":`...)
+		dst = appendString(dst, r.Proto)
+	}
+	dst = append(dst, `,"result":`...)
+	if len(r.Hops) == 0 {
+		return append(dst, `null}`...), nil
+	}
+	for i := range r.Hops {
+		h := &r.Hops[i]
+		if i == 0 {
+			dst = append(dst, `[{"hop":`...)
+		} else {
+			dst = append(dst, `,{"hop":`...)
+		}
+		dst = strconv.AppendInt(dst, int64(h.Hop), 10)
+		if len(h.Replies) == 0 {
+			dst = append(dst, `,"result":null}`...)
+			continue
+		}
+		dst = append(dst, `,"result":[`...)
+		for j := range h.Replies {
+			rep := &h.Replies[j]
+			if j > 0 {
+				dst = append(dst, ',')
+			}
 			if rep.Timeout || !rep.From.IsValid() {
-				ah.Result = append(ah.Result, atlasReply{X: "*"})
+				dst = append(dst, `{"x":"*"}`...)
 				continue
 			}
-			rtt := rep.RTT
-			ah.Result = append(ah.Result, atlasReply{
-				From: rep.From.String(),
-				RTT:  &rtt,
-				TTL:  rep.TTL,
-			})
+			dst = append(dst, `{"from":`...)
+			dst = appendAddr(dst, rep.From)
+			dst = append(dst, `,"rtt":`...)
+			var err error
+			if dst, err = appendFloat(dst, rep.RTT); err != nil {
+				return dst[:start], err
+			}
+			if rep.TTL != 0 {
+				dst = append(dst, `,"ttl":`...)
+				dst = strconv.AppendInt(dst, int64(rep.TTL), 10)
+			}
+			dst = append(dst, '}')
 		}
-		ar.Result = append(ar.Result, ah)
+		dst = append(dst, `]}`...)
 	}
-	return json.Marshal(ar)
+	return append(dst, `]}`...), nil
+}
+
+// appendAddr appends a valid address as a JSON string. Only a zone can
+// hold bytes that need escaping, so unzoned addresses take the
+// allocation-free path.
+func appendAddr(dst []byte, a netip.Addr) []byte {
+	if a.Zone() != "" {
+		return appendString(dst, a.String())
+	}
+	dst = append(dst, '"')
+	dst = a.AppendTo(dst)
+	return append(dst, '"')
+}
+
+// appendString appends s as a JSON string. Printable ASCII other than
+// the quote, the backslash and encoding/json's HTML-escaped <, > and &
+// is copied verbatim; anything else goes through encoding/json itself,
+// which allocates but cannot drift from the oracle's escaping.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(dst, q...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that round-trips, in exponent form below 1e-6 and from 1e21
+// up, with a single-digit negative exponent unpadded (e-7, not e-07).
+// NaN and ±Inf have no JSON form and fail as they do in encoding/json.
+func appendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, &json.UnsupportedValueError{
+			Value: reflect.ValueOf(f),
+			Str:   strconv.FormatFloat(f, 'g', -1, 64),
+		}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
 }
 
 // ParseAtlas decodes one RIPE Atlas traceroute result.
@@ -141,26 +252,31 @@ func fromAtlas(ar *atlasResult) (*Result, error) {
 	return r, nil
 }
 
-// Writer streams results as newline-delimited Atlas JSON.
+// Writer streams results as newline-delimited Atlas JSON. Every record
+// is encoded into one reused buffer, so steady-state writing allocates
+// nothing per record.
 type Writer struct {
-	w *bufio.Writer
+	w   *bufio.Writer
+	buf []byte // reused encode buffer
 }
 
 // NewWriter wraps w for JSONL output.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
+	return &Writer{w: bufio.NewWriterSize(w, 64<<10)}
 }
 
-// Write appends one result as a JSON line.
+// Write appends one result as a JSON line. A result that fails to
+// encode returns the error and writes nothing, so the stream stays valid
+// JSONL.
 func (tw *Writer) Write(r *Result) error {
-	data, err := MarshalAtlas(r)
+	buf, err := appendAtlas(tw.buf[:0], r)
+	tw.buf = buf
 	if err != nil {
 		return err
 	}
-	if _, err := tw.w.Write(data); err != nil {
-		return err
-	}
-	return tw.w.WriteByte('\n')
+	tw.buf = append(tw.buf, '\n')
+	_, err = tw.w.Write(tw.buf)
+	return err
 }
 
 // Flush flushes buffered output. Call it before closing the underlying

@@ -1,8 +1,12 @@
-package traceroute
+package traceroute_test
 
 import (
+	"bytes"
 	"math"
 	"testing"
+
+	"github.com/last-mile-congestion/lastmile/internal/traceroute"
+	"github.com/last-mile-congestion/lastmile/internal/traceroute/tracetest"
 )
 
 // FuzzParseAtlasJSON is the coverage-guided companion to
@@ -17,10 +21,14 @@ import (
 // nesting cap), but it must never accept an input the oracle rejects,
 // and when both accept they must produce bit-identical Results.
 //
+// The encoder gets the same treatment: MarshalAtlas must reproduce
+// tracetest.MarshalAtlas, the encoding/json reference encoder, byte for
+// byte on every accepted input.
+//
 // Seed corpus: the f.Add seeds below plus testdata/fuzz/FuzzParseAtlasJSON.
 // scripts/check.sh runs a short -fuzz smoke pass over it.
 func FuzzParseAtlasJSON(f *testing.F) {
-	valid, err := MarshalAtlas(sampleResult())
+	valid, err := traceroute.MarshalAtlas(traceroute.SampleResult())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -41,9 +49,9 @@ func FuzzParseAtlasJSON(f *testing.F) {
 	f.Add([]byte(`{"proto": "𝄞\uD800x", "prb_id": 1}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var into Result
-		intoErr := ParseAtlasInto(&into, data) // must not panic
-		r, err := ParseAtlas(data)             // must not panic
+		var into traceroute.Result
+		intoErr := traceroute.ParseAtlasInto(&into, data) // must not panic
+		r, err := traceroute.ParseAtlas(data)             // must not panic
 		if intoErr == nil && err != nil {
 			t.Fatalf("ParseAtlasInto accepted input the oracle rejects (%v)\ninput: %q", err, data)
 		}
@@ -56,11 +64,18 @@ func FuzzParseAtlasJSON(f *testing.F) {
 		}
 		// Accepted input: re-encode and re-parse; the sampled structure
 		// must round-trip exactly.
-		enc, err := MarshalAtlas(r)
+		enc, err := traceroute.MarshalAtlas(r)
 		if err != nil {
 			t.Fatalf("accepted input failed to re-encode: %v\ninput: %q", err, data)
 		}
-		r2, err := ParseAtlas(enc)
+		want, err := tracetest.MarshalAtlas(r)
+		if err != nil {
+			t.Fatalf("oracle failed to encode an accepted input: %v\ninput: %q", err, data)
+		}
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("encoders disagree:\n  hand: %s\noracle: %s\ninput: %q", enc, want, data)
+		}
+		r2, err := traceroute.ParseAtlas(enc)
 		if err != nil {
 			t.Fatalf("re-encoded output failed to parse: %v\nencoded: %q", err, enc)
 		}
@@ -70,8 +85,8 @@ func FuzzParseAtlasJSON(f *testing.F) {
 		}
 		// The re-encoding is canonical JSON; the zero-alloc parser must
 		// agree with the oracle on it too.
-		var into2 Result
-		if err := ParseAtlasInto(&into2, enc); err != nil {
+		var into2 traceroute.Result
+		if err := traceroute.ParseAtlasInto(&into2, enc); err != nil {
 			// Zoned addresses survive the oracle's round trip but are a
 			// documented ParseAtlasInto tightening; everything else must
 			// be accepted.
@@ -109,7 +124,7 @@ func FuzzParseAtlasJSON(f *testing.F) {
 
 // resultsIdentical is bit-exact equality: every field, RTTs by bit
 // pattern, nil and empty slices equal.
-func resultsIdentical(a, b *Result) bool {
+func resultsIdentical(a, b *traceroute.Result) bool {
 	if a.ProbeID != b.ProbeID || a.MsmID != b.MsmID || a.AF != b.AF ||
 		!a.Timestamp.Equal(b.Timestamp) || a.Proto != b.Proto ||
 		a.SrcAddr != b.SrcAddr || a.FromAddr != b.FromAddr || a.DstAddr != b.DstAddr {
@@ -136,7 +151,7 @@ func resultsIdentical(a, b *Result) bool {
 
 // hasZonedAddr reports whether any address in r carries an IPv6 zone —
 // representable by the oracle but rejected by the zero-alloc parser.
-func hasZonedAddr(r *Result) bool {
+func hasZonedAddr(r *traceroute.Result) bool {
 	if r.SrcAddr.Zone() != "" || r.FromAddr.Zone() != "" || r.DstAddr.Zone() != "" {
 		return true
 	}

@@ -2,8 +2,9 @@
 # check.sh — the pre-PR gate. Chains the build, go vet, the repo's own
 # lmvet static-analysis suite, the full test run under the race
 # detector, a focused race-stress pass over the parallel execution
-# paths, and a one-iteration benchmark smoke run. Any stage failing
-# fails the gate; the failing stage is named on stderr and every stage's
+# paths, a one-iteration benchmark smoke run, the zero-alloc gates, and
+# the bench/ module's vet and self-test. Any stage failing fails the
+# gate; the failing stage is named on stderr and every stage's
 # wall-clock time is reported either way.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -153,14 +154,15 @@ go test -run '^$' -bench 'BenchmarkMonitorObserve|BenchmarkSurveyFeed' -benchmem
         if (bad > 0)   { print "zero-alloc gate: " bad " row(s) allocate on the hot path" > "/dev/stderr"; exit 1 }
       }'
 
-# Decode hot-path gate: the two steady-state decode benches — the
-# zero-alloc JSON parser and the binary wire decoder — must each report
-# exactly 0 allocs/op. One op decodes a full synthetic campaign day
-# (~576 results) into a reused Result, so 200 iterations amortise
+# Codec hot-path gate: the three steady-state codec benches — the
+# zero-alloc JSON parser, the binary wire decoder and the Atlas JSON
+# encoder — must each report exactly 0 allocs/op. One op decodes (or
+# encodes) a full synthetic campaign day (~576 results) into a reused
+# Result (or through one reused Writer), so 200 iterations amortise
 # scratch growth to steady state. BenchmarkIngestDecodeJSONStdlib is the
 # encoding/json baseline and is deliberately excluded.
-stage "zero-alloc decode gate (BenchmarkIngestDecode{JSON,Wire}, 0 allocs/op)"
-go test -run '^$' -bench 'BenchmarkIngestDecodeJSON$|BenchmarkIngestDecodeWire$' \
+stage "zero-alloc codec gate (BenchmarkIngest{DecodeJSON,DecodeWire,EncodeJSON}, 0 allocs/op)"
+go test -run '^$' -bench 'BenchmarkIngestDecodeJSON$|BenchmarkIngestDecodeWire$|BenchmarkIngestEncodeJSON$' \
   -benchmem -benchtime 200x -count=1 . \
   | tee /dev/stderr \
   | awk '
@@ -169,9 +171,16 @@ go test -run '^$' -bench 'BenchmarkIngestDecodeJSON$|BenchmarkIngestDecodeWire$'
         for (i = 2; i <= NF; i++) if ($i == "allocs/op" && $(i-1) != "0") bad++
       }
       END {
-        if (rows != 2) { print "decode gate: expected 2 benchmark rows, parsed " rows > "/dev/stderr"; exit 1 }
-        if (bad > 0)   { print "decode gate: " bad " row(s) allocate on the decode hot path" > "/dev/stderr"; exit 1 }
+        if (rows != 3) { print "codec gate: expected 3 benchmark rows, parsed " rows > "/dev/stderr"; exit 1 }
+        if (bad > 0)   { print "codec gate: " bad " row(s) allocate on the codec hot path" > "/dev/stderr"; exit 1 }
       }'
+
+# bench/ is a module of its own, so the go build, vet and test stages
+# above never compile it, though it drives the survey, daemon and codec
+# APIs. Vet and self-test it offline, in bench/run.sh's environment.
+stage "bench/ module (go vet, go test)"
+GOFLAGS= GOPROXY=off GOWORK=off GOTOOLCHAIN=local go vet -C bench ./...
+GOFLAGS= GOPROXY=off GOWORK=off GOTOOLCHAIN=local go test -C bench -count=1 ./...
 
 stage_done
 STAGE=""
