@@ -270,11 +270,10 @@ func NewWriter(w io.Writer) *Writer {
 // JSONL.
 func (tw *Writer) Write(r *Result) error {
 	buf, err := appendAtlas(tw.buf[:0], r)
-	tw.buf = buf
 	if err != nil {
 		return err
 	}
-	tw.buf = append(tw.buf, '\n')
+	tw.buf = append(buf, '\n')
 	_, err = tw.w.Write(tw.buf)
 	return err
 }
