@@ -338,22 +338,18 @@ func BenchmarkMonitorObserve(b *testing.B) {
 
 // BenchmarkSurveyFeed measures the batch survey's per-record path: one
 // reused Result, as a scanner hands it out, estimated and observed into
-// the feed's engines. Timestamps advance one second per op, so a new bin
+// the feed's engine. Timestamps advance one second per op, so a new bin
 // opens every 1800 ops; 0 allocs/op is gated by check.sh.
 func BenchmarkSurveyFeed(b *testing.B) {
-	for _, split := range []int{1, 8} {
-		b.Run(fmt.Sprintf("split=%d", split), func(b *testing.B) {
-			feed := lastmile.NewSurveyFeed(split, lastmile.SurveyOptions{})
-			r := buildTrace(1, t0, 2)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Timestamp = t0.Add(time.Duration(i) * time.Second)
-				if err := feed.Add(64500, r); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	feed := lastmile.NewSurveyFeed(lastmile.SurveyOptions{})
+	r := buildTrace(1, t0, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Timestamp = t0.Add(time.Duration(i) * time.Second)
+		if err := feed.Add(64500, r); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

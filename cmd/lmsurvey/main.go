@@ -19,13 +19,11 @@
 //	atlasgen -isp A -days 8 | lmsurvey
 //	lmsurvey -in traces.jsonl -rib rib.txt -csv signals/
 //	lmsurvey -in traces.jsonl -workers 8
-//	lmsurvey -in archive.lmw -split 8
+//	lmsurvey -in archive.lmw
 //
-// The feed is serial. -workers fans the per-AS classification out
-// (default GOMAXPROCS); -shards sets each engine's lock stripes
-// (default 1); -split K round-robins the records over K independent
-// engines merged at the end (engine.Merge). The report is
-// byte-identical at any worker, shard, or split count.
+// The feed is serial, into one engine. -workers fans the per-AS
+// classification out (default GOMAXPROCS); the report is byte-identical
+// at any worker count.
 package main
 
 import (
@@ -51,18 +49,16 @@ func main() {
 		probesIn = flag.String("probes", "", "optional probe metadata file (Atlas probe-archive JSON) for probe->AS mapping and anchor exclusion")
 		csvDir   = flag.String("csv", "", "optional directory for per-AS signal CSV dumps")
 		workers  = flag.Int("workers", 0, "worker goroutines for the per-AS classification (0 = GOMAXPROCS, 1 = serial; output is identical at any count)")
-		shards   = flag.Int("shards", 0, "engine lock stripes per split engine (0 = 1; output is identical at any count)")
-		split    = flag.Int("split", 1, "map-reduce replay: split the dataset across this many independent engines and merge (output is identical at any count)")
 		metrics  = flag.String("metrics", "", "write an end-of-run telemetry snapshot (Prometheus text) to this file (- for stdout)")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *in, *ribIn, *probesIn, *csvDir, *metrics, *workers, *shards, *split); err != nil {
+	if err := run(os.Stdout, *in, *ribIn, *probesIn, *csvDir, *metrics, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "lmsurvey:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out io.Writer, in, ribIn, probesIn, csvDir, metricsOut string, workers, shards, split int) error {
+func run(out io.Writer, in, ribIn, probesIn, csvDir, metricsOut string, workers int) error {
 	var r io.Reader = os.Stdin
 	if in != "-" {
 		f, err := os.Open(in)
@@ -104,9 +100,8 @@ func run(out io.Writer, in, ribIn, probesIn, csvDir, metricsOut string, workers,
 	// traceroute into the survey feed, which keeps nothing of it, so the
 	// scanner's reused Result goes straight in.
 	reg := lastmile.DefaultMetrics()
-	feed := lastmile.NewSurveyFeed(split, lastmile.SurveyOptions{
+	feed := lastmile.NewSurveyFeed(lastmile.SurveyOptions{
 		Workers: workers,
-		Shards:  shards,
 		Metrics: reg,
 	})
 	probeASN := map[int]lastmile.ASN{}

@@ -116,9 +116,9 @@ func writeCampaign(t *testing.T) campaign {
 	return c
 }
 
-func runReport(in, rib, probes string, workers, split int) (string, error) {
+func runReport(in, rib, probes string, workers int) (string, error) {
 	var out bytes.Buffer
-	err := run(&out, in, rib, probes, "", "", workers, 0, split)
+	err := run(&out, in, rib, probes, "", "", workers)
 	return out.String(), err
 }
 
@@ -135,11 +135,11 @@ func rows(out string) map[string][]string {
 }
 
 // TestRunReportIdentical: the wire archive and the JSONL archive
-// attributed by -probes print byte-identical reports at every split
-// and worker count.
+// attributed by -probes print byte-identical reports at every worker
+// count.
 func TestRunReportIdentical(t *testing.T) {
 	c := writeCampaign(t)
-	want, err := runReport(c.wire, "", "", 1, 1)
+	want, err := runReport(c.wire, "", "", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,16 +147,14 @@ func TestRunReportIdentical(t *testing.T) {
 	if len(r) != 3 || r["AS64500"][1] == "None" || r["AS64501"][1] != "None" || !strings.Contains(want, "(no usable data)") {
 		t.Fatalf("campaign does not discriminate:\n%s", want)
 	}
-	for _, split := range []int{1, 8} {
-		for _, workers := range []int{1, 8} {
-			for _, enc := range []struct{ name, in, probes string }{{"wire", c.wire, ""}, {"json", c.jsonl, c.probes}} {
-				got, err := runReport(enc.in, "", enc.probes, workers, split)
-				if err != nil {
-					t.Fatalf("%s split=%d workers=%d: %v", enc.name, split, workers, err)
-				}
-				if got != want {
-					t.Fatalf("%s split=%d workers=%d: report differs\ngot:\n%s\nwant:\n%s", enc.name, split, workers, got, want)
-				}
+	for _, workers := range []int{1, 8} {
+		for _, enc := range []struct{ name, in, probes string }{{"wire", c.wire, ""}, {"json", c.jsonl, c.probes}} {
+			got, err := runReport(enc.in, "", enc.probes, workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", enc.name, workers, err)
+			}
+			if got != want {
+				t.Fatalf("%s workers=%d: report differs\ngot:\n%s\nwant:\n%s", enc.name, workers, got, want)
 			}
 		}
 	}
@@ -172,7 +170,7 @@ func TestRunTruncatedWireArchive(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "truncated.wire")
 	writeFile(t, path, data[:len(data)-1])
-	out, err := runReport(path, "", "", 1, 1)
+	out, err := runReport(path, "", "", 1)
 	var ce *wire.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want a *wire.CorruptError", err)
@@ -188,7 +186,7 @@ func TestRunAnchorsOnly(t *testing.T) {
 	c := writeCampaign(t)
 	anchors := filepath.Join(t.TempDir(), "anchors.json")
 	writeProbes(t, anchors, true)
-	out, err := runReport(c.jsonl, "", anchors, 1, 1)
+	out, err := runReport(c.jsonl, "", anchors, 1)
 	if err == nil || out != "" {
 		t.Fatalf("err = %v, output %q; want an error and no output", err, out)
 	}
@@ -201,7 +199,7 @@ func TestRunRIBMissFallsThroughToInBand(t *testing.T) {
 	c := writeCampaign(t)
 	rib := filepath.Join(t.TempDir(), "rib.txt")
 	writeFile(t, rib, []byte("198.51.100.1/32 64999\n"))
-	out, err := runReport(c.wire, rib, "", 1, 1)
+	out, err := runReport(c.wire, rib, "", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

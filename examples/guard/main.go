@@ -12,6 +12,8 @@
 //  3. derive the peak-hour mask and apply it to a toy geolocation-style
 //     minimum-RTT estimate, showing the bias the mask removes.
 //
+// Run it with:
+//
 //	go run ./examples/guard
 package main
 

@@ -75,7 +75,7 @@ func buildCampaign(t *testing.T) *campaign {
 // from the probe map, exactly as cmd/lmsurvey does.
 func collect(t *testing.T, c *campaign, archive []byte, opts lastmile.SurveyOptions) (*lastmile.Survey, []lastmile.SkippedAS) {
 	t.Helper()
-	feed := lastmile.NewSurveyFeed(1, opts)
+	feed := lastmile.NewSurveyFeed(opts)
 	sc := lastmile.NewResultScanner(bytes.NewReader(archive))
 	for sc.Scan() {
 		res := sc.Result()

@@ -140,7 +140,7 @@ func TestTraceFeedsLastmileEstimator(t *testing.T) {
 }
 
 func TestTraceCongestionVisibleInSamples(t *testing.T) {
-	p := testProbe(7, 1.6) // saturated at peak
+	p := testProbe(7, 1.6)                                 // saturated at peak
 	peakT := time.Date(2019, 9, 19, 12, 0, 0, 0, time.UTC) // 21:00 JST
 	offT := time.Date(2019, 9, 19, 19, 0, 0, 0, time.UTC)  // 04:00 JST
 	avgSample := func(at time.Time, salt uint64) float64 {

@@ -100,7 +100,7 @@ func BuiltinMeasurementsV6() []Measurement {
 		ms = append(ms, Measurement{
 			MsmID: 8001 + i,
 			Target: Target{
-				Addr:     mkAddr(byte(0x80 + i), 0x81),
+				Addr:     mkAddr(byte(0x80+i), 0x81),
 				PathMs:   15 + 12*float64(i%4),
 				TailHops: 5 + i%2,
 			},

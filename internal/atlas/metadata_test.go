@@ -158,9 +158,9 @@ func TestParseRegistryJSONL(t *testing.T) {
 
 func TestParseRegistryErrors(t *testing.T) {
 	cases := []string{
-		"",                 // empty
-		"[{bad",            // broken array
-		`{"id": "x"}`,      // wrong type
+		"",                    // empty
+		"[{bad",               // broken array
+		`{"id": "x"}`,         // wrong type
 		`[{"id":1},{"id":1}]`, // duplicates
 	}
 	for _, c := range cases {

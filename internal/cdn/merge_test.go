@@ -27,7 +27,7 @@ func randomLogDay(rng *rand.Rand, nIPs, nEntries int) []LogEntry {
 			cache = Miss
 		}
 		entries[i] = LogEntry{
-			Timestamp:  start.Add(time.Duration(rng.Intn(24 * 3600 * 1000)) * time.Millisecond),
+			Timestamp:  start.Add(time.Duration(rng.Intn(24*3600*1000)) * time.Millisecond),
 			ClientIP:   ips[rng.Intn(len(ips))],
 			Bytes:      int64(rng.Intn(10_000_000)),
 			DurationMs: float64(rng.Intn(5000)) + rng.Float64(),

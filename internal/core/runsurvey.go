@@ -93,23 +93,9 @@ var errNilResult = errors.New("core: nil result")
 // ASes that cannot be classified are returned with their reasons. The
 // survey is identical at any Workers and Shards count, and identical to
 // streaming the same results through stream.Monitor with a window
-// covering the period.
+// covering the period. It is a loop over results into a SurveyFeed.
 func RunSurvey(period string, results []AttributedResult, opts SurveyOptions) (*Survey, []SkippedAS, error) {
-	return RunSurveySharded(period, results, 1, opts)
-}
-
-// RunSurveySharded is RunSurvey's map-reduce form: the results are
-// split round-robin across K independent engines and merged
-// (engine.Merge) before classification. Per-bin medians are exact order
-// statistics, so the merged engine is observation-for-observation
-// equivalent to one engine having seen everything — the survey is
-// bit-identical at any split count, which TestRunSurveyShardedEquivalence
-// pins for K ∈ {1, 2, 8, 1<<20}. Split is the unit of distribution
-// (each split's engine state could arrive as a wire snapshot from
-// another process); Shards remains the per-engine lock striping. It is
-// a loop over results into a SurveyFeed.
-func RunSurveySharded(period string, results []AttributedResult, split int, opts SurveyOptions) (*Survey, []SkippedAS, error) {
-	f := NewSurveyFeed(split, opts)
+	f := NewSurveyFeed(opts)
 	for i, ar := range results {
 		if err := f.Add(ar.ASN, ar.Result); err != nil {
 			return nil, nil, fmt.Errorf("%w at index %d", err, i)
@@ -118,14 +104,14 @@ func RunSurveySharded(period string, results []AttributedResult, split int, opts
 	return f.Survey(period)
 }
 
-// SurveyFeed is the streaming form of RunSurveySharded. Add reduces each
-// record to its last-mile samples and observes them into one of split
-// engines, round-robin; Survey merges the engines and classifies. The
-// feed keeps nothing a record references, so a scanner's reused Result
-// can be passed straight in. Survey memory is engine state: at most 9
-// float64 per usable traceroute (engine_resident_samples), held until
-// Survey. It still grows with the number of records, but by those
-// samples only, not by a copy of each record.
+// SurveyFeed is the streaming form of RunSurvey. Add reduces each
+// record to its last-mile samples and observes them into the feed's
+// engine; Survey classifies. The feed keeps nothing a record
+// references, so a scanner's reused Result can be passed straight in.
+// Survey memory is engine state: at most 9 float64 per usable
+// traceroute (engine_resident_samples), held until Survey. It still
+// grows with the number of records, but by those samples only, not by a
+// copy of each record.
 //
 // The feed is serial and not safe for concurrent use; classification
 // in Survey fans out over SurveyOptions.Workers.
@@ -135,18 +121,9 @@ func RunSurveySharded(period string, results []AttributedResult, split int, opts
 // counts its decode and attribution time there too.
 type SurveyFeed struct {
 	opts     SurveyOptions
-	split    int
+	eng      *engine.Engine
 	reg      *telemetry.Registry
 	feedHist *telemetry.Histogram
-	// engines grows to at most split entries: engine k is built on its
-	// first record, so an oversized split costs one engine per record
-	// instead of split engines up front. Construction registers
-	// telemetry and allocates, but runs at most split times per feed,
-	// never per record in the steady state; Add reaches it through the
-	// newEngine function value, which keeps engine.New out of the
-	// allocguard check on Add.
-	engines   []*engine.Engine
-	newEngine func() *engine.Engine
 	// n counts the records added. ases holds every AS added, usable or
 	// not, so wholly unusable ASes surface as skipped.
 	n          int
@@ -157,31 +134,25 @@ type SurveyFeed struct {
 	surveyed   bool
 }
 
-// NewSurveyFeed creates a feed over split engines; a split below 1
-// means 1.
-func NewSurveyFeed(split int, opts SurveyOptions) *SurveyFeed {
+// NewSurveyFeed creates a feed over one engine.
+func NewSurveyFeed(opts SurveyOptions) *SurveyFeed {
 	opts = opts.withDefaults()
-	if split < 1 {
-		split = 1
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	eo := engine.Options{
-		BinWidth:       opts.BinWidth,
-		MinTraceroutes: opts.MinTraceroutes,
-		Shards:         opts.Shards,
-		Metrics:        reg,
-	}
 	return &SurveyFeed{
-		opts:      opts,
-		split:     split,
-		reg:       reg,
-		feedHist:  reg.Histogram("survey_feed_seconds", telemetry.DefLatencyBuckets),
-		newEngine: func() *engine.Engine { return engine.New(eo) },
-		ases:      make(map[bgp.ASN]struct{}),
-		scratch:   make([]float64, 0, 16),
+		opts: opts,
+		eng: engine.New(engine.Options{
+			BinWidth:       opts.BinWidth,
+			MinTraceroutes: opts.MinTraceroutes,
+			Shards:         opts.Shards,
+			Metrics:        reg,
+		}),
+		reg:      reg,
+		feedHist: reg.Histogram("survey_feed_seconds", telemetry.DefLatencyBuckets),
+		ases:     make(map[bgp.ASN]struct{}),
+		scratch:  make([]float64, 0, 16),
 	}
 }
 
@@ -192,10 +163,6 @@ func NewSurveyFeed(split int, opts SurveyOptions) *SurveyFeed {
 func (f *SurveyFeed) Add(asn bgp.ASN, r *traceroute.Result) error {
 	if r == nil {
 		return errNilResult
-	}
-	k := f.n % f.split
-	if k == len(f.engines) {
-		f.engines = append(f.engines, f.newEngine()) //lmvet:ignore allocguard at most split engines per feed, each built on its first record
 	}
 	switch {
 	case f.n == 0:
@@ -211,7 +178,7 @@ func (f *SurveyFeed) Add(asn bgp.ASN, r *traceroute.Result) error {
 	samples, _, ok := lm.EstimateInto(f.scratch[:0], r)
 	f.scratch = samples
 	if ok {
-		f.engines[k].Observe(asn, r.ProbeID, r.Timestamp, samples)
+		f.eng.Observe(asn, r.ProbeID, r.Timestamp, samples)
 	}
 	return nil
 }
@@ -234,10 +201,10 @@ func (f *SurveyFeed) Bounds() (start, end time.Time) {
 	return start, end
 }
 
-// Survey ends the feed: it merges the engines, fixes the period bounds
-// and classifies every AS added, returning the ASes that cannot be
-// classified with their reasons. The merge consumes the engines, so the
-// feed must not be used afterwards; a second Survey returns an error.
+// Survey ends the feed: it fixes the period bounds and classifies every
+// AS added, returning the ASes that cannot be classified with their
+// reasons. The feed must not be used afterwards; a second Survey returns
+// an error.
 func (f *SurveyFeed) Survey(period string) (*Survey, []SkippedAS, error) {
 	if f.surveyed {
 		return nil, nil, errors.New("core: survey feed already surveyed")
@@ -256,28 +223,12 @@ func (f *SurveyFeed) Survey(period string) (*Survey, []SkippedAS, error) {
 		nBins++
 	}
 
-	// Reduce: fold every engine into the one built last. Engines register
-	// their resident-state gauges into the shared registry with last-wins
-	// replacement, so folding into the newest keeps those gauges reading
-	// the merged state. Merge is commutative and associative, so the fold
-	// order does not matter.
-	last := len(f.engines) - 1
-	eng := f.engines[last]
-	mergeTimer := f.reg.Histogram("survey_merge_seconds", telemetry.DefLatencyBuckets).Start()
-	for _, o := range f.engines[:last] {
-		if err := eng.Merge(o); err != nil {
-			mergeTimer.Stop()
-			return nil, nil, err
-		}
-	}
-	mergeTimer.Stop()
-
 	universe := make([]bgp.ASN, 0, len(f.ases))
 	for asn := range f.ases {
 		universe = append(universe, asn)
 	}
 	sort.Slice(universe, func(i, j int) bool { return universe[i] < universe[j] })
-	return classifySurvey(period, eng, universe, start, nBins, f.opts, f.reg)
+	return classifySurvey(period, f.eng, universe, start, nBins, f.opts, f.reg)
 }
 
 // classifySurvey runs the §2.3 classification pass over a fed engine

@@ -157,38 +157,6 @@ func TestRunSurveyWorkerAndShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunSurveyShardedEquivalence pins the map-reduce contract at the
-// survey layer: splitting the replay across K engines and merging must
-// reproduce the single-engine survey bit for bit — verdicts, probe
-// counts, amplitudes, and full signals — at every split count.
-func TestRunSurveyShardedEquivalence(t *testing.T) {
-	results := diurnalResults(64500, 4, 6, 5)
-	results = append(results, diurnalResults(64501, 3, 6, 1.5)...)
-	results = append(results, diurnalResults(64502, 3, 6, 0)...)
-	base, baseSkipped, err := RunSurveySharded("eq", results, 1, SurveyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, split := range []int{2, 8, 1 << 20} {
-		got, skipped, err := RunSurveySharded("eq", results, split, SurveyOptions{})
-		if err != nil {
-			t.Fatalf("split=%d: %v", split, err)
-		}
-		sameSurvey(t, fmt.Sprintf("split=%d", split), got, base, skipped, baseSkipped)
-	}
-	// Engines are built on their first record, so the oversized split
-	// above cost one engine per record, not 1<<20 engines.
-	f := NewSurveyFeed(1<<20, SurveyOptions{})
-	for _, ar := range results {
-		if err := f.Add(ar.ASN, ar.Result); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(f.engines) != len(results) {
-		t.Fatalf("split=1<<20 built %d engines for %d records", len(f.engines), len(results))
-	}
-}
-
 func TestRunSurveyPinnedBounds(t *testing.T) {
 	results := diurnalResults(64500, 3, 4, 5)
 	start := surveyT0

@@ -103,7 +103,7 @@ func twiddlesFor(n int) *twiddleTables {
 		step := -1.0 * 2 * math.Pi / float64(size)
 		for k := 0; k < half; k++ {
 			w := cmplx.Rect(1, step*float64(k))
-			t.fwd = append(t.fwd, w) //lmvet:ignore allocguard fills the exact capacity reserved above; field provenance is beyond the intraprocedural lattice
+			t.fwd = append(t.fwd, w)             //lmvet:ignore allocguard fills the exact capacity reserved above; field provenance is beyond the intraprocedural lattice
 			t.inv = append(t.inv, cmplx.Conj(w)) //lmvet:ignore allocguard fills the exact capacity reserved above
 		}
 	}

@@ -1,9 +1,10 @@
 package engine
 
-// Engine merging — the reduce step of map-reduce ingestion. K engines
-// fed disjoint slices of one observation stream merge into a single
-// engine whose signals are bit-identical to one engine having seen the
-// whole stream: per-bin medians are exact order statistics
+// Engine merging. K engines fed disjoint slices of one observation
+// stream, such as engines restored from snapshots taken in separate
+// processes, merge into a single engine whose signals are bit-identical
+// to one engine having seen the whole stream: per-bin medians are exact
+// order statistics
 // (timeseries.IncrementalBin.Merge), so the union is
 // permutation-invariant, which is also what makes Merge commutative and
 // associative up to internal heap layout.
@@ -25,8 +26,8 @@ import (
 // engines use distinct registries — with a shared Options.Metrics the
 // series are already the same and adding would double-count.
 //
-// Both engines must be quiescent (no concurrent Observe or Signal); the
-// map-reduce driver merges only after every feeder has finished.
+// Both engines must be quiescent (no concurrent Observe or Signal):
+// merge only after every feeder has finished.
 func (e *Engine) Merge(other *Engine) error {
 	if other == e {
 		return fmt.Errorf("engine: cannot merge an engine into itself")

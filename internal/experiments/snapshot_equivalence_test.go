@@ -6,64 +6,14 @@ import (
 	"math"
 	"testing"
 
-	"github.com/last-mile-congestion/lastmile/internal/core"
 	"github.com/last-mile-congestion/lastmile/internal/stream"
 )
 
-// Acceptance tests for the serializable-engine work on the realistic
-// Tokyo dataset: a map-reduce replay (split K ways, merged) and a
-// checkpointed replay (snapshot mid-stream, restore, continue) must
-// both reproduce the uninterrupted pipeline's verdicts bit for bit.
-// Together with TestBatchStreamReplayEquivalence this closes the
-// square: batch ≡ stream ≡ merged shards ≡ restored checkpoint.
-
-// surveysEqual asserts two surveys carry identical verdicts: class,
-// probe count, daily flag, bit-identical amplitudes and signals.
-func surveysEqual(t *testing.T, label string, got, want *core.Survey) {
-	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("%s: %d results vs %d", label, got.Len(), want.Len())
-	}
-	for asn, w := range want.Results {
-		g := got.Results[asn]
-		if g == nil {
-			t.Fatalf("%s: AS%v missing", label, asn)
-		}
-		if g.Class != w.Class || g.Probes != w.Probes || g.IsDaily != w.IsDaily {
-			t.Fatalf("%s: AS%v verdict {%v,%d,%v} vs {%v,%d,%v}", label, asn,
-				g.Class, g.Probes, g.IsDaily, w.Class, w.Probes, w.IsDaily)
-		}
-		if math.Float64bits(g.DailyAmplitude) != math.Float64bits(w.DailyAmplitude) {
-			t.Fatalf("%s: AS%v amplitude %v vs %v", label, asn, g.DailyAmplitude, w.DailyAmplitude)
-		}
-		sameSeries(t, fmt.Sprintf("%s AS%v signal", label, asn), w.Signal, g.Signal)
-	}
-}
-
-// TestSurveySplitMergeEquivalence replays the Tokyo period through
-// RunSurveySharded at K ∈ {1, 2, 8}: the merged map-reduce survey must
-// be bit-identical to the single-engine one.
-func TestSurveySplitMergeEquivalence(t *testing.T) {
-	results, start, end := buildReplayDataset(t)
-	opts := core.SurveyOptions{Start: start, End: end}
-	base, baseSkipped, err := core.RunSurveySharded("tokyo", results, 1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Len() == 0 {
-		t.Fatal("baseline survey classified no AS")
-	}
-	for _, split := range []int{2, 8} {
-		got, skipped, err := core.RunSurveySharded("tokyo", results, split, opts)
-		if err != nil {
-			t.Fatalf("split=%d: %v", split, err)
-		}
-		if len(skipped) != len(baseSkipped) {
-			t.Fatalf("split=%d: %d skips vs %d", split, len(skipped), len(baseSkipped))
-		}
-		surveysEqual(t, fmt.Sprintf("split=%d", split), got, base)
-	}
-}
+// Acceptance test for the serializable-engine work on the realistic
+// Tokyo dataset: a checkpointed replay (snapshot mid-stream, restore,
+// continue) must reproduce the uninterrupted pipeline's verdicts bit for
+// bit. With TestBatchStreamReplayEquivalence it pins
+// batch ≡ stream ≡ restored checkpoint.
 
 // TestMonitorSnapshotRestoreEquivalence interrupts a streaming replay
 // of the Tokyo period halfway: snapshot, restore into a fresh monitor,

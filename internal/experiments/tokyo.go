@@ -100,11 +100,11 @@ func RunTokyo(o Options) (*TokyoSet, error) {
 		excludeMobile, onlyMobile bool
 	}
 	var (
-		estA, estB, estC                *cdn.Estimator
-		estAMob, estBMob, estCMob       *cdn.Estimator
-		estA30, estC30                  *cdn.Estimator
-		estA4, estA6, estB4, estB6      *cdn.Estimator
-		estC4, estC6                    *cdn.Estimator
+		estA, estB, estC           *cdn.Estimator
+		estAMob, estBMob, estCMob  *cdn.Estimator
+		estA30, estC30             *cdn.Estimator
+		estA4, estA6, estB4, estB6 *cdn.Estimator
+		estC4, estC6               *cdn.Estimator
 	)
 	specs := []estSpec{
 		{&estA, scenario.ASNTokyoA, 15 * time.Minute, 4, true, false},
@@ -195,9 +195,9 @@ func RunTokyo(o Options) (*TokyoSet, error) {
 
 // Fig5Result is the Tokyo delay comparison (§4.1).
 type Fig5Result struct {
-	Period                 string
+	Period                    string
 	ProbesA, ProbesB, ProbesC int
-	DelayA, DelayB, DelayC *timeseries.Series
+	DelayA, DelayB, DelayC    *timeseries.Series
 	// DailyMax holds each ISP's per-day maximum delay (the markers of
 	// Fig. 5).
 	DailyMaxA, DailyMaxB, DailyMaxC []float64

@@ -199,9 +199,9 @@ func TestAPIPopulatedResponses(t *testing.T) {
 	// Health: drained daemon reports its terminal state truthfully.
 	_, body = get(t, handler, "/api/health")
 	var health struct {
-		Status  string `json:"status"`
-		Ingested int64 `json:"ingested"`
-		Targets []struct {
+		Status   string `json:"status"`
+		Ingested int64  `json:"ingested"`
+		Targets  []struct {
 			Name, State string
 			Ingested    int64
 		} `json:"targets"`

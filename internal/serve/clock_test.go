@@ -31,7 +31,7 @@ func TestFakeClockAdvanceFiresInDeadlineOrder(t *testing.T) {
 	if v := <-tie; !v.Equal(clkT0.Add(time.Hour)) {
 		t.Fatalf("tie delivered %v, want %v", v, clkT0.Add(time.Hour))
 	}
-	if v := <-late; !v.Equal(clkT0.Add(2*time.Hour)) {
+	if v := <-late; !v.Equal(clkT0.Add(2 * time.Hour)) {
 		t.Fatalf("late delivered %v, want %v", v, clkT0.Add(2*time.Hour))
 	}
 	if got := c.Waiters(); got != 0 {

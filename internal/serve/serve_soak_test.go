@@ -92,7 +92,7 @@ func diurnalTimeline(asn bgp.ASN, probeBase int, from, to time.Time, step time.D
 			delta += bumpMs
 		}
 		for p := 0; p < 3; p++ {
-			out = append(out, soakObs{asn: asn, ts: ts, res: soakTrace(probeBase + p, ts, delta)})
+			out = append(out, soakObs{asn: asn, ts: ts, res: soakTrace(probeBase+p, ts, delta)})
 		}
 	}
 	return out

@@ -29,7 +29,6 @@ import (
 	"github.com/last-mile-congestion/lastmile/internal/lastmile"
 	"github.com/last-mile-congestion/lastmile/internal/parallel"
 	"github.com/last-mile-congestion/lastmile/internal/telemetry"
-	"github.com/last-mile-congestion/lastmile/internal/timeseries"
 	"github.com/last-mile-congestion/lastmile/internal/traceroute"
 )
 
@@ -249,15 +248,10 @@ func (m *Monitor) WindowBounds() (start time.Time, nBins int, ok bool) {
 	return m.eng.WindowBounds()
 }
 
-// Verdict is the outcome of an online classification.
-type Verdict struct {
-	ASN bgp.ASN
-	// Probes contributed usable series.
-	Probes int
-	// Signal is the aggregated queuing delay over the current window.
-	Signal *timeseries.Series
-	core.Classification
-}
+// Verdict is the outcome of an online classification: the batch
+// survey's per-AS result, with Signal the aggregated queuing delay over
+// the current window.
+type Verdict = core.ASResult
 
 // ClassifyAS classifies one AS from the current window: the offline
 // pipeline (§2.1 + §2.3) applied to the live engine shards.

@@ -68,38 +68,6 @@ func (b *MedianBinner) AddGroup(t time.Time, vs []float64) {
 	}
 }
 
-// Bin exposes bin i's IncrementalBin — the snapshot/restore surface:
-// serialize each cell via IncrementalBin.Snapshot, rebuild with
-// RestoreMedianBinner.
-func (b *MedianBinner) Bin(i int) *IncrementalBin { return &b.bins[i] }
-
-// Merge folds other — a binner with the identical axis, fed a different
-// slice of the same sample stream — into b cell by cell. Medians are
-// order statistics, so the merged binner's Series is bit-identical to
-// one binner having seen the union of both streams.
-func (b *MedianBinner) Merge(other *MedianBinner) error {
-	if !b.start.Equal(other.start) || b.step != other.step || len(b.bins) != len(other.bins) {
-		return errors.New("timeseries: cannot merge binners with different axes")
-	}
-	for i := range other.bins {
-		b.bins[i].Merge(&other.bins[i])
-	}
-	return nil
-}
-
-// RestoreMedianBinner rebuilds a binner from restored cells. bins must
-// hold one validated cell per bin (see RestoreBin); the slice is
-// retained.
-func RestoreMedianBinner(start time.Time, step time.Duration, bins []IncrementalBin) (*MedianBinner, error) {
-	if step <= 0 {
-		return nil, errors.New("timeseries: step must be positive")
-	}
-	if len(bins) == 0 {
-		return nil, errors.New("timeseries: no bins to restore")
-	}
-	return &MedianBinner{start: start, step: step, bins: bins}, nil
-}
-
 // SampleCount returns the number of raw samples in bin i.
 func (b *MedianBinner) SampleCount(i int) int { return b.bins[i].Len() }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // binFrom replays vs through a fresh bin, one group per value triple.
@@ -128,91 +127,5 @@ func TestValidateHeapStateRejectsCorruption(t *testing.T) {
 func TestRestoreBinRejectsNegativeGroups(t *testing.T) {
 	if _, err := RestoreBin([]float64{1}, nil, -1); !errors.Is(err, ErrHeapInvariant) {
 		t.Fatalf("err = %v, want ErrHeapInvariant", err)
-	}
-}
-
-func TestMedianBinnerMergeIsUnionReplay(t *testing.T) {
-	start := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
-	end := start.Add(6 * time.Hour)
-	step := 30 * time.Minute
-	mk := func() *MedianBinner {
-		b, err := NewMedianBinner(start, end, step)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	a, b, union := mk(), mk(), mk()
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		ts := start.Add(time.Duration(rng.Intn(int(end.Sub(start)))))
-		vs := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		if i%2 == 0 {
-			a.AddGroup(ts, vs)
-		} else {
-			b.AddGroup(ts, vs)
-		}
-		union.AddGroup(ts, vs)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	got, want := a.Series(3), union.Series(3)
-	for i := range want.Values {
-		if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
-			t.Fatalf("bin %d: %v vs %v", i, got.Values[i], want.Values[i])
-		}
-		if a.GroupCount(i) != union.GroupCount(i) || a.SampleCount(i) != union.SampleCount(i) {
-			t.Fatalf("bin %d counts diverged", i)
-		}
-	}
-}
-
-func TestMedianBinnerMergeRejectsAxisMismatch(t *testing.T) {
-	start := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
-	a, _ := NewMedianBinner(start, start.Add(time.Hour), 30*time.Minute)
-	b, _ := NewMedianBinner(start, start.Add(time.Hour), 15*time.Minute)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merge across differing axes must fail")
-	}
-	c, _ := NewMedianBinner(start.Add(time.Minute), start.Add(time.Hour), 30*time.Minute)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merge across differing starts must fail")
-	}
-}
-
-func TestRestoreMedianBinnerRoundTrip(t *testing.T) {
-	start := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
-	orig, err := NewMedianBinner(start, start.Add(2*time.Hour), 30*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig.AddGroup(start.Add(10*time.Minute), []float64{3, 1, 2})
-	orig.AddGroup(start.Add(95*time.Minute), []float64{9, 8})
-
-	cells := make([]IncrementalBin, orig.Bins())
-	for i := range cells {
-		lo, hi, groups := orig.Bin(i).Snapshot()
-		restored, err := RestoreBin(append([]float64(nil), lo...), append([]float64(nil), hi...), groups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells[i] = *restored
-	}
-	back, err := RestoreMedianBinner(start, 30*time.Minute, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := back.Series(0), orig.Series(0)
-	for i := range want.Values {
-		if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
-			t.Fatalf("bin %d: %v vs %v", i, got.Values[i], want.Values[i])
-		}
-	}
-	if _, err := RestoreMedianBinner(start, 0, cells); err == nil {
-		t.Fatal("zero step must be rejected")
-	}
-	if _, err := RestoreMedianBinner(start, time.Minute, nil); err == nil {
-		t.Fatal("empty bins must be rejected")
 	}
 }

@@ -3,10 +3,7 @@ package wire
 // Streaming access to wire archives: Writer frames results or log
 // entries onto any io.Writer through one pooled encode buffer; Scanner
 // and LogScanner stream frames back, decoding each into owned storage
-// that every Scan overwrites (the zero-allocation replay path); Reader
-// gives random access over an io.ReaderAt — an mmap'd archive, an HTTP
-// range reader — by scanning the self-delimiting length prefixes into
-// an offset index.
+// that every Scan overwrites (the zero-allocation replay path).
 
 import (
 	"bufio"
@@ -350,112 +347,3 @@ func (s *LogScanner) Entry() cdn.LogEntry { return s.entry }
 // Err returns the first error encountered, or nil at clean end of
 // input.
 func (s *LogScanner) Err() error { return s.f.err }
-
-// Reader is random access over an uncompressed wire archive through an
-// io.ReaderAt — the mmap-friendly replay path. Frames are
-// self-delimiting, so Index recovers every frame boundary in one linear
-// scan of the length prefixes, and ResultAt decodes any frame without
-// touching the rest of the archive.
-type Reader struct {
-	r    io.ReaderAt
-	size int64
-	typ  byte
-}
-
-// NewReader validates the stream header and returns a random-access
-// reader over the archive's size bytes.
-func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
-	var hdr [HeaderLen]byte
-	if size < HeaderLen {
-		if size >= 4 {
-			b := hdr[:size]
-			if _, err := r.ReadAt(b, 0); err == nil && IsMagic(b) {
-				return nil, ErrShortFrame
-			}
-		}
-		return nil, ErrBadMagic
-	}
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
-		return nil, err
-	}
-	typ, err := checkHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{r: r, size: size, typ: typ}, nil
-}
-
-// StreamType returns the archive's stream-type byte.
-func (rd *Reader) StreamType() byte { return rd.typ }
-
-// Index returns the stream offset of every frame's length prefix, in
-// order — the seek table for ResultAt. A truncated or corrupt length
-// prefix surfaces as a typed error locating the broken frame. A
-// header-only archive (zero frames) is valid: Index returns an empty
-// table and a nil error.
-func (rd *Reader) Index() ([]int64, error) {
-	var offs []int64
-	off := int64(HeaderLen)
-	for off < rd.size {
-		ln, n, err := rd.prefixAt(off)
-		if err != nil {
-			return nil, corrupt(len(offs), off, err)
-		}
-		if ln > MaxFrame {
-			return nil, corrupt(len(offs), off, ErrFrameTooLarge)
-		}
-		end := off + int64(n) + int64(ln)
-		if end > rd.size {
-			return nil, corrupt(len(offs), off, ErrShortFrame)
-		}
-		offs = append(offs, off)
-		off = end
-	}
-	return offs, nil
-}
-
-// ResultAt decodes the frame whose length prefix starts at off
-// (normally an Index entry) into dst, returning the attributed AS and
-// the offset of the next frame. The archive must carry StreamResults.
-// Offsets at or past the end of the archive — such as the end offset
-// returned for the final frame — fail with a located ErrShortFrame;
-// callers iterating a seek table should bound themselves by Index's
-// entries rather than probing for the end.
-func (rd *Reader) ResultAt(off int64, dst *traceroute.Result) (bgp.ASN, int64, error) {
-	if rd.typ != StreamResults {
-		return 0, 0, ErrStreamType
-	}
-	ln, n, err := rd.prefixAt(off)
-	if err != nil {
-		return 0, 0, corrupt(-1, off, err)
-	}
-	if ln > MaxFrame {
-		return 0, 0, corrupt(-1, off, ErrFrameTooLarge)
-	}
-	end := off + int64(n) + int64(ln)
-	if end > rd.size {
-		return 0, 0, corrupt(-1, off, ErrShortFrame)
-	}
-	payload := make([]byte, ln)
-	if _, err := rd.r.ReadAt(payload, off+int64(n)); err != nil {
-		return 0, 0, err
-	}
-	asn, err := DecodeResultInto(dst, payload)
-	if err != nil {
-		return 0, 0, corrupt(-1, off, err)
-	}
-	return asn, end, nil
-}
-
-// prefixAt decodes the canonical length prefix at off.
-func (rd *Reader) prefixAt(off int64) (uint64, int, error) {
-	var win [maxVarintLen]byte
-	w := win[:]
-	if rem := rd.size - off; rem < int64(len(w)) {
-		w = w[:rem]
-	}
-	if _, err := rd.r.ReadAt(w, off); err != nil && err != io.EOF {
-		return 0, 0, err
-	}
-	return uvarint(w)
-}

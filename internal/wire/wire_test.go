@@ -383,107 +383,6 @@ func TestStreamTypeGates(t *testing.T) {
 	}
 }
 
-func TestReaderIndexAndResultAt(t *testing.T) {
-	archive, samples := buildArchive(t)
-	rd, err := NewReader(bytes.NewReader(archive), int64(len(archive)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.StreamType() != StreamResults {
-		t.Fatalf("stream type %d", rd.StreamType())
-	}
-	offs, err := rd.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(offs) != len(samples) {
-		t.Fatalf("index has %d frames, want %d", len(offs), len(samples))
-	}
-	// Random access, in reverse, each frame decoded independently.
-	var r traceroute.Result
-	for i := len(offs) - 1; i >= 0; i-- {
-		asn, next, err := rd.ResultAt(offs[i], &r)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if asn != bgp.ASN(64500+i) || !resultEqual(samples[i], &r) {
-			t.Fatalf("frame %d mismatch", i)
-		}
-		if i+1 < len(offs) && next != offs[i+1] {
-			t.Fatalf("frame %d: next offset %d, want %d", i, next, offs[i+1])
-		}
-		if i == len(offs)-1 && next != int64(len(archive)) {
-			t.Fatalf("last frame: next offset %d, want stream end %d", next, len(archive))
-		}
-	}
-}
-
-// TestReaderZeroFrames pins the documented header-only contract: an
-// archive with no frames indexes to an empty seek table without error,
-// and probing ResultAt at the archive's end offset fails with a located
-// ErrShortFrame rather than fabricating a frame.
-func TestReaderZeroFrames(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, StreamResults)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	offs, err := rd.Index()
-	if err != nil {
-		t.Fatalf("Index on zero-frame archive: %v", err)
-	}
-	if len(offs) != 0 {
-		t.Fatalf("Index on zero-frame archive found %d frames", len(offs))
-	}
-	var r traceroute.Result
-	if _, _, err := rd.ResultAt(int64(buf.Len()), &r); !errors.Is(err, ErrShortFrame) {
-		t.Fatalf("ResultAt at end offset = %v, want ErrShortFrame", err)
-	}
-}
-
-func TestReaderErrors(t *testing.T) {
-	archive, _ := buildArchive(t)
-
-	if _, err := NewReader(bytes.NewReader([]byte("{\"fw\":5020}")), 11); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("JSON input: %v", err)
-	}
-	if _, err := NewReader(bytes.NewReader(archive[:5]), 5); !errors.Is(err, ErrShortFrame) {
-		t.Fatalf("mid-header truncation: %v", err)
-	}
-
-	// Truncating mid-payload breaks Index with a located error.
-	rd, err := NewReader(bytes.NewReader(archive[:len(archive)-3]), int64(len(archive)-3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rd.Index(); !errors.Is(err, ErrShortFrame) {
-		t.Fatalf("truncated archive Index: %v", err)
-	}
-	var ce *CorruptError
-	if _, err := rd.Index(); !errors.As(err, &ce) {
-		t.Fatalf("truncation not located: %v", err)
-	}
-
-	// A log stream refuses ResultAt.
-	var buf bytes.Buffer
-	lw := NewWriter(&buf, StreamCDNLog)
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	lrd, err := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r traceroute.Result
-	if _, _, err := lrd.ResultAt(HeaderLen, &r); !errors.Is(err, ErrStreamType) {
-		t.Fatalf("ResultAt on a log stream: %v", err)
-	}
-}
-
 // TestStreamCorruptionTable pins the typed error for each class of
 // stream-level damage.
 func TestStreamCorruptionTable(t *testing.T) {

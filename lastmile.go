@@ -308,25 +308,16 @@ func RunSurvey(period string, results []AttributedResult, opts SurveyOptions) (*
 	return core.RunSurvey(period, results, opts)
 }
 
-// RunSurveySharded is RunSurvey's map-reduce form: the dataset is split
-// round-robin across split independent engines and merged before
-// classification. Per-bin medians are exact order statistics, so the
-// survey is bit-identical at any split count.
-func RunSurveySharded(period string, results []AttributedResult, split int, opts SurveyOptions) (*Survey, []SkippedAS, error) {
-	return core.RunSurveySharded(period, results, split, opts)
-}
-
-// SurveyFeed is the streaming form of RunSurveySharded: Add each
-// attributed traceroute as it is decoded, then Survey merges and
-// classifies. The feed keeps nothing of a record, so a scanner's reused
-// Result can be passed straight in; memory is engine state, at most 9
-// float64 per usable traceroute.
+// SurveyFeed is the streaming form of RunSurvey: Add each attributed
+// traceroute as it is decoded, then Survey classifies. The feed keeps
+// nothing of a record, so a scanner's reused Result can be passed
+// straight in; memory is engine state, at most 9 float64 per usable
+// traceroute.
 type SurveyFeed = core.SurveyFeed
 
-// NewSurveyFeed creates a survey feed over split engines (values below
-// 1 mean 1).
-func NewSurveyFeed(split int, opts SurveyOptions) *SurveyFeed {
-	return core.NewSurveyFeed(split, opts)
+// NewSurveyFeed creates a survey feed over one engine.
+func NewSurveyFeed(opts SurveyOptions) *SurveyFeed {
+	return core.NewSurveyFeed(opts)
 }
 
 // ASN is an autonomous system number.
@@ -475,7 +466,9 @@ type StreamOptions = stream.Options
 // ASes over a sliding window with bounded memory.
 type StreamMonitor = stream.Monitor
 
-// StreamVerdict is one AS's online classification.
+// StreamVerdict is one AS's online classification. It is the same type
+// as ASResult: a verdict over the monitor's window carries exactly what
+// a batch survey's verdict over its period does.
 type StreamVerdict = stream.Verdict
 
 // StreamStats reports a monitor's ingestion counters and live window

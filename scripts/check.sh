@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# check.sh — the pre-PR gate. Chains the build, go vet, the repo's own
-# lmvet static-analysis suite, the full test run under the race
-# detector, a focused race-stress pass over the parallel execution
-# paths, a one-iteration benchmark smoke run, the zero-alloc gates, and
-# the bench/ module's vet and self-test. Any stage failing fails the
-# gate; the failing stage is named on stderr and every stage's
+# check.sh — the pre-PR gate. Chains the build, go vet, a gofmt check
+# of every tracked Go file outside testdata/, the repo's own lmvet
+# static-analysis suite, the full test run under the race detector, a
+# focused race-stress pass over the parallel execution paths, a
+# one-iteration benchmark smoke run, the zero-alloc gates, and the
+# bench/ module's vet and self-test. Every -run and -fuzz pattern must
+# select at least one test in each package it names. Any stage failing
+# fails the gate; the failing stage is named on stderr and every stage's
 # wall-clock time is reported either way.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,11 +44,60 @@ on_exit() {
 }
 trap on_exit EXIT
 
+# require_tests PATTERN PKG... fails unless `go test -list PATTERN` names
+# at least one test, benchmark or fuzz target in every PKG. go test
+# passes when its -run or -fuzz pattern matches nothing, so a renamed or
+# deleted test would otherwise leave a stage silently testing nothing.
+require_tests() {
+  local pattern="$1" pkg names
+  shift
+  for pkg in "$@"; do
+    names=$(go test -list "${pattern}" "${pkg}")
+    if ! grep -qE '^(Test|Benchmark|Fuzz|Example)' <<<"${names}"; then
+      echo "check.sh: pattern '${pattern}' selects no test in ${pkg}" >&2
+      return 1
+    fi
+  done
+}
+
+# race_run [FLAG...] PATTERN PKG... runs the tests PATTERN selects,
+# uncached and under the race detector, once require_tests has found
+# them in every PKG. Leading FLAGs pass through to go test.
+race_run() {
+  local flags=()
+  while [[ "$1" == -* ]]; do
+    flags+=("$1")
+    shift
+  done
+  local pattern="$1"
+  shift
+  require_tests "${pattern}" "$@"
+  go test -race -count=1 ${flags[@]+"${flags[@]}"} -run "${pattern}" "$@"
+}
+
+# fuzz_smoke TARGET PKG gives the fuzz target TARGET five seconds of
+# coverage-guided mutation, once require_tests has found it.
+fuzz_smoke() {
+  require_tests "$1" "$2"
+  go test -run '^$' -fuzz "$1" -fuzztime 5s "$2"
+}
+
 stage "go build ./..."
 go build ./...
 
 stage "go vet ./..."
 go vet ./...
+
+# Formatting: every tracked Go file must be gofmt-clean, except under
+# testdata/, which holds a deliberately unparsable lmvet fixture and
+# analysis fixtures whose `// want` comments pin line positions.
+stage "gofmt -l (tracked .go files outside testdata/)"
+unformatted=$(git ls-files '*.go' | grep -Ev '(^|/)testdata/' | xargs gofmt -l)
+if [ -n "${unformatted}" ]; then
+  echo "gofmt: these files need formatting:" >&2
+  echo "${unformatted}" >&2
+  exit 1
+fi
 
 stage "lmvet ./..."
 mkdir -p artifacts
@@ -60,26 +111,25 @@ go test -race ./...
 # run, so fresh executions are what surface ordering bugs.
 stage "go test -race -count=1 (parallel paths)"
 go test -race -count=1 ./internal/parallel/
-go test -race -count=1 -run 'TestRunSurveyParallelMatchesSerial' ./internal/scenario/
-go test -race -count=1 -run 'WorkerEquivalence' ./internal/experiments/
+race_run 'TestRunSurveyParallelMatchesSerial' ./internal/scenario/
+race_run 'WorkerEquivalence' ./internal/experiments/
 
 # The unified engine's determinism contract: batch surveys are a replay
 # of the streaming engine, bit for bit, at every shard and worker count,
 # and out-of-order ingestion within MaxLateness changes nothing.
 stage "go test -race -count=1 (engine equivalence)"
 go test -race -count=1 ./internal/engine/
-go test -race -count=1 -run 'ReplayEquivalence' ./internal/experiments/
-go test -race -count=1 -run 'Equivalence|OutOfOrder' ./internal/core/ ./internal/stream/
+race_run 'ReplayEquivalence' ./internal/experiments/
+race_run 'Equivalence|OutOfOrder' ./internal/core/ ./internal/stream/
 
-# The serializable-state contract: a K-way split-and-merge survey and a
-# snapshot/restore/continue monitor both reproduce single-engine
-# verdicts bit for bit, under the race detector and uncached so the
-# parallel map phase reschedules every run.
+# The serializable-state contract: a snapshot/restore/continue monitor
+# reproduces the uninterrupted monitor's verdicts bit for bit, and the
+# engine merges exactly (the engine package, run in full above), under
+# the race detector and uncached.
 stage "go test -race -count=1 (merge equivalence)"
-go test -race -count=1 -run 'SplitMerge|SnapshotRestore|ShardedEquivalence' \
-  ./internal/core/ ./internal/experiments/
-go test -race -count=1 -run 'Checkpoint|RestoreMonitor' ./internal/stream/
-go test -race -count=1 -run 'ResumeAfterInterrupt' ./cmd/lmmonitor/
+race_run 'SnapshotRestore' ./internal/experiments/
+race_run 'Checkpoint|RestoreMonitor' ./internal/stream/
+race_run 'ResumeAfterInterrupt' ./cmd/lmmonitor/
 go test -race -count=1 ./cmd/lmsurvey/
 
 # Telemetry registry: a dedicated uncached -race stress pass — eight
@@ -95,9 +145,9 @@ go test -race -count=1 ./internal/telemetry/
 # under -race: goroutine scheduling is the variable under test. The
 # watchdog and API suites ride along for the same reason.
 stage "serve-soak (deterministic daemon soak under -race)"
-go test -race -count=1 -short -run 'TestServeSoakEquivalence' ./internal/serve/
-go test -race -count=1 -run 'TestAPIConcurrentReadsDuringIngest' ./internal/serve/
-go test -race -count=1 -run 'TestRunWatchdogForcesFlush|TestRunInterruptFlushesOnce' ./cmd/lmmonitor/
+race_run -short 'TestServeSoakEquivalence' ./internal/serve/
+race_run 'TestAPIConcurrentReadsDuringIngest' ./internal/serve/
+race_run 'TestRunWatchdogForcesFlush|TestRunInterruptFlushesOnce' ./cmd/lmmonitor/
 
 # Fuzz smoke: short coverage-guided runs over the two ingest decoders —
 # the Atlas JSON parser (which also differential-tests the zero-alloc
@@ -106,9 +156,9 @@ go test -race -count=1 -run 'TestRunWatchdogForcesFlush|TestRunInterruptFlushesO
 # `go test`; these stages give the mutator a few seconds to hunt for
 # fresh panics.
 stage "go test -fuzz (Atlas JSON parser, 5s smoke)"
-go test -run '^$' -fuzz 'FuzzParseAtlasJSON' -fuzztime 5s ./internal/traceroute/
+fuzz_smoke 'FuzzParseAtlasJSON' ./internal/traceroute/
 stage "go test -fuzz (wire codec, 5s smoke)"
-go test -run '^$' -fuzz 'FuzzWireRoundTrip' -fuzztime 5s ./internal/wire/
+fuzz_smoke 'FuzzWireRoundTrip' ./internal/wire/
 
 # Benchmark smoke: every bench must still run one iteration cleanly.
 stage "go test -bench (smoke, 1 iteration)"
