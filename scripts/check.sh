@@ -123,9 +123,9 @@ race_run 'ReplayEquivalence' ./internal/experiments/
 race_run 'Equivalence|OutOfOrder' ./internal/core/ ./internal/stream/
 
 # The serializable-state contract: a snapshot/restore/continue monitor
-# reproduces the uninterrupted monitor's verdicts bit for bit, and the
-# engine merges exactly (the engine package, run in full above), under
-# the race detector and uncached.
+# reproduces the uninterrupted monitor's verdicts bit for bit, under the
+# race detector and uncached. Engine merging is pinned in the engine
+# package, which the stage above runs in full.
 stage "go test -race -count=1 (merge equivalence)"
 race_run 'SnapshotRestore' ./internal/experiments/
 race_run 'Checkpoint|RestoreMonitor' ./internal/stream/
