@@ -97,7 +97,17 @@ func (s *Stats) add(o Stats) {
 // probeWindow is one probe's resident bins, keyed by bin-start unix
 // seconds (epoch-aligned, so batch and streaming agree on boundaries).
 type probeWindow struct {
-	bins map[int64]*timeseries.IncrementalBin
+	bins map[int64]*cell
+}
+
+// cell is one resident (probe, bin) cell: the bin's incremental median
+// state plus the group count the last checkpoint wrote for it. Every
+// accepted Observe adds exactly one group to one cell, so a cell has
+// changed since the last checkpoint exactly when its group count
+// differs from saved; change detection costs Observe nothing.
+type cell struct {
+	timeseries.IncrementalBin
+	saved int
 }
 
 // asWindow is one AS's probes.
@@ -264,14 +274,14 @@ func (e *Engine) Observe(asn bgp.ASN, probeID int, t time.Time, samples []float6
 	}
 	pw := aw.probes[probeID]
 	if pw == nil {
-		pw = &probeWindow{bins: make(map[int64]*timeseries.IncrementalBin)} //lmvet:ignore allocguard one window per newly seen probe, amortised to zero
+		pw = &probeWindow{bins: make(map[int64]*cell)} //lmvet:ignore allocguard one window per newly seen probe, amortised to zero
 		aw.probes[probeID] = pw
 		sh.probes++
 	}
 	key := e.binKey(t.Unix())
 	b := pw.bins[key]
 	if b == nil {
-		b = &timeseries.IncrementalBin{} //lmvet:ignore allocguard one bin per probe per 30-minute window, ~1 in 1800 observations
+		b = &cell{} //lmvet:ignore allocguard one bin per probe per 30-minute window, ~1 in 1800 observations
 		pw.bins[key] = b
 		sh.bins++
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/last-mile-congestion/lastmile/internal/bgp"
-	"github.com/last-mile-congestion/lastmile/internal/telemetry"
 	"github.com/last-mile-congestion/lastmile/internal/wire"
 )
 
@@ -149,129 +148,6 @@ func TestEngineRestoreOptions(t *testing.T) {
 	}
 }
 
-// splitFeed round-robins the standard feed across k engines by
-// observation index — the map phase of a map-reduce replay.
-func splitFeed(engines []*Engine, asns []bgp.ASN) {
-	i := 0
-	samples := make([]float64, 9)
-	for _, asn := range asns {
-		end := t0.AddDate(0, 0, 2)
-		for ts := t0; ts.Before(end); ts = ts.Add(10 * time.Minute) {
-			delta := 2.0
-			if h := ts.Hour(); h >= 12 && h < 18 {
-				delta += float64(asn % 7)
-			}
-			for j := range samples {
-				samples[j] = delta
-			}
-			for p := 1; p <= 3; p++ {
-				engines[i%len(engines)].Observe(asn, p, ts, samples)
-				i++
-			}
-		}
-	}
-}
-
-// TestEngineMergeEquivalence is the map-reduce pin: the same dataset
-// split K ways across engines with differing shard counts, merged,
-// must be observably identical to one engine having seen everything —
-// K ∈ {1, 2, 8}.
-func TestEngineMergeEquivalence(t *testing.T) {
-	asns := make([]bgp.ASN, 0, 12)
-	for asn := bgp.ASN(300); asn < 312; asn++ {
-		asns = append(asns, asn)
-	}
-	single := New(Options{})
-	splitFeed([]*Engine{single}, asns)
-	nBins := int(48 * time.Hour / single.Options().BinWidth)
-
-	for _, k := range []int{1, 2, 8} {
-		engines := make([]*Engine, k)
-		for i := range engines {
-			// Differing shard counts per engine: merge must re-stripe.
-			engines[i] = New(Options{Shards: 1 << (i % 4)})
-		}
-		splitFeed(engines, asns)
-		merged := engines[0]
-		for _, o := range engines[1:] {
-			if err := merged.Merge(o); err != nil {
-				t.Fatalf("k=%d: %v", k, err)
-			}
-		}
-		snapEqual(t, merged, single, t0, nBins)
-	}
-}
-
-// TestEngineMergeCommutesAndAssociates pins the algebra DESIGN.md
-// promises: merge order never changes an observable.
-func TestEngineMergeCommutesAndAssociates(t *testing.T) {
-	asns := []bgp.ASN{400, 401, 402, 403, 404}
-	build := func() []*Engine {
-		engines := []*Engine{New(Options{}), New(Options{Shards: 2}), New(Options{Shards: 4})}
-		splitFeed(engines, asns)
-		return engines
-	}
-	nBins := int(48 * time.Hour / New(Options{}).Options().BinWidth)
-
-	// (a⊕b)⊕c
-	left := build()
-	if err := left[0].Merge(left[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := left[0].Merge(left[2]); err != nil {
-		t.Fatal(err)
-	}
-	// c⊕(b⊕a) — reversed association and reversed operand order.
-	right := build()
-	if err := right[1].Merge(right[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := right[2].Merge(right[1]); err != nil {
-		t.Fatal(err)
-	}
-	snapEqual(t, left[0], right[2], t0, nBins)
-}
-
-func TestEngineMergeErrors(t *testing.T) {
-	e := New(Options{})
-	if err := e.Merge(e); err == nil {
-		t.Fatal("self-merge must fail")
-	}
-	other := New(Options{BinWidth: time.Minute})
-	if err := e.Merge(other); !errors.Is(err, ErrSnapshotOptions) {
-		t.Fatalf("options mismatch: %v", err)
-	}
-}
-
-// TestEngineMergeSharedRegistryCounters pins the counter-fold gate:
-// engines created against one registry share counters, so merging them
-// must not double-count; engines with distinct registries must fold.
-func TestEngineMergeSharedRegistryCounters(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	a := New(Options{Metrics: reg})
-	b := New(Options{Metrics: reg})
-	feed(a, 1, 1, 1, 0)
-	feed(b, 2, 1, 1, 0)
-	want := a.Stats().Ingested // shared counter already holds both feeds
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Stats().Ingested; got != want {
-		t.Fatalf("shared-registry merge changed Ingested: %d -> %d", want, got)
-	}
-
-	c, d := New(Options{}), New(Options{})
-	feed(c, 1, 1, 1, 0)
-	feed(d, 2, 1, 1, 0)
-	wantSum := c.Stats().Ingested + d.Stats().Ingested
-	if err := c.Merge(d); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().Ingested; got != wantSum {
-		t.Fatalf("distinct-registry merge Ingested = %d, want %d", got, wantSum)
-	}
-}
-
 // benchEngine builds a populated engine for the state-codec benchmarks:
 // 32 ASes × 4 probes × 2 days at 10-minute cadence.
 func benchEngine(tb testing.TB, opts Options) *Engine {
@@ -295,33 +171,6 @@ func BenchmarkSnapshot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := e.Snapshot(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMerge measures folding one engine into another. The consumed
-// source is rebuilt outside the timer by restoring its snapshot, so one
-// op is exactly one Merge; MB/s is source-state bytes over merge time.
-func BenchmarkMerge(b *testing.B) {
-	src := benchEngine(b, Options{Window: 4 * 24 * time.Hour})
-	var snap bytes.Buffer
-	if err := src.Snapshot(&snap); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(snap.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dst := New(Options{Window: 4 * 24 * time.Hour})
-		feed(dst, 64400, 4, 2, 3)
-		other, err := Restore(bytes.NewReader(snap.Bytes()), Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := dst.Merge(other); err != nil {
 			b.Fatal(err)
 		}
 	}

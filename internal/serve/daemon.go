@@ -126,6 +126,7 @@ type Daemon struct {
 	// sem bounds how many targets are inside the engine ingest path at
 	// once: acquire = send, release = receive. Capacity is
 	// MaxConcurrent, fixed at construction (a reload cannot change it).
+	// A checkpoint takes every token, which makes it a consistent cut.
 	sem chan struct{}
 
 	// tick is the maintenance cadence (half the effective bin width):
@@ -295,12 +296,29 @@ func (d *Daemon) onBinBoundary() {
 	}
 	d.refreshSnapshot()
 	if d.ckpt != nil {
-		if wrote, err := d.ckpt.MaybeCheckpoint(); err != nil {
+		if wrote, err := d.checkpointAtCut(); err != nil {
 			d.logf("checkpoint: %v", err)
 		} else if wrote {
 			d.checkpoints.Inc()
 		}
 	}
+}
+
+// checkpointAtCut runs MaybeCheckpoint at a consistent cut. It holds
+// every max_concurrent ingest token for the whole call: the Observe
+// calls in flight finish first and no new one starts until the
+// checkpoint is written, so its counters and its bins describe the same
+// instant.
+func (d *Daemon) checkpointAtCut() (bool, error) {
+	for i := 0; i < cap(d.sem); i++ {
+		d.sem <- struct{}{}
+	}
+	defer func() {
+		for i := 0; i < cap(d.sem); i++ {
+			<-d.sem
+		}
+	}()
+	return d.ckpt.MaybeCheckpoint()
 }
 
 // drain is the graceful-shutdown tail of Run: stop ingest, join every

@@ -105,6 +105,12 @@ type Monitor struct {
 	verdicts        *telemetry.Counter
 	skipped         *telemetry.Counter
 	ignored         *telemetry.Counter
+
+	// Checkpointer accounting: bytes of successful base and segment
+	// writes, and failed checkpoints.
+	checkpointBaseBytes    *telemetry.Counter
+	checkpointSegmentBytes *telemetry.Counter
+	checkpointErrors       *telemetry.Counter
 }
 
 // NewMonitor creates a monitor.
@@ -138,6 +144,10 @@ func newMonitorWithEngine(opts Options, eng *engine.Engine, reg *telemetry.Regis
 		verdicts:        reg.Counter("stream_verdicts_total"),
 		skipped:         reg.Counter("stream_skipped_total"),
 		ignored:         reg.Counter("stream_ignored_total"),
+
+		checkpointBaseBytes:    reg.Counter(`stream_checkpoint_bytes_total{kind="base"}`),
+		checkpointSegmentBytes: reg.Counter(`stream_checkpoint_bytes_total{kind="segment"}`),
+		checkpointErrors:       reg.Counter("stream_checkpoint_errors_total"),
 	}
 }
 
@@ -148,14 +158,19 @@ func newMonitorWithEngine(opts Options, eng *engine.Engine, reg *telemetry.Regis
 // with it.
 func (m *Monitor) Snapshot(w io.Writer) error { return m.eng.Snapshot(w) }
 
-// RestoreMonitor rebuilds a monitor from a Snapshot stream, resuming
-// exactly where the snapshotting monitor stopped: same window contents,
-// watermark, and counters, so continue-after-restore classifies
-// bit-identically to never having stopped. Semantic options left zero
-// (BinWidth, MinTraceroutes, MaxLateness — and Window, which
-// deliberately skips the 15-day default here) adopt the snapshot's
-// values; non-zero values must match the snapshot. Runtime options
-// (Shards, Workers, Classifier, Metrics) come from opts as usual.
+// RestoreMonitor rebuilds a monitor from a Snapshot stream or a
+// Checkpointer's state file, resuming exactly where the checkpointed
+// monitor stopped: same window contents, watermark, and counters, so
+// continue-after-restore classifies bit-identically to never having
+// stopped. Semantic options left zero (BinWidth, MinTraceroutes,
+// MaxLateness — and Window, which deliberately skips the 15-day default
+// here) adopt the snapshot's values; non-zero values must match the
+// snapshot. Runtime options (Shards, Workers, Classifier, Metrics) come
+// from opts as usual.
+//
+// When the base restores but a segment after it is torn or corrupt,
+// RestoreMonitor returns the monitor as of the last complete segment
+// together with an error wrapping engine.ErrTornSegment.
 func RestoreMonitor(r io.Reader, opts Options) (*Monitor, error) {
 	raw := opts
 	opts = opts.withDefaults()
@@ -173,7 +188,7 @@ func RestoreMonitor(r io.Reader, opts Options) (*Monitor, error) {
 		Shards:         opts.Shards,
 		Metrics:        reg,
 	})
-	if err != nil {
+	if eng == nil {
 		return nil, err
 	}
 	eo := eng.Options()
@@ -182,7 +197,7 @@ func RestoreMonitor(r io.Reader, opts Options) (*Monitor, error) {
 	}
 	opts.BinWidth, opts.MinTraceroutes = eo.BinWidth, eo.MinTraceroutes
 	opts.Window, opts.MaxLateness = eo.Window, eo.MaxLateness
-	return newMonitorWithEngine(opts, eng, reg), nil
+	return newMonitorWithEngine(opts, eng, reg), err
 }
 
 // errNilResult is allocated once; Observe must not build error values

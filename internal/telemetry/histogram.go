@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"errors"
 	"math"
 	"sync/atomic"
 	"time"
@@ -137,10 +136,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return math.Inf(1)
 }
 
-// ErrBoundsMismatch is returned by Merge when the two histograms have
-// different bucket boundaries.
-var ErrBoundsMismatch = errors.New("telemetry: histogram boundaries differ")
-
 // sameBounds compares boundary sets bitwise (no float ==, so the check
 // is total even though valid boundaries are never NaN).
 func sameBounds(a, b []float64) bool {
@@ -153,38 +148,6 @@ func sameBounds(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// Merge folds o's observations into h. Both histograms must share the
-// same boundaries. Merging is equivalent to having observed the union of
-// both observation sets: bucket counts and quantiles match exactly, and
-// Sum matches exactly whenever the individual sums are exact (integer
-// observations). o is read atomically per field but not frozen, so
-// merge quiesced histograms for exact results.
-func (h *Histogram) Merge(o *Histogram) error {
-	if !sameBounds(h.bounds, o.bounds) {
-		return ErrBoundsMismatch
-	}
-	for i := range h.counts {
-		h.counts[i].Add(o.counts[i].Load())
-	}
-	h.count.Add(o.count.Load())
-	h.addSum(o.Sum())
-	return nil
-}
-
-// addSum folds v into the running sum by CAS.
-func (h *Histogram) addSum(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	for {
-		old := h.sumBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
 }
 
 // Timer measures one duration into a histogram, in seconds. Obtain one

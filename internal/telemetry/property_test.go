@@ -67,63 +67,3 @@ func TestQuantilePropertyMatchesSort(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestMergePropertyEqualsUnion pins that Merge(a, b) is indistinguishable
-// from having observed the union of both observation sets: bucket counts,
-// total count, sum, and the three headline quantiles all match exactly
-// (integer-valued observations keep the float sums exact).
-func TestMergePropertyEqualsUnion(t *testing.T) {
-	prop := func(a, b boundaryDraw) bool {
-		// Merge requires shared boundaries; reuse a's for both draws.
-		bounds := a.Bounds
-		clampTo := func(vals []float64) []float64 {
-			out := make([]float64, len(vals))
-			for i, v := range vals {
-				// Remap b's values onto a's boundary set deterministically.
-				out[i] = bounds[int(v)%len(bounds)]
-			}
-			return out
-		}
-		av := a.Values
-		bv := clampTo(b.Values)
-
-		ha := NewHistogram(bounds)
-		hb := NewHistogram(bounds)
-		hu := NewHistogram(bounds)
-		for _, v := range av {
-			ha.Observe(v)
-			hu.Observe(v)
-		}
-		for _, v := range bv {
-			hb.Observe(v)
-			hu.Observe(v)
-		}
-		if err := ha.Merge(hb); err != nil {
-			t.Logf("Merge: %v", err)
-			return false
-		}
-		if ha.Count() != hu.Count() {
-			return false
-		}
-		if math.Float64bits(ha.Sum()) != math.Float64bits(hu.Sum()) {
-			t.Logf("Sum: merged=%v union=%v", ha.Sum(), hu.Sum())
-			return false
-		}
-		mc, uc := ha.BucketCounts(), hu.BucketCounts()
-		for i := range mc {
-			if mc[i] != uc[i] {
-				t.Logf("bucket %d: merged=%d union=%d", i, mc[i], uc[i])
-				return false
-			}
-		}
-		for _, q := range []float64{0.5, 0.95, 0.99} {
-			if math.Float64bits(ha.Quantile(q)) != math.Float64bits(hu.Quantile(q)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

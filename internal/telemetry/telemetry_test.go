@@ -137,14 +137,6 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeMismatch(t *testing.T) {
-	a := NewHistogram([]float64{1, 2})
-	b := NewHistogram([]float64{1, 3})
-	if err := a.Merge(b); err != ErrBoundsMismatch {
-		t.Fatalf("Merge error = %v, want ErrBoundsMismatch", err)
-	}
-}
-
 func TestNewHistogramPanics(t *testing.T) {
 	mustPanic(t, "empty bounds", func() { NewHistogram(nil) })
 	mustPanic(t, "non-increasing", func() { NewHistogram([]float64{2, 1}) })

@@ -86,29 +86,11 @@ func (b *IncrementalBin) Median() (v float64, ok bool) {
 // Snapshot exposes the bin's serializable state: the two heap backing
 // slices (lower-half max-heap, upper-half min-heap) and the group
 // count. The returned slices alias the bin's storage and are valid only
-// until the next Add/AddGroup/Merge — snapshotting callers must encode
+// until the next Add/AddGroup — snapshotting callers must encode
 // or copy them before mutating the bin, the same valid-until-next-call
 // contract the wire scanners use.
 func (b *IncrementalBin) Snapshot() (lo, hi []float64, groups int) {
 	return b.lo, b.hi, b.groups
-}
-
-// Merge folds other's samples and group count into b. The median of the
-// merged bin is bit-identical to replaying the union of both bins'
-// inputs through one bin in any order: the two-heap structure maintains
-// an exact order statistic, which is permutation-invariant, and the
-// even-count midpoint uses the shared stats.Midpoint arithmetic either
-// way. Only the internal heap layout depends on merge order, never an
-// observable value — TestIncrementalBinMergeIsUnionReplay pins this.
-// other is unchanged.
-func (b *IncrementalBin) Merge(other *IncrementalBin) {
-	for _, v := range other.lo {
-		b.Add(v)
-	}
-	for _, v := range other.hi {
-		b.Add(v)
-	}
-	b.groups += other.groups
 }
 
 // Heap-state validation errors returned by ValidateHeapState and
@@ -166,16 +148,17 @@ func validateHeap(h []float64, less func(a, b float64) bool) error {
 // RestoreBin reconstructs an IncrementalBin from snapshotted heap
 // state, re-validating the two-heap invariants first — restoring never
 // trusts its input, so a bin rebuilt from a snapshot behaves exactly
-// like one built by Add calls. The slices are retained by the bin;
-// callers must not mutate them afterwards.
-func RestoreBin(lo, hi []float64, groups int) (*IncrementalBin, error) {
+// like one built by Add calls. It returns the bin by value so callers
+// can embed it without a second allocation. The slices are retained by
+// the bin; callers must not mutate them afterwards.
+func RestoreBin(lo, hi []float64, groups int) (IncrementalBin, error) {
 	if err := ValidateHeapState(lo, hi); err != nil {
-		return nil, err
+		return IncrementalBin{}, err
 	}
 	if groups < 0 {
-		return nil, fmt.Errorf("%w: negative group count %d", ErrHeapInvariant, groups)
+		return IncrementalBin{}, fmt.Errorf("%w: negative group count %d", ErrHeapInvariant, groups)
 	}
-	return &IncrementalBin{lo: lo, hi: hi, groups: groups}, nil
+	return IncrementalBin{lo: lo, hi: hi, groups: groups}, nil
 }
 
 // lessMax orders a max-heap (parent >= children), lessMin a min-heap.

@@ -5,61 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-// binFrom replays vs through a fresh bin, one group per value triple.
-func binFrom(vs []float64) *IncrementalBin {
-	b := &IncrementalBin{}
-	for _, v := range vs {
-		b.Add(v)
-	}
-	return b
-}
-
-// TestIncrementalBinMergeIsUnionReplay pins the exactness claim of
-// Merge: the merged bin's every observable — median, sample count,
-// group count — is bit-identical to one bin having replayed the union
-// of both inputs, because the two-heap structure maintains an exact
-// order statistic and order statistics are permutation-invariant.
-func TestIncrementalBinMergeIsUnionReplay(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	property := func(na, nb uint8) bool {
-		xs := make([]float64, int(na)%64)
-		ys := make([]float64, int(nb)%64)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 100
-		}
-		for i := range ys {
-			ys[i] = rng.NormFloat64() * 100
-		}
-		a, b := binFrom(xs), binFrom(ys)
-		a.groups, b.groups = 2, 5
-		a.Merge(b)
-		union := binFrom(append(append([]float64(nil), xs...), ys...))
-		union.groups = 7
-		ma, oka := a.Median()
-		mu, oku := union.Median()
-		return oka == oku &&
-			math.Float64bits(ma) == math.Float64bits(mu) &&
-			a.Len() == union.Len() && a.Groups() == union.Groups()
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIncrementalBinMergeLeavesOtherUnchanged(t *testing.T) {
-	a, b := binFrom([]float64{1, 2, 3}), binFrom([]float64{4, 5})
-	b.groups = 1
-	a.Merge(b)
-	if b.Len() != 2 || b.Groups() != 1 {
-		t.Fatalf("other mutated by merge: len=%d groups=%d", b.Len(), b.Groups())
-	}
-	if m, _ := b.Median(); m != 4.5 {
-		t.Fatalf("other median = %v, want 4.5", m)
-	}
-}
 
 // TestIncrementalBinSnapshotRestoreContinue pins the restore contract:
 // a bin rebuilt from snapshotted heap state behaves exactly like one

@@ -57,6 +57,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// A truncated gzip envelope: the scanners read through MaybeGzip, so
 	// a broken compression layer must also surface as a typed error.
 	f.Add([]byte{0x1f, 0x8b})
+	// Checkpoint segments: their frames alone, and a base followed by
+	// segments, so the mutator also reaches the segment frames in place.
+	for _, r := range sampleResidents() {
+		f.Add(AppendSnapshotResident(nil, r))
+	}
+	f.Add(AppendSnapshotCommit(nil, sampleCommit()))
+	f.Add(buildCheckpointArchive(f))
 
 	sentinels := []error{
 		ErrBadMagic, ErrVersion, ErrStreamType, ErrShortFrame,
@@ -104,6 +111,23 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 		} else if !typed(err) {
 			t.Fatalf("untyped snapshot probe decode error: %v", err)
+		}
+
+		var sr SnapshotResident
+		if err := DecodeSnapshotResidentInto(&sr, data); err == nil {
+			if enc := AppendSnapshotResident(nil, &sr); !bytes.Equal(enc, data) {
+				t.Fatalf("snapshot resident decoded non-canonically:\n in %x\nout %x", data, enc)
+			}
+		} else if !typed(err) {
+			t.Fatalf("untyped snapshot resident decode error: %v", err)
+		}
+		var sco SnapshotCommit
+		if err := DecodeSnapshotCommitInto(&sco, data); err == nil {
+			if enc := AppendSnapshotCommit(nil, &sco); !bytes.Equal(enc, data) {
+				t.Fatalf("snapshot commit decoded non-canonically:\n in %x\nout %x", data, enc)
+			}
+		} else if !typed(err) {
+			t.Fatalf("untyped snapshot commit decode error: %v", err)
 		}
 
 		// Stream level: never panic, every scanned frame round-trips,

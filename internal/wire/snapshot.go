@@ -1,13 +1,17 @@
 package wire
 
 // Frame codec for serialized delay-engine state (StreamSnapshot) — the
-// checkpoint/restore and map-reduce merge substrate. A snapshot stream
-// is the standard wire container (header, length-prefixed frames,
-// canonical varints) carrying one meta frame followed by one frame per
-// resident (AS, probe) window, every frame tagged by its first byte so
-// a frame can never be decoded against the wrong schema:
+// checkpoint/restore substrate. A snapshot stream is the standard wire
+// container (header, length-prefixed frames, canonical varints). It
+// opens with a base: one meta frame followed by one frame per resident
+// (AS, probe) window. A checkpoint file may continue with segments, each
+// recording what changed since the checkpoint before it. Every non-empty
+// frame is tagged by its first byte, so a frame can never be decoded
+// against the wrong schema:
 //
-//	snapshot := header meta probe*
+//	snapshot := header base segment*
+//	base     := meta probe*
+//	segment  := mark (resident | probe)* commit
 //	meta     := 0x00 binWidth(uvarint ns, > 0) minTraceroutes(uvarint)
 //	            window(uvarint ns) maxLateness(uvarint ns)
 //	            hasNewest(0|1) [newestNano(zigzag)]
@@ -16,17 +20,31 @@ package wire
 //	            nbins(uvarint) bin*
 //	bin      := key(zigzag) groups(uvarint) nlo(uvarint) nhi(uvarint)
 //	            loBits(8 LE)* hiBits(8 LE)*
+//	mark     := the empty frame (one zero length byte)
+//	resident := 0x02 asn(uvarint, <= MaxUint32) nprobes(uvarint, > 0)
+//	            (probeID(zigzag) lowKey(zigzag))*
+//	commit   := 0x03 newestNano(zigzag)
+//	            ingested(uvarint) dropped(uvarint) evicted(uvarint)
+//
+// A segment's probe frames carry only changed bins, each replacing the
+// resident bin with its key. Its resident frames list, per AS, every
+// resident probe with its lowest bin key, from which a restorer replays
+// evictions; the commit frame closes the segment. The mark is a single
+// byte, so it is either on disk or not: a stream cut inside the first
+// segment can never be mistaken for a stream cut inside the base.
+// Nothing in this package enforces the base/segment grammar across
+// frames; the engine's restorer does.
 //
 // Each bin serializes the two-heap median state exactly as the engine
 // holds it: the lower-half max-heap and upper-half min-heap backing
 // slices, float64 bits as fixed little-endian words. The decoder
 // re-validates everything an encoder could only produce from a live
-// engine — canonical varints, strictly increasing bin keys, and the
-// two-heap invariants via timeseries.ValidateHeapState — so a truncated,
-// bit-flipped, or adversarial snapshot surfaces as a typed corruption
-// error and can never smuggle a broken heap into a restored engine.
-// Within what the validator accepts the codec is bijective, the same
-// encode(decode(b)) == b property the result and log codecs pin.
+// engine — canonical varints, strictly increasing bin and probe keys,
+// and the two-heap invariants via timeseries.ValidateHeapState — so a
+// truncated, bit-flipped, or adversarial snapshot surfaces as a typed
+// corruption error and can never smuggle a broken heap into a restored
+// engine. Within what the validator accepts the codec is bijective, the
+// same encode(decode(b)) == b property the result and log codecs pin.
 
 import (
 	"encoding/binary"
@@ -39,10 +57,29 @@ import (
 	"github.com/last-mile-congestion/lastmile/internal/timeseries"
 )
 
-// Snapshot frame tags — the first payload byte of every frame.
+// Snapshot frame tags — the first payload byte of every non-empty
+// frame.
 const (
-	snapTagMeta  byte = 0
-	snapTagProbe byte = 1
+	snapTagMeta     byte = 0
+	snapTagProbe    byte = 1
+	snapTagResident byte = 2
+	snapTagCommit   byte = 3
+)
+
+// SnapshotFrame is the kind of frame a SnapshotScanner last decoded.
+type SnapshotFrame byte
+
+// The frames that may follow a snapshot's meta frame.
+const (
+	// ProbeFrame is a probe window: a whole one in a base, the changed
+	// bins of one in a segment (Probe).
+	ProbeFrame SnapshotFrame = iota + 1
+	// MarkFrame is the empty frame that opens every segment.
+	MarkFrame
+	// ResidentFrame lists one AS's resident probes (Resident).
+	ResidentFrame
+	// CommitFrame closes a segment (Commit).
+	CommitFrame
 )
 
 // SnapshotMeta is the snapshot's configuration frame: the engine
@@ -296,17 +333,153 @@ func DecodeSnapshotProbeInto(p *SnapshotProbe, payload []byte) error {
 	return nil
 }
 
-// errProbeBeforeMeta marks a snapshot writer misuse: the meta frame
-// must open the stream.
-var errProbeBeforeMeta = errors.New("wire: snapshot probe frame before meta frame")
+// SnapshotResident is a segment's residency record for one AS: every
+// probe the AS holds at the checkpoint, in strictly increasing ID order,
+// with the probe's lowest resident bin key. Evictions drop a probe's
+// lowest keys, so a restorer replays them by deleting what lies below
+// each listed key and every probe the segment does not list.
+type SnapshotResident struct {
+	ASN    bgp.ASN
+	Probes []ResidentProbe
+}
 
-// SnapshotWriter frames engine snapshots onto w: exactly one meta frame
-// first, then any number of probe-window frames. The encode buffer is
-// pooled in the underlying Writer, so snapshotting a large engine
+// ResidentProbe is one probe of a SnapshotResident.
+type ResidentProbe struct {
+	ProbeID int
+	// Low is the probe's lowest resident bin key (unix seconds).
+	Low int64
+}
+
+// SnapshotCommit closes a segment with the watermark and the monotonic
+// counters at its checkpoint — the segment's counterpart of the meta
+// frame's mutable fields.
+type SnapshotCommit struct {
+	NewestNano                     int64
+	Ingested, Dropped, EvictedBins int64
+}
+
+// AppendSnapshotResident appends one resident frame payload (without
+// the length prefix) to dst. Probes must be in strictly increasing ID
+// order and non-empty, the layout the decoder enforces.
+func AppendSnapshotResident(dst []byte, r *SnapshotResident) []byte {
+	dst = append(dst, snapTagResident)
+	dst = appendUvarint(dst, uint64(r.ASN))
+	dst = appendUvarint(dst, uint64(len(r.Probes)))
+	for _, p := range r.Probes {
+		dst = appendZigzag(dst, int64(p.ProbeID))
+		dst = appendZigzag(dst, p.Low)
+	}
+	return dst
+}
+
+// DecodeSnapshotResidentInto decodes one resident frame payload into r,
+// reusing r's probe storage. An empty probe list or probe IDs out of
+// strictly increasing order are ErrBadFrame.
+func DecodeSnapshotResidentInto(r *SnapshotResident, payload []byte) error {
+	probes := r.Probes[:0]
+	*r = SnapshotResident{Probes: probes}
+	if len(payload) == 0 {
+		return ErrShortFrame
+	}
+	if payload[0] != snapTagResident {
+		return ErrBadFrame
+	}
+	b := payload[1:]
+	u, n, err := uvarint(b)
+	if err != nil {
+		return err
+	}
+	if u > math.MaxUint32 {
+		return ErrBadFrame
+	}
+	r.ASN = bgp.ASN(u)
+	b = b[n:]
+	np, n, err := uvarint(b)
+	if err != nil {
+		return err
+	}
+	b = b[n:]
+	// Each probe costs at least two bytes, so a count beyond the
+	// remaining payload is structurally impossible.
+	if np == 0 || np > uint64(len(b))/2 {
+		return ErrBadFrame
+	}
+	for i := uint64(0); i < np; i++ {
+		var p ResidentProbe
+		if p.ProbeID, b, err = decodeInt(b); err != nil {
+			return err
+		}
+		if i > 0 && p.ProbeID <= r.Probes[i-1].ProbeID {
+			return ErrBadFrame
+		}
+		if p.Low, b, err = decodeInt64(b); err != nil {
+			return err
+		}
+		r.Probes = append(r.Probes, p)
+	}
+	if len(b) != 0 {
+		return ErrTrailingBytes
+	}
+	return nil
+}
+
+// AppendSnapshotCommit appends one commit frame payload (without the
+// length prefix) to dst.
+func AppendSnapshotCommit(dst []byte, c *SnapshotCommit) []byte {
+	dst = append(dst, snapTagCommit)
+	dst = appendZigzag(dst, c.NewestNano)
+	dst = appendUvarint(dst, uint64(c.Ingested))
+	dst = appendUvarint(dst, uint64(c.Dropped))
+	dst = appendUvarint(dst, uint64(c.EvictedBins))
+	return dst
+}
+
+// DecodeSnapshotCommitInto decodes one commit frame payload into c. The
+// whole payload must be consumed.
+func DecodeSnapshotCommitInto(c *SnapshotCommit, payload []byte) error {
+	*c = SnapshotCommit{}
+	if len(payload) == 0 {
+		return ErrShortFrame
+	}
+	if payload[0] != snapTagCommit {
+		return ErrBadFrame
+	}
+	b := payload[1:]
+	var err error
+	if c.NewestNano, b, err = decodeInt64(b); err != nil {
+		return err
+	}
+	if c.Ingested, b, err = decodeCount(b); err != nil {
+		return err
+	}
+	if c.Dropped, b, err = decodeCount(b); err != nil {
+		return err
+	}
+	if c.EvictedBins, b, err = decodeCount(b); err != nil {
+		return err
+	}
+	if len(b) != 0 {
+		return ErrTrailingBytes
+	}
+	return nil
+}
+
+// errProbeBeforeMeta marks a snapshot writer misuse: the meta frame
+// must open the stream, exactly once.
+var errProbeBeforeMeta = errors.New("wire: snapshot frame before meta frame, or a second meta frame")
+
+// SnapshotWriter frames engine state onto w. A base writer
+// (NewSnapshotWriter) takes exactly one meta frame first, then any
+// number of probe-window frames. A segment writer (NewSegmentWriter)
+// continues an existing stream: its first frame is the segment mark,
+// then probe and resident frames, then WriteCommit. The encode buffer
+// is pooled in the underlying Writer, so writing a large engine
 // allocates per largest frame, not per frame.
 type SnapshotWriter struct {
-	w         *Writer
-	wroteMeta bool
+	w *Writer
+	// open is set once frames other than meta may follow: after
+	// WriteMeta on a base writer, from the start on a segment writer.
+	open bool
 }
 
 // NewSnapshotWriter returns a writer producing a StreamSnapshot stream.
@@ -314,20 +487,58 @@ func NewSnapshotWriter(w io.Writer) *SnapshotWriter {
 	return &SnapshotWriter{w: NewWriter(w, StreamSnapshot)}
 }
 
-// WriteMeta writes the mandatory opening meta frame.
+// NewSegmentWriter returns a writer that appends one segment to a
+// StreamSnapshot stream already on w: no header, no meta frame. The
+// caller writes WriteMark, then probe and resident frames, and closes
+// the segment with WriteCommit.
+func NewSegmentWriter(w io.Writer) *SnapshotWriter {
+	sw := &SnapshotWriter{w: NewWriter(w, StreamSnapshot), open: true}
+	sw.w.wroteHeader = true
+	return sw
+}
+
+// WriteMeta writes the mandatory opening meta frame of a base.
 func (sw *SnapshotWriter) WriteMeta(m *SnapshotMeta) error {
-	sw.wroteMeta = true
+	if sw.open {
+		return errProbeBeforeMeta
+	}
+	sw.open = true
 	sw.w.buf = AppendSnapshotMeta(sw.w.buf[:0], m)
 	return sw.w.writeFrame(sw.w.buf)
 }
 
-// WriteProbe writes one probe-window frame. The meta frame must have
-// been written first.
+// WriteProbe writes one probe-window frame.
 func (sw *SnapshotWriter) WriteProbe(p *SnapshotProbe) error {
-	if !sw.wroteMeta {
+	if !sw.open {
 		return errProbeBeforeMeta
 	}
 	sw.w.buf = AppendSnapshotProbe(sw.w.buf[:0], p)
+	return sw.w.writeFrame(sw.w.buf)
+}
+
+// WriteMark writes the empty frame that opens a segment.
+func (sw *SnapshotWriter) WriteMark() error {
+	if !sw.open {
+		return errProbeBeforeMeta
+	}
+	return sw.w.writeFrame(nil)
+}
+
+// WriteResident writes one segment resident frame.
+func (sw *SnapshotWriter) WriteResident(r *SnapshotResident) error {
+	if !sw.open {
+		return errProbeBeforeMeta
+	}
+	sw.w.buf = AppendSnapshotResident(sw.w.buf[:0], r)
+	return sw.w.writeFrame(sw.w.buf)
+}
+
+// WriteCommit writes the frame that closes a segment.
+func (sw *SnapshotWriter) WriteCommit(c *SnapshotCommit) error {
+	if !sw.open {
+		return errProbeBeforeMeta
+	}
+	sw.w.buf = AppendSnapshotCommit(sw.w.buf[:0], c)
 	return sw.w.writeFrame(sw.w.buf)
 }
 
@@ -335,20 +546,23 @@ func (sw *SnapshotWriter) WriteProbe(p *SnapshotProbe) error {
 // invalid, so Flush before WriteMeta fails rather than emitting a
 // stream no reader accepts.
 func (sw *SnapshotWriter) Flush() error {
-	if !sw.wroteMeta {
+	if !sw.open {
 		return errProbeBeforeMeta
 	}
 	return sw.w.Flush()
 }
 
 // SnapshotScanner streams a snapshot back: the meta frame via Meta,
-// then one probe window per Scan, each decoded into owned storage that
-// the next Scan overwrites — the same zero-steady-state-allocation
+// then one frame per Scan, each decoded into owned storage that the
+// next Scan overwrites — the same zero-steady-state-allocation
 // discipline as Scanner. Transparently decompresses gzip.
 type SnapshotScanner struct {
 	f        frameReader
 	meta     SnapshotMeta
 	probe    SnapshotProbe
+	resident SnapshotResident
+	commit   SnapshotCommit
+	kind     SnapshotFrame
 	metaRead bool
 }
 
@@ -382,10 +596,10 @@ func (s *SnapshotScanner) Meta() (*SnapshotMeta, error) {
 	return &s.meta, err
 }
 
-// Scan advances to the next probe-window frame, reading the meta frame
-// first if Meta has not been called. It returns false at end of input
-// or on the first error; check Err. Each Scan overwrites the window
-// returned by Probe.
+// Scan advances to the next frame after the meta frame, reading the
+// meta frame first if Meta has not been called; Frame reports its kind.
+// It returns false at end of input or on the first error; check Err.
+// Each Scan overwrites the frame returned by Probe, Resident or Commit.
 func (s *SnapshotScanner) Scan() bool {
 	if _, err := s.Meta(); err != nil {
 		return false
@@ -398,17 +612,42 @@ func (s *SnapshotScanner) Scan() bool {
 		s.f.err = err
 		return false
 	}
-	if err := DecodeSnapshotProbeInto(&s.probe, payload); err != nil {
+	if len(payload) == 0 {
+		s.kind = MarkFrame
+		return true
+	}
+	switch payload[0] {
+	case snapTagProbe:
+		s.kind, err = ProbeFrame, DecodeSnapshotProbeInto(&s.probe, payload)
+	case snapTagResident:
+		s.kind, err = ResidentFrame, DecodeSnapshotResidentInto(&s.resident, payload)
+	case snapTagCommit:
+		s.kind, err = CommitFrame, DecodeSnapshotCommitInto(&s.commit, payload)
+	default:
+		err = ErrBadFrame
+	}
+	if err != nil {
 		s.f.err = s.f.corruptHere(err)
 		return false
 	}
 	return true
 }
 
-// Probe returns the window decoded by the last successful Scan. The
-// pointer and everything it references are valid until the next Scan
-// call, which reuses the same storage.
+// Frame reports the kind of frame the last successful Scan decoded.
+func (s *SnapshotScanner) Frame() SnapshotFrame { return s.kind }
+
+// Probe returns the window decoded by the last successful Scan of a
+// ProbeFrame. The pointer and everything it references are valid until
+// the next Scan call, which reuses the same storage.
 func (s *SnapshotScanner) Probe() *SnapshotProbe { return &s.probe }
+
+// Resident returns the record decoded by the last successful Scan of a
+// ResidentFrame, valid until the next Scan.
+func (s *SnapshotScanner) Resident() *SnapshotResident { return &s.resident }
+
+// Commit returns the frame decoded by the last successful Scan of a
+// CommitFrame, valid until the next Scan.
+func (s *SnapshotScanner) Commit() *SnapshotCommit { return &s.commit }
 
 // Err returns the first error encountered, or nil at clean end of
 // input.

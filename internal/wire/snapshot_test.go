@@ -375,3 +375,175 @@ func TestSnapshotScannerReusesStorage(t *testing.T) {
 		t.Fatalf("steady-state Scan allocates %v times per call", allocs)
 	}
 }
+
+func sampleResidents() []*SnapshotResident {
+	return []*SnapshotResident{
+		{ASN: 64500, Probes: []ResidentProbe{{ProbeID: 1, Low: 1580986800}, {ProbeID: 4, Low: 1580988600}}},
+		{ASN: 64501, Probes: []ResidentProbe{{ProbeID: -2, Low: -1800}}},
+	}
+}
+
+func sampleCommit() *SnapshotCommit {
+	return &SnapshotCommit{
+		NewestNano: time.Date(2020, 2, 7, 12, 1, 0, 0, time.UTC).UnixNano(),
+		Ingested:   12400, Dropped: 17, EvictedBins: 893,
+	}
+}
+
+// buildCheckpointArchive appends two segments to the sample snapshot,
+// the layout a checkpointer leaves: base, then per segment the mark,
+// resident and probe frames, and the commit.
+func buildCheckpointArchive(t testing.TB) []byte {
+	t.Helper()
+	buf := bytes.NewBuffer(buildSnapshotArchive(t))
+	for i := 0; i < 2; i++ {
+		sw := NewSegmentWriter(buf)
+		if err := sw.WriteMark(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range sampleResidents() {
+			if err := sw.WriteResident(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.WriteProbe(sampleSnapshotProbes()[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.WriteCommit(sampleCommit()); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotSegmentRoundTrip scans a base followed by two segments:
+// every frame comes back with its kind, and re-encodes to the bytes it
+// was written as.
+func TestSnapshotSegmentRoundTrip(t *testing.T) {
+	arch := buildCheckpointArchive(t)
+	sc := NewSnapshotScanner(bytes.NewReader(arch))
+	var kinds []SnapshotFrame
+	var payloads [][]byte
+	for sc.Scan() {
+		kinds = append(kinds, sc.Frame())
+		switch sc.Frame() {
+		case ProbeFrame:
+			payloads = append(payloads, AppendSnapshotProbe(nil, sc.Probe()))
+		case ResidentFrame:
+			payloads = append(payloads, AppendSnapshotResident(nil, sc.Resident()))
+		case CommitFrame:
+			payloads = append(payloads, AppendSnapshotCommit(nil, sc.Commit()))
+		case MarkFrame:
+			payloads = append(payloads, nil)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	probes, residents := sampleSnapshotProbes(), sampleResidents()
+	want := []SnapshotFrame{ProbeFrame, ProbeFrame, ProbeFrame}
+	wantPayloads := [][]byte{
+		AppendSnapshotProbe(nil, probes[0]), AppendSnapshotProbe(nil, probes[1]), AppendSnapshotProbe(nil, probes[2]),
+	}
+	for i := 0; i < 2; i++ {
+		want = append(want, MarkFrame, ResidentFrame, ResidentFrame, ProbeFrame, CommitFrame)
+		wantPayloads = append(wantPayloads, nil,
+			AppendSnapshotResident(nil, residents[0]), AppendSnapshotResident(nil, residents[1]),
+			AppendSnapshotProbe(nil, probes[i]), AppendSnapshotCommit(nil, sampleCommit()))
+	}
+	if len(kinds) != len(want) {
+		t.Fatalf("scanned %d frames %v, want %d %v", len(kinds), kinds, len(want), want)
+	}
+	for i := range want {
+		if kinds[i] != want[i] || !bytes.Equal(payloads[i], wantPayloads[i]) {
+			t.Fatalf("frame %d: kind %v, payload %x; want %v, %x", i, kinds[i], payloads[i], want[i], wantPayloads[i])
+		}
+	}
+	// The base is the snapshot's own bytes: segments only extend it.
+	if base := buildSnapshotArchive(t); !bytes.Equal(arch[:len(base)], base) {
+		t.Fatal("segments rewrote the base")
+	}
+}
+
+// TestSegmentPayloadCorruptionExhaustive runs the resident and commit
+// decoders over every truncation and single-byte mutation of their
+// sample payloads: each must decode canonically or fail typed.
+func TestSegmentPayloadCorruptionExhaustive(t *testing.T) {
+	payloads := [][]byte{AppendSnapshotCommit(nil, sampleCommit())}
+	for _, r := range sampleResidents() {
+		payloads = append(payloads, AppendSnapshotResident(nil, r))
+	}
+	check := func(data []byte) {
+		t.Helper()
+		var r SnapshotResident
+		if err := DecodeSnapshotResidentInto(&r, data); err == nil {
+			if enc := AppendSnapshotResident(nil, &r); !bytes.Equal(enc, data) {
+				t.Fatalf("resident decoded non-canonically:\n in %x\nout %x", data, enc)
+			}
+		} else if !isTypedWireError(err) {
+			t.Fatalf("untyped resident decode error on %x: %v", data, err)
+		}
+		var c SnapshotCommit
+		if err := DecodeSnapshotCommitInto(&c, data); err == nil {
+			if enc := AppendSnapshotCommit(nil, &c); !bytes.Equal(enc, data) {
+				t.Fatalf("commit decoded non-canonically:\n in %x\nout %x", data, enc)
+			}
+		} else if !isTypedWireError(err) {
+			t.Fatalf("untyped commit decode error on %x: %v", data, err)
+		}
+	}
+	for _, payload := range payloads {
+		for cut := 0; cut < len(payload); cut++ {
+			check(payload[:cut])
+		}
+		for i := 0; i < len(payload); i++ {
+			for _, flip := range []byte{0x01, 0x80, 0xff} {
+				b := append([]byte(nil), payload...)
+				b[i] ^= flip
+				check(b)
+			}
+		}
+	}
+}
+
+func TestSnapshotResidentRejectsNonCanonicalLists(t *testing.T) {
+	for name, r := range map[string]*SnapshotResident{
+		"no probes":       {ASN: 1},
+		"unsorted probes": {ASN: 1, Probes: []ResidentProbe{{ProbeID: 3, Low: 0}, {ProbeID: 2, Low: 0}}},
+		"repeated probe":  {ASN: 1, Probes: []ResidentProbe{{ProbeID: 3, Low: 0}, {ProbeID: 3, Low: 1800}}},
+	} {
+		var back SnapshotResident
+		if err := DecodeSnapshotResidentInto(&back, AppendSnapshotResident(nil, r)); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("%s: err = %v, want ErrBadFrame", name, err)
+		}
+	}
+	var r SnapshotResident
+	if err := DecodeSnapshotResidentInto(&r, AppendSnapshotCommit(nil, sampleCommit())); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("resident decoder accepted a commit frame: %v", err)
+	}
+	var c SnapshotCommit
+	if err := DecodeSnapshotCommitInto(&c, AppendSnapshotResident(nil, sampleResidents()[0])); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("commit decoder accepted a resident frame: %v", err)
+	}
+	// An unknown tag after the meta frame is a malformed frame, the way
+	// a reader that predates segments sees resident and commit frames.
+	var buf bytes.Buffer
+	w := NewWriter(&buf, StreamSnapshot)
+	for _, payload := range [][]byte{AppendSnapshotMeta(nil, sampleSnapshotMeta()), {4, 0}} {
+		if err := w.writeFrame(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sc := NewSnapshotScanner(bytes.NewReader(buf.Bytes()))
+	for sc.Scan() {
+	}
+	if err := sc.Err(); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("unknown tag: err = %v, want ErrBadFrame", err)
+	}
+}

@@ -12,10 +12,10 @@
 // The header magic is {0x89 'L' 'M' 'W'}: the high first byte keeps a
 // wire stream from ever being mistaken for JSON, CSV, or a gzip stream,
 // mirroring PNG's signature trick. Frames are self-delimiting, so a
-// reader can skip a frame without decoding it — that is what makes the
-// format mmap/io.ReaderAt-friendly (see Reader): an index over frame
-// offsets is one linear scan of the length prefixes, and replay can
-// seek to any frame boundary.
+// reader can skip a frame without decoding it, an index over frame
+// offsets is one linear scan of the length prefixes, and a writer can
+// extend a stream by appending frames — which is how checkpoint
+// segments grow a snapshot (see SnapshotWriter).
 //
 // All integers are canonical LEB128 varints (uvarint for counts and
 // unsigned values, zigzag for signed ones); float64 bits travel as
@@ -58,7 +58,8 @@ const (
 	StreamCDNLog byte = 2
 	// StreamSnapshot is the stream type carrying serialized delay-engine
 	// state: one meta frame (engine configuration, watermark, monotonic
-	// counters) followed by one frame per resident (AS, probe) window.
+	// counters) followed by one frame per resident (AS, probe) window,
+	// optionally extended by checkpoint segments (see snapshot.go).
 	StreamSnapshot byte = 3
 
 	// HeaderLen is the byte length of the stream header.

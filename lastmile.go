@@ -480,21 +480,26 @@ type StreamStats = stream.Stats
 func NewStreamMonitor(opts StreamOptions) *StreamMonitor { return stream.NewMonitor(opts) }
 
 // RestoreStreamMonitor rebuilds a monitor from a state snapshot written
-// by StreamMonitor.Snapshot, resuming with the window contents,
-// watermark, and counters of the snapshotting monitor — the
-// checkpoint/resume path of a long-running monitor. Semantic options
-// left zero adopt the snapshot's values; non-zero ones must match it.
+// by StreamMonitor.Snapshot or a StreamCheckpointer's state file,
+// resuming with the window contents, watermark, and counters of the
+// checkpointed monitor — the checkpoint/resume path of a long-running
+// monitor. Semantic options left zero adopt the snapshot's values;
+// non-zero ones must match it. A torn segment after the base yields the
+// monitor as of the last complete segment along with an error.
 func RestoreStreamMonitor(r io.Reader, opts StreamOptions) (*StreamMonitor, error) {
 	return stream.RestoreMonitor(r, opts)
 }
 
-// StreamCheckpointer periodically snapshots one monitor to a state
-// file, atomically, gated on the observation watermark crossing a bin
-// boundary. Drive it from the goroutine that feeds the monitor.
+// StreamCheckpointer keeps one monitor's state in a file, gated on the
+// observation watermark crossing a bin boundary: a base snapshot
+// written by atomic rename, then at each boundary a segment of only the
+// bins that changed, appended, with a fresh base once the segments
+// outgrow it. Checkpoint always writes a fresh base. Drive it from the
+// goroutine that feeds the monitor.
 type StreamCheckpointer = stream.Checkpointer
 
-// NewStreamCheckpointer returns a checkpointer writing m's snapshots to
-// path.
+// NewStreamCheckpointer returns a checkpointer writing m's checkpoints
+// to path.
 func NewStreamCheckpointer(m *StreamMonitor, path string) *StreamCheckpointer {
 	return stream.NewCheckpointer(m, path)
 }

@@ -27,8 +27,8 @@
 #
 # Record mode re-measures the hot-path benchmarks — engine ingestion
 # (BenchmarkMonitorObserve), the Fig-2 DSP pipeline (BenchmarkFig2), and
-# the engine state codec (BenchmarkSnapshot/BenchmarkMerge, whose MB/s
-# columns are snapshot bytes over serialize/merge wall time) — and
+# the engine state codec (BenchmarkSnapshot, whose MB/s column is
+# snapshot bytes over serialize wall time) — and
 # rewrites BENCH_engine.json at the repo root. The ingest rows run
 # long (200000 iterations per shard width) so pool warm-up and map
 # growth amortise to their steady state; the checked-in allocs_per_op of
@@ -88,8 +88,8 @@ record() {
   go test -run '^$' -bench 'BenchmarkMonitorObserve' -benchmem -benchtime 200000x -count=1 . | tee -a "$raw" >&2
   echo "==> measuring BenchmarkFig2 (500 iterations)" >&2
   go test -run '^$' -bench 'BenchmarkFig2$' -benchmem -benchtime 500x -count=1 . | tee -a "$raw" >&2
-  echo "==> measuring BenchmarkSnapshot/BenchmarkMerge (engine state codec)" >&2
-  go test -run '^$' -bench 'BenchmarkSnapshot$|BenchmarkMerge$' -benchmem -count=1 ./internal/engine | tee -a "$raw" >&2
+  echo "==> measuring BenchmarkSnapshot (engine state codec)" >&2
+  go test -run '^$' -bench 'BenchmarkSnapshot$' -benchmem -count=1 ./internal/engine | tee -a "$raw" >&2
   render_json "$raw" BENCH_engine.json \
     "hot-path benchmark snapshot; regenerate with scripts/bench.sh record"
 

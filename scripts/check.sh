@@ -123,10 +123,10 @@ race_run 'ReplayEquivalence' ./internal/experiments/
 race_run 'Equivalence|OutOfOrder' ./internal/core/ ./internal/stream/
 
 # The serializable-state contract: a snapshot/restore/continue monitor
-# reproduces the uninterrupted monitor's verdicts bit for bit, under the
-# race detector and uncached. Engine merging is pinned in the engine
-# package, which the stage above runs in full.
-stage "go test -race -count=1 (merge equivalence)"
+# reproduces the uninterrupted monitor's verdicts bit for bit, and every
+# checkpoint — base or appended segment — restores to the state it was
+# taken at, under the race detector and uncached.
+stage "go test -race -count=1 (snapshot and checkpoint equivalence)"
 race_run 'SnapshotRestore' ./internal/experiments/
 race_run 'Checkpoint|RestoreMonitor' ./internal/stream/
 race_run 'ResumeAfterInterrupt' ./cmd/lmmonitor/
@@ -143,9 +143,12 @@ go test -race -count=1 ./internal/telemetry/
 # SIGHUP storm, kill-and-resume — and pins the final verdicts
 # bit-identical to a batch replay of the same observations. Uncached and
 # under -race: goroutine scheduling is the variable under test. The
-# watchdog and API suites ride along for the same reason.
+# watchdog and API suites ride along for the same reason, and the
+# consistent-cut test runs ten times: it checkpoints while targets
+# ingest, so each run samples different interleavings.
 stage "serve-soak (deterministic daemon soak under -race)"
 race_run -short 'TestServeSoakEquivalence' ./internal/serve/
+race_run -count=10 'TestDaemonCheckpointConsistentCut' ./internal/serve/
 race_run 'TestAPIConcurrentReadsDuringIngest' ./internal/serve/
 race_run 'TestRunWatchdogForcesFlush|TestRunInterruptFlushesOnce' ./cmd/lmmonitor/
 
