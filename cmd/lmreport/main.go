@@ -15,9 +15,9 @@ import (
 	"os"
 
 	"github.com/last-mile-congestion/lastmile/internal/core"
-	"github.com/last-mile-congestion/lastmile/internal/lastmile"
 	"github.com/last-mile-congestion/lastmile/internal/report"
 	"github.com/last-mile-congestion/lastmile/internal/scenario"
+	"github.com/last-mile-congestion/lastmile/internal/timeseries"
 )
 
 func main() {
@@ -69,7 +69,7 @@ func run(asn uint64, periodLabel string, seed uint64, ases int) error {
 	if err != nil {
 		return err
 	}
-	signal, err := lastmile.AggregateQueuingDelay(perProbe)
+	signal, err := timeseries.AggregateMedian(perProbe)
 	if err != nil {
 		return err
 	}

@@ -26,35 +26,31 @@ func main() {
 	end := start.AddDate(0, 0, 15)
 	rng := rand.New(rand.NewSource(42))
 
-	// 1. Build per-probe accumulators and feed them traceroutes.
-	var accs []*lastmile.ProbeAccumulator
+	// 1. Feed each probe's traceroutes into a survey feed, which
+	// estimates their last-mile samples and bins them per probe.
+	const asn = 64500
+	feed := lastmile.NewSurveyFeed(lastmile.SurveyOptions{})
 	for probe := 1; probe <= 3; probe++ {
-		acc, err := lastmile.NewProbeAccumulator(probe, start, end, lastmile.DefaultBinWidth)
-		if err != nil {
-			log.Fatal(err)
-		}
 		// Atlas built-ins yield ~24 traceroutes per 30 minutes; 6 are
 		// plenty for the median.
 		for ts := start; ts.Before(end); ts = ts.Add(5 * time.Minute) {
-			if err := acc.Add(trace(probe, ts, rng)); err != nil {
+			if err := feed.Add(asn, trace(probe, ts, rng)); err != nil {
 				log.Fatal(err)
 			}
 		}
-		accs = append(accs, acc)
 	}
 
-	// 2. Aggregate the population into one queuing-delay signal.
-	signal, probes, err := lastmile.PopulationDelay(accs, lastmile.DefaultMinTraceroutes)
+	// 2. Aggregate the population into one queuing-delay signal and
+	// classify it.
+	survey, skipped, err := feed.Survey("quickstart")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("aggregated %d probes into %d half-hour bins\n", probes, signal.Len())
-
-	// 3. Classify.
-	verdict, err := lastmile.Classify(signal, lastmile.DefaultClassifierOptions())
-	if err != nil {
-		log.Fatal(err)
+	if len(skipped) > 0 {
+		log.Fatalf("AS%d not classified: %v", asn, skipped[0].Reason)
 	}
+	verdict := survey.Results[asn]
+	fmt.Printf("aggregated %d probes into %d half-hour bins\n", verdict.Probes, verdict.Signal.Len())
 	fmt.Printf("classification:     %v\n", verdict.Class)
 	fmt.Printf("daily amplitude:    %.2f ms (thresholds: Low >0.5, Mild >1, Severe >3)\n", verdict.DailyAmplitude)
 	fmt.Printf("prominent component: %.4f cycles/hour (daily = %.4f) daily=%v\n",

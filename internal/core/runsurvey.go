@@ -26,13 +26,15 @@ type AttributedResult struct {
 
 // SurveyOptions configures RunSurvey.
 type SurveyOptions struct {
-	// BinWidth is the aggregation bin (default 30 minutes).
+	// BinWidth is the aggregation bin (default 30 minutes). It must be a
+	// whole number of seconds: the engine keys bins by their start in
+	// unix seconds.
 	BinWidth time.Duration
 	// MinTraceroutes is the per-bin sanity threshold (default 3).
 	MinTraceroutes int
 	// Start and End bound the measurement period. Zero values are
-	// derived from the data: Start floors the earliest timestamp to a
-	// bin boundary, End ceils the latest.
+	// derived from the data: Start is the start of the earliest
+	// record's bin, End the end of the latest's.
 	Start, End time.Time
 	// Classifier configures the detector; the zero value selects
 	// DefaultClassifierOptions.
@@ -184,19 +186,20 @@ func (f *SurveyFeed) Add(asn bgp.ASN, r *traceroute.Result) error {
 }
 
 // Bounds returns the survey period: SurveyOptions.Start and End where
-// pinned, otherwise derived from the records added so far — Start floors
-// the earliest timestamp to a bin boundary, End ceils the latest.
-// Derived bounds are zero before the first Add.
+// pinned, otherwise derived from the records added so far — Start is
+// the start of the earliest record's bin, End the end of the latest's,
+// both on the engine's bin keys. Derived bounds are zero before the
+// first Add.
 func (f *SurveyFeed) Bounds() (start, end time.Time) {
 	start, end = f.opts.Start, f.opts.End
 	if f.n == 0 {
 		return start, end
 	}
 	if start.IsZero() {
-		start = f.tMin.Truncate(f.opts.BinWidth)
+		start = f.eng.BinStart(f.tMin)
 	}
 	if end.IsZero() {
-		end = f.tMax.Add(f.opts.BinWidth).Truncate(f.opts.BinWidth)
+		end = f.eng.BinStart(f.tMax).Add(f.opts.BinWidth)
 	}
 	return start, end
 }

@@ -1,11 +1,13 @@
 // Package engine implements the shared incremental per-probe binning
 // engine of the last-mile pipeline (§2.1): bin keying, the <3-traceroute
-// discard rule, exact incremental per-bin medians, min-subtraction, and
-// population aggregation. The paper's math lives here exactly once —
-// the batch survey (internal/core.RunSurvey) replays a completed period
-// through an unbounded engine, and the streaming monitor
-// (internal/stream.Monitor) drives a windowed engine continuously; both
-// produce bit-for-bit identical signals from the same observations.
+// discard rule, exact per-bin medians, min-subtraction, and population
+// aggregation. The paper's math lives here exactly once — the batch
+// survey (internal/core.RunSurvey) replays a completed period through an
+// unbounded engine, the streaming monitor (internal/stream.Monitor)
+// drives a windowed engine continuously, and the simulator
+// (internal/scenario) observes each probe population into an engine of
+// its own; all produce bit-for-bit identical signals from the same
+// observations.
 //
 // State is striped over N shards keyed by ASN, each with its own lock,
 // so concurrent ingestion of different ASes never contends. The newest
@@ -17,6 +19,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,13 +27,16 @@ import (
 
 	"github.com/last-mile-congestion/lastmile/internal/bgp"
 	"github.com/last-mile-congestion/lastmile/internal/lastmile"
+	"github.com/last-mile-congestion/lastmile/internal/stats"
 	"github.com/last-mile-congestion/lastmile/internal/telemetry"
 	"github.com/last-mile-congestion/lastmile/internal/timeseries"
 )
 
 // Options configures an Engine.
 type Options struct {
-	// BinWidth is the aggregation bin (default 30 minutes, §2.1).
+	// BinWidth is the aggregation bin (default 30 minutes, §2.1). It
+	// must be a whole number of seconds: bins are keyed by their start
+	// in unix seconds.
 	BinWidth time.Duration
 	// MinTraceroutes is the per-bin sanity threshold (default 3): bins
 	// with fewer measurement groups are gaps.
@@ -94,20 +100,135 @@ func (s *Stats) add(o Stats) {
 	s.EvictedBins += o.EvictedBins
 }
 
-// probeWindow is one probe's resident bins, keyed by bin-start unix
-// seconds (epoch-aligned, so batch and streaming agree on boundaries).
+// probeWindow is one probe's resident bins, ordered by strictly
+// increasing key: the bin start in unix seconds (epoch-aligned, so
+// batch and streaming agree on boundaries). Memory follows the
+// populated bins, not the span of their keys. Cells past len(cells)
+// are evicted ones whose sample storage later keys reuse.
 type probeWindow struct {
-	bins map[int64]*cell
+	cells []cell
 }
 
-// cell is one resident (probe, bin) cell: the bin's incremental median
-// state plus the group count the last checkpoint wrote for it. Every
+// cell is one resident (probe, bin) cell: the bin's samples, the group
+// count, and the group count the last checkpoint wrote for it. Every
 // accepted Observe adds exactly one group to one cell, so a cell has
 // changed since the last checkpoint exactly when its group count
 // differs from saved; change detection costs Observe nothing.
+//
+// Samples are kept in arrival order and sorted in place on the first
+// median read after an append, so Observe's cost follows the samples it
+// adds, not the bin's size. Sorting changes no observable state: a bin
+// is the multiset of its samples.
 type cell struct {
-	timeseries.IncrementalBin
-	saved int
+	key     int64
+	samples []float64
+	// groups counts measurement groups (traceroutes), the unit of the
+	// paper's "fewer than 3 traceroutes" discard rule.
+	groups, saved int
+	sorted        bool
+}
+
+// sort orders the samples if an append has unsorted them.
+func (c *cell) sort() {
+	if c.sorted {
+		return
+	}
+	if len(c.samples) <= maxInsertionSort {
+		insertionSort(c.samples)
+	} else {
+		slices.Sort(c.samples) //lmvet:ignore nanguard samples are finite: the estimator drops non-finite RTTs and the snapshot decoder rejects them
+	}
+	c.sorted = true
+}
+
+// maxInsertionSort is the largest bin insertionSort orders. Up to it,
+// which covers the paper's 24 traceroutes of 9 samples per bin, an
+// insertion sort beats slices.Sort; it is also linear in the bin for
+// the few samples appended since the bin was last sorted.
+const maxInsertionSort = 256
+
+// insertionSort orders s in place.
+func insertionSort(s []float64) {
+	for i := 1; i < len(s); i++ {
+		v, j := s[i], i
+		for ; j > 0 && s[j-1] > v; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = v
+	}
+}
+
+// median returns the bin's exact median, bit-for-bit identical to
+// stats.Median over the same samples; ok is false for an empty bin.
+func (c *cell) median() (v float64, ok bool) {
+	n := len(c.samples)
+	if n == 0 {
+		return 0, false
+	}
+	c.sort()
+	if n%2 == 1 {
+		return c.samples[n/2], true
+	}
+	return stats.Midpoint(c.samples[n/2-1], c.samples[n/2]), true
+}
+
+// find returns the index of key's cell and true, or the index where a
+// cell for key belongs and false. Records arrive roughly in time order,
+// so the newest cell is tried first.
+func (pw *probeWindow) find(key int64) (int, bool) {
+	n := len(pw.cells)
+	if n == 0 || pw.cells[n-1].key < key {
+		return n, false
+	}
+	if pw.cells[n-1].key == key {
+		return n - 1, true
+	}
+	lo, hi := 0, n-1
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if pw.cells[m].key < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, pw.cells[lo].key == key
+}
+
+// insert opens an empty cell for key at index i, where find placed it.
+// It reuses the sample storage of an evicted cell parked past the end
+// of the slice, if there is one, and otherwise sizes the new storage
+// like the newest cell's samples: a probe's bins hold similar numbers.
+func (pw *probeWindow) insert(i int, key int64) {
+	n := len(pw.cells)
+	var spare []float64
+	if n < cap(pw.cells) {
+		spare = pw.cells[:n+1][n].samples[:0]
+	}
+	if cap(spare) == 0 && n > 0 {
+		spare = make([]float64, 0, len(pw.cells[n-1].samples)) //lmvet:ignore allocguard one allocation per new bin, sized so appends rarely grow it
+	}
+	pw.cells = append(pw.cells, cell{}) //lmvet:ignore allocguard the cell slice grows by amortised doubling, one new cell per probe per bin width
+	copy(pw.cells[i+1:], pw.cells[i:n])
+	pw.cells[i] = cell{key: key, samples: spare}
+}
+
+// dropPrefix evicts the first k cells, the lowest keys, and returns
+// how many samples they held. The evicted cells are parked past the end
+// of the slice for insert to reuse.
+func (pw *probeWindow) dropPrefix(k int) (samples int) {
+	if k == 0 {
+		return 0
+	}
+	for i := range pw.cells[:k] {
+		samples += len(pw.cells[i].samples)
+	}
+	// Rotate the prefix behind the survivors: three reversals, in place.
+	slices.Reverse(pw.cells[:k])
+	slices.Reverse(pw.cells[k:])
+	slices.Reverse(pw.cells)
+	pw.cells = pw.cells[:len(pw.cells)-k]
+	return samples
 }
 
 // asWindow is one AS's probes.
@@ -274,20 +395,21 @@ func (e *Engine) Observe(asn bgp.ASN, probeID int, t time.Time, samples []float6
 	}
 	pw := aw.probes[probeID]
 	if pw == nil {
-		pw = &probeWindow{bins: make(map[int64]*cell)} //lmvet:ignore allocguard one window per newly seen probe, amortised to zero
+		pw = &probeWindow{} //lmvet:ignore allocguard one window per newly seen probe, amortised to zero
 		aw.probes[probeID] = pw
 		sh.probes++
 	}
 	key := e.binKey(t.Unix())
-	b := pw.bins[key]
-	if b == nil {
-		b = &cell{} //lmvet:ignore allocguard one bin per probe per 30-minute window, ~1 in 1800 observations
-		pw.bins[key] = b
+	i, ok := pw.find(key)
+	if !ok {
+		pw.insert(i, key)
 		sh.bins++
 	}
-	before := b.Len()
-	b.AddGroup(samples)
-	sh.samples += int64(b.Len() - before)
+	c := &pw.cells[i]
+	c.samples = append(c.samples, samples...) //lmvet:ignore allocguard bin storage grows by amortised doubling, or reuses an evicted bin's
+	c.groups++
+	c.sorted = false
+	sh.samples += int64(len(samples))
 	sh.ingested.Inc()
 	if sampled {
 		tm.Stop()
@@ -305,15 +427,13 @@ func (e *Engine) evictShardLocked(sh *shard, newestNano int64) {
 	horizon := (newestNano - int64(e.opts.Window) - int64(e.opts.MaxLateness)) / int64(time.Second)
 	for asn, aw := range sh.ases {
 		for id, pw := range aw.probes {
-			for key, b := range pw.bins {
-				if key < horizon {
-					sh.samples -= int64(b.Len())
-					sh.bins--
-					e.evicted.Inc()
-					delete(pw.bins, key)
-				}
+			// find places the horizon after every key below it.
+			if k, _ := pw.find(horizon); k > 0 {
+				sh.samples -= int64(pw.dropPrefix(k))
+				sh.bins -= int64(k)
+				e.evicted.Add(int64(k))
 			}
-			if len(pw.bins) == 0 {
+			if len(pw.cells) == 0 {
 				delete(aw.probes, id)
 				sh.probes--
 			}
@@ -347,19 +467,27 @@ func (e *Engine) NewestBin() (int64, bool) {
 	return e.binKey(n / int64(time.Second)), true
 }
 
+// BinStart returns the start of the bin covering t: the bin key the
+// engine files an observation at t under.
+func (e *Engine) BinStart(t time.Time) time.Time {
+	return time.Unix(e.binKey(t.Unix()), 0).UTC()
+}
+
 // WindowBounds derives the analysis window ending at the bin boundary
-// just past the newest observation: [start, start + nBins*BinWidth).
-// ok is false for an unbounded engine or before any observation.
+// just past the newest observation: [start, start + nBins*BinWidth),
+// with nBins = Window/BinWidth whole bins, so start is a bin key. ok is
+// false for an unbounded engine or before any observation.
 func (e *Engine) WindowBounds() (start time.Time, nBins int, ok bool) {
 	if e.opts.Window == 0 {
 		return time.Time{}, 0, false
 	}
-	newest, ok := e.Newest()
+	key, ok := e.NewestBin()
 	if !ok {
 		return time.Time{}, 0, false
 	}
-	end := newest.Add(e.opts.BinWidth).Truncate(e.opts.BinWidth)
-	return end.Add(-e.opts.Window), int(e.opts.Window / e.opts.BinWidth), true
+	nBins = int(e.opts.Window / e.opts.BinWidth)
+	w := int64(e.opts.BinWidth / time.Second)
+	return time.Unix(key+w-int64(nBins)*w, 0).UTC(), nBins, true
 }
 
 // ASNs returns the ASes with resident state, sorted.
@@ -396,26 +524,13 @@ func (e *Engine) Stats() Stats {
 }
 
 // Signal computes the §2.1 population queuing-delay signal of one AS
-// over the window [start, start + nBins*BinWidth): per-probe median-RTT
-// series with the <MinTraceroutes discard rule applied, per-probe
-// min-subtraction, then the median across probes. It returns the signal
-// and the number of contributing probes. Only the per-probe snapshot
-// runs under the shard lock; the aggregation happens outside it.
+// over the window [start, start + nBins*BinWidth): the per-bin median
+// across the AS's ProbeDelays. It returns the signal and the number of
+// contributing probes.
 func (e *Engine) Signal(asn bgp.ASN, start time.Time, nBins int) (*timeseries.Series, int, error) {
-	perProbe, err := e.snapshotAS(asn, start, nBins)
+	qds, err := e.ProbeDelays(asn, start, nBins)
 	if err != nil {
 		return nil, 0, err
-	}
-	var qds []*timeseries.Series
-	for _, s := range perProbe {
-		qd, err := timeseries.SubtractMin(s)
-		if err != nil {
-			continue
-		}
-		qds = append(qds, qd)
-	}
-	if len(qds) == 0 {
-		return nil, 0, fmt.Errorf("engine: %v has no probe with a finite baseline", asn)
 	}
 	agg, err := timeseries.AggregateMedian(qds)
 	if err != nil {
@@ -424,9 +539,33 @@ func (e *Engine) Signal(asn bgp.ASN, start time.Time, nBins int) (*timeseries.Se
 	return agg, len(qds), nil
 }
 
-// snapshotAS materialises the AS's per-probe median series over the
-// window under the shard lock. Probes with no usable bin are omitted.
-func (e *Engine) snapshotAS(asn bgp.ASN, start time.Time, nBins int) ([]*timeseries.Series, error) {
+// ProbeDelays returns the §2.1 per-probe queuing-delay series of one AS
+// over the window [start, start + nBins*BinWidth), in ascending probe
+// ID: each probe's per-bin median RTT with bins under MinTraceroutes
+// groups left as gaps, minus the probe's minimum over the window.
+// Probes without a usable bin in the window are omitted; an AS with
+// none is an error. Only the medians are read under the shard lock.
+func (e *Engine) ProbeDelays(asn bgp.ASN, start time.Time, nBins int) ([]*timeseries.Series, error) {
+	perProbe, err := e.medianSeries(asn, start, nBins)
+	if err != nil {
+		return nil, err
+	}
+	qds := perProbe[:0]
+	for _, s := range perProbe {
+		if qd, err := timeseries.SubtractMin(s); err == nil {
+			qds = append(qds, qd)
+		}
+	}
+	if len(qds) == 0 {
+		return nil, fmt.Errorf("engine: %v has no probe with a finite baseline", asn)
+	}
+	return qds, nil
+}
+
+// medianSeries materialises the AS's per-probe median series over the
+// window under the shard lock, in ascending probe ID. Probes with no
+// usable bin are omitted.
+func (e *Engine) medianSeries(asn bgp.ASN, start time.Time, nBins int) ([]*timeseries.Series, error) {
 	sh := e.shardOf(asn)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -435,21 +574,23 @@ func (e *Engine) snapshotAS(asn bgp.ASN, start time.Time, nBins int) ([]*timeser
 		return nil, fmt.Errorf("engine: no state for %v", asn)
 	}
 	var perProbe []*timeseries.Series
-	for _, pw := range aw.probes {
+	for _, id := range sortedProbeIDs(nil, aw) {
 		s, err := timeseries.NewSeries(start, e.opts.BinWidth, nBins)
 		if err != nil {
 			return nil, err
 		}
 		usable := false
-		for key, b := range pw.bins {
-			if b.Groups() < e.opts.MinTraceroutes {
+		cells := aw.probes[id].cells
+		for j := range cells {
+			c := &cells[j]
+			if c.groups < e.opts.MinTraceroutes {
 				continue
 			}
-			i, ok := s.IndexOf(time.Unix(key, 0).UTC())
+			i, ok := s.IndexOf(time.Unix(c.key, 0).UTC())
 			if !ok {
 				continue
 			}
-			if med, ok := b.Median(); ok {
+			if med, ok := c.median(); ok {
 				s.Values[i] = med
 				usable = true
 			}

@@ -203,6 +203,62 @@ func TestEngineWindowBounds(t *testing.T) {
 	}
 }
 
+// TestEngineWindowBoundsOnBinKeys uses 7-minute bins, a width that does
+// not divide the span from year 1 to the Unix epoch, so time.Truncate
+// and the engine's epoch-aligned keys disagree. The window must start on
+// a bin key, and a record must land in the series slot whose time is
+// its bin key.
+func TestEngineWindowBoundsOnBinKeys(t *testing.T) {
+	const w = 7 * time.Minute
+	e := New(Options{BinWidth: w, MinTraceroutes: 1, Window: 24 * time.Hour})
+	at := t0.Add(5*time.Hour + 3*time.Minute + 11*time.Second)
+	e.Observe(1, 1, at, []float64{4})
+	e.Observe(1, 1, at.Add(-2*time.Hour), []float64{1})
+	start, n, ok := e.WindowBounds()
+	if !ok || n != int(24*time.Hour/w) {
+		t.Fatalf("bounds ok=%v nBins=%d", ok, n)
+	}
+	if start.Unix()%int64(w/time.Second) != 0 {
+		t.Fatalf("window starts at %v, not on a bin key", start)
+	}
+	if end := start.Add(time.Duration(n) * w); !end.Equal(e.BinStart(at).Add(w)) {
+		t.Fatalf("window ends at %v, want the end of the newest bin %v", end, e.BinStart(at).Add(w))
+	}
+	qds, err := e.ProbeDelays(1, start, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := e.BinStart(at)
+	i, ok := qds[0].IndexOf(key)
+	if !ok || !qds[0].TimeAt(i).Equal(key) || qds[0].Values[i] != 3 {
+		t.Fatalf("record at %v: slot %d at %v holds %v, want its bin key %v holding 3", at, i, qds[0].TimeAt(i), qds[0].Values[i], key)
+	}
+}
+
+// TestEngineProbeDelaysAscendingProbeID pins the order bootstrap
+// resampling sees: one series per usable probe, by ascending probe ID,
+// whatever order the probes arrived in. Bins outside the window take no
+// part, not even in a probe's minimum.
+func TestEngineProbeDelaysAscendingProbeID(t *testing.T) {
+	e := New(Options{MinTraceroutes: 1})
+	for _, id := range []int{30, 10, 20} {
+		// Probe id's second bin sits id/10 ms above its first.
+		e.Observe(1, id, t0, []float64{1})
+		e.Observe(1, id, t0.Add(30*time.Minute), []float64{1 + float64(id)/10})
+		e.Observe(1, id, t0.Add(-time.Minute), []float64{-5})
+		e.Observe(1, id, t0.Add(time.Hour), []float64{-5})
+	}
+	qds, err := e.ProbeDelays(1, t0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{1, 2, 3} {
+		if got := qds[i].Values[1]; got != want {
+			t.Fatalf("series %d rises %v, want %v (probe %d)", i, got, want, 10*(i+1))
+		}
+	}
+}
+
 func TestEngineConcurrentObserve(t *testing.T) {
 	e := New(Options{Window: 3 * 24 * time.Hour, Shards: 8})
 	var wg sync.WaitGroup

@@ -129,7 +129,7 @@ func TestEngineSegmentReplacesRecreatedBin(t *testing.T) {
 		t.Fatal("a record at the horizon must be accepted")
 	}
 	pw := e.shards[0].ases[1].probes[1]
-	if c := pw.bins[k.Unix()]; c == nil || c.Groups() != 1 {
+	if i, ok := pw.find(k.Unix()); !ok || pw.cells[i].groups != 1 {
 		t.Fatal("bin k was not re-created with one group")
 	}
 	before := stream.Len()

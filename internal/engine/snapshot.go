@@ -2,11 +2,14 @@ package engine
 
 // Engine state serialization: Snapshot writes the engine's complete
 // resident state — configuration, watermark, monotonic counters, and
-// every (AS, probe, bin) two-heap median cell — as a wire StreamSnapshot
-// stream, and Restore rebuilds an equivalent engine from one. The
-// equivalence is behavioral, pinned by TestEngineSnapshotRestoreContinue:
+// every (AS, probe, bin) cell — as a wire StreamSnapshot stream, and
+// Restore rebuilds an equivalent engine from one. The equivalence is
+// behavioral, pinned by TestEngineSnapshotRestoreContinue:
 // restore-then-continue produces bit-identical signals, stats, and
-// eviction behavior to never having stopped.
+// eviction behavior to never having stopped. A cell is written in the
+// frame's two-heap layout in its one canonical form: the sorted lower
+// half descending, the upper half ascending. Equal sample multisets
+// therefore give equal bytes, whatever order the samples arrived in.
 //
 // Checkpoints extend a snapshot instead of rewriting it. WriteBase is a
 // Snapshot that also records what it wrote; AppendSegment then writes
@@ -18,12 +21,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"time"
 
 	"github.com/last-mile-congestion/lastmile/internal/bgp"
-	"github.com/last-mile-congestion/lastmile/internal/timeseries"
 	"github.com/last-mile-congestion/lastmile/internal/wire"
 )
 
@@ -51,7 +52,8 @@ var errNothingObserved = errors.New("engine: segment of an engine that has obser
 // while that AS is encoded; for a frame-consistent snapshot the engine
 // must be quiescent (no concurrent Observe), which is how the stream
 // monitor drives it — checkpoints run at a cut where nothing observes.
-// Snapshot has no side effects.
+// Snapshot has no side effects: the sort it may apply to a bin's
+// samples changes no observable state.
 func (e *Engine) Snapshot(w io.Writer) error { return e.writeBase(w, false) }
 
 // WriteBase writes exactly the bytes Snapshot writes and records every
@@ -83,11 +85,10 @@ func (e *Engine) writeBase(w io.Writer, record bool) error {
 	if err := sw.WriteMeta(&meta); err != nil {
 		return err
 	}
-	// One reused probe frame: bin and heap storage reaches the largest
-	// window once, then every probe encodes allocation-free.
+	// One reused probe frame: bin and lower-half storage reaches the
+	// largest window once, then every probe encodes allocation-free.
 	var p wire.SnapshotProbe
 	var probeIDs []int
-	var keys []int64
 	for _, asn := range e.ASNs() {
 		sh := e.shardOf(asn)
 		sh.mu.Lock()
@@ -100,13 +101,7 @@ func (e *Engine) writeBase(w io.Writer, record bool) error {
 		}
 		probeIDs = sortedProbeIDs(probeIDs, aw)
 		for _, id := range probeIDs {
-			pw := aw.probes[id]
-			keys = keys[:0]
-			for key := range pw.bins {
-				keys = append(keys, key)
-			}
-			slices.Sort(keys)
-			if err := sw.WriteProbe(probeFrame(&p, asn, id, pw, keys, record)); err != nil {
+			if err := sw.WriteProbe(probeFrame(&p, asn, id, aw.probes[id], false, record)); err != nil {
 				sh.mu.Unlock()
 				return err
 			}
@@ -140,10 +135,6 @@ func (e *Engine) AppendSegment(w io.Writer) error {
 		res      wire.SnapshotResident
 		p        wire.SnapshotProbe
 		probeIDs []int
-		// keys holds the changed keys of one AS's probes, probe i's run
-		// ending at ends[i].
-		keys []int64
-		ends []int
 	)
 	for _, asn := range e.ASNs() {
 		sh := e.shardOf(asn)
@@ -155,28 +146,17 @@ func (e *Engine) AppendSegment(w io.Writer) error {
 		}
 		probeIDs = sortedProbeIDs(probeIDs, aw)
 		res.ASN, res.Probes = asn, res.Probes[:0]
-		keys, ends = keys[:0], ends[:0]
 		for _, id := range probeIDs {
-			low := int64(math.MaxInt64)
-			for key, c := range aw.probes[id].bins {
-				low = min(low, key)
-				if c.Groups() != c.saved {
-					keys = append(keys, key)
-				}
-			}
-			res.Probes = append(res.Probes, wire.ResidentProbe{ProbeID: id, Low: low})
-			ends = append(ends, len(keys))
+			res.Probes = append(res.Probes, wire.ResidentProbe{ProbeID: id, Low: aw.probes[id].cells[0].key})
 		}
 		err := sw.WriteResident(&res)
-		start := 0
-		for i, id := range probeIDs {
-			run := keys[start:ends[i]]
-			start = ends[i]
-			if err != nil || len(run) == 0 {
-				continue
+		for _, id := range probeIDs {
+			if err != nil {
+				break
 			}
-			slices.Sort(run)
-			err = sw.WriteProbe(probeFrame(&p, asn, id, aw.probes[id], run, true))
+			if probeFrame(&p, asn, id, aw.probes[id], true, true); len(p.Bins) > 0 {
+				err = sw.WriteProbe(&p)
+			}
 		}
 		sh.mu.Unlock()
 		if err != nil {
@@ -205,16 +185,33 @@ func sortedProbeIDs(dst []int, aw *asWindow) []int {
 	return dst
 }
 
-// probeFrame fills p with the bins of pw at keys (ascending), aliasing
-// their heap storage, and records them as written when record is set.
-func probeFrame(p *wire.SnapshotProbe, asn bgp.ASN, id int, pw *probeWindow, keys []int64, record bool) *wire.SnapshotProbe {
+// probeFrame fills p with pw's cells in key order — only those whose
+// group count changed since the last write when changedOnly is set —
+// and records them as written when record is set. Each cell is sorted
+// and encoded canonically: Lo is the lower ceil(n/2) samples in
+// descending order, copied into p's storage; Hi is the upper half in
+// ascending order, aliasing the cell. A descending run is a max-heap
+// and an ascending one a min-heap, so the frame is a valid two-heap
+// state.
+func probeFrame(p *wire.SnapshotProbe, asn bgp.ASN, id int, pw *probeWindow, changedOnly, record bool) *wire.SnapshotProbe {
 	p.ASN, p.ProbeID, p.Bins = asn, id, p.Bins[:0]
-	for _, key := range keys {
-		c := pw.bins[key]
-		lo, hi, groups := c.Snapshot()
-		p.Bins = append(p.Bins, wire.SnapshotBin{Key: key, Groups: groups, Lo: lo, Hi: hi})
+	for i := range pw.cells {
+		c := &pw.cells[i]
+		if changedOnly && c.groups == c.saved {
+			continue
+		}
+		c.sort()
+		var lo []float64
+		if n := len(p.Bins); n < cap(p.Bins) {
+			lo = p.Bins[:n+1][n].Lo[:0]
+		}
+		h := (len(c.samples) + 1) / 2
+		for j := h - 1; j >= 0; j-- {
+			lo = append(lo, c.samples[j])
+		}
+		p.Bins = append(p.Bins, wire.SnapshotBin{Key: c.key, Groups: c.groups, Lo: lo, Hi: c.samples[h:]})
 		if record {
-			c.saved = groups
+			c.saved = c.groups
 		}
 	}
 	return p
@@ -318,8 +315,7 @@ type listing struct {
 // pendingBin is one segment bin held back until its commit frame.
 type pendingBin struct {
 	ref probeRef
-	key int64
-	c   *cell
+	c   cell
 }
 
 // restorer replays a checkpoint stream into a fresh engine: the base's
@@ -389,22 +385,22 @@ func (rs *restorer) run(sc *wire.SnapshotScanner) error {
 	return nil
 }
 
-// restoreCell builds an owned cell from one decoded bin. The scanner
-// reuses heap storage across frames, so the slices are copied.
-func restoreCell(ref probeRef, sb *wire.SnapshotBin) (*cell, error) {
-	lo := append([]float64(nil), sb.Lo...)
-	hi := append([]float64(nil), sb.Hi...)
-	bin, err := timeseries.RestoreBin(lo, hi, sb.Groups)
-	if err != nil {
-		// Unreachable through the wire decoder, which validates heap
-		// state per frame; kept for defense in depth.
-		return nil, fmt.Errorf("engine: probe %d of %v: %v: %w", ref.id, ref.asn, err, wire.ErrBadFrame)
+// restoreCell builds an owned cell from one decoded bin: the lower half
+// reversed, then the upper half. A canonical frame gives sorted samples,
+// so restore sorts nothing. Any other valid heap layout, as older
+// binaries wrote, is sorted by the first read instead. The restored
+// cell is what the stream holds: it counts as written.
+func restoreCell(sb *wire.SnapshotBin) cell {
+	s := make([]float64, 0, len(sb.Lo)+len(sb.Hi))
+	for i := len(sb.Lo) - 1; i >= 0; i-- {
+		s = append(s, sb.Lo[i])
 	}
-	// The restored bin is what the stream holds: it counts as written.
-	return &cell{IncrementalBin: bin, saved: sb.Groups}, nil
+	s = append(s, sb.Hi...)
+	return cell{key: sb.Key, samples: s, groups: sb.Groups, saved: sb.Groups, sorted: slices.IsSorted(s)}
 }
 
-// baseProbe restores one probe window of the base.
+// baseProbe restores one probe window of the base. The decoder has
+// checked that its keys strictly increase.
 func (rs *restorer) baseProbe(p *wire.SnapshotProbe) error {
 	if len(p.Bins) == 0 {
 		// A live engine drops a probe with its last bin.
@@ -419,18 +415,13 @@ func (rs *restorer) baseProbe(p *wire.SnapshotProbe) error {
 	if aw.probes[p.ProbeID] != nil {
 		return fmt.Errorf("engine: snapshot repeats probe %d of %v: %w", p.ProbeID, p.ASN, wire.ErrBadFrame)
 	}
-	pw := &probeWindow{bins: make(map[int64]*cell, len(p.Bins))}
+	pw := &probeWindow{cells: make([]cell, 0, len(p.Bins))}
 	aw.probes[p.ProbeID] = pw
 	sh.probes++
-	ref := probeRef{p.ASN, p.ProbeID}
 	for i := range p.Bins {
-		c, err := restoreCell(ref, &p.Bins[i])
-		if err != nil {
-			return err
-		}
-		pw.bins[p.Bins[i].Key] = c
+		pw.cells = append(pw.cells, restoreCell(&p.Bins[i]))
 		sh.bins++
-		sh.samples += int64(c.Len())
+		sh.samples += int64(len(p.Bins[i].Lo) + len(p.Bins[i].Hi))
 	}
 	return nil
 }
@@ -464,14 +455,10 @@ func (rs *restorer) segmentProbe(p *wire.SnapshotProbe) error {
 		if sb.Key < l.low {
 			return badSegment("segment bin below its probe's lowest resident key")
 		}
-		c, err := restoreCell(ref, sb)
-		if err != nil {
-			return err
-		}
 		if sb.Key == l.low {
 			l.found = true
 		}
-		rs.pending = append(rs.pending, pendingBin{ref: ref, key: sb.Key, c: c})
+		rs.pending = append(rs.pending, pendingBin{ref: ref, c: restoreCell(sb)})
 	}
 	rs.listed[ref] = l
 	return nil
@@ -494,26 +481,26 @@ func (rs *restorer) commit(c *wire.SnapshotCommit) error {
 		if l.found {
 			continue
 		}
-		var pw *probeWindow
-		if aw := rs.e.shardOf(ref.asn).ases[ref.asn]; aw != nil {
-			pw = aw.probes[ref.id]
+		held := false
+		if aw := rs.e.shardOf(ref.asn).ases[ref.asn]; aw != nil && aw.probes[ref.id] != nil {
+			_, held = aw.probes[ref.id].find(l.low)
 		}
-		if pw == nil || pw.bins[l.low] == nil {
+		if !held {
 			return badSegment("segment lists a lowest resident key it does not hold")
 		}
 	}
 	for _, sh := range rs.e.shards {
 		for asn, aw := range sh.ases {
 			for id, pw := range aw.probes {
-				l, ok := rs.listed[probeRef{asn, id}]
-				for key, c := range pw.bins {
-					if !ok || key < l.low {
-						sh.bins--
-						sh.samples -= int64(c.Len())
-						delete(pw.bins, key)
-					}
+				// An unlisted probe goes whole; a listed one loses the
+				// keys below its lowest.
+				k := len(pw.cells)
+				if l, ok := rs.listed[probeRef{asn, id}]; ok {
+					k, _ = pw.find(l.low)
 				}
-				if len(pw.bins) == 0 {
+				sh.samples -= int64(pw.dropPrefix(k))
+				sh.bins -= int64(k)
+				if len(pw.cells) == 0 {
 					sh.probes--
 					delete(aw.probes, id)
 				}
@@ -532,17 +519,18 @@ func (rs *restorer) commit(c *wire.SnapshotCommit) error {
 		}
 		pw := aw.probes[pb.ref.id]
 		if pw == nil {
-			pw = &probeWindow{bins: make(map[int64]*cell)}
+			pw = &probeWindow{}
 			aw.probes[pb.ref.id] = pw
 			sh.probes++
 		}
-		if old := pw.bins[pb.key]; old != nil {
-			sh.samples -= int64(old.Len())
+		if i, ok := pw.find(pb.c.key); ok {
+			sh.samples -= int64(len(pw.cells[i].samples))
+			pw.cells[i] = pb.c
 		} else {
+			pw.cells = slices.Insert(pw.cells, i, pb.c)
 			sh.bins++
 		}
-		pw.bins[pb.key] = pb.c
-		sh.samples += int64(pb.c.Len())
+		sh.samples += int64(len(pb.c.samples))
 	}
 	rs.state, rs.hasNewest = *c, true
 	rs.open = false

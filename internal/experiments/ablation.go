@@ -9,6 +9,7 @@ import (
 
 	"github.com/last-mile-congestion/lastmile/internal/core"
 	"github.com/last-mile-congestion/lastmile/internal/dsp"
+	"github.com/last-mile-congestion/lastmile/internal/engine"
 	"github.com/last-mile-congestion/lastmile/internal/lastmile"
 	"github.com/last-mile-congestion/lastmile/internal/netsim"
 	"github.com/last-mile-congestion/lastmile/internal/parallel"
@@ -60,19 +61,12 @@ func ablationHealthyFleet(o Options, days int) ([]*timeseries.Series, scenario.P
 	}
 	start := scenario.TokyoPeriod().Start
 	p := scenario.Period{Label: "ablation", Start: start, End: start.AddDate(0, 0, days)}
-	var series []*timeseries.Series
-	for _, probe := range tk.ISPC.Probes {
-		acc, err := scenario.SimulateProbeDelay(probe, p, o.TraceroutesPerBin, o.Seed)
-		if err != nil {
-			return nil, p, err
-		}
-		qd, err := acc.QueuingDelay(lastmile.DefaultMinTraceroutes)
-		if err != nil {
-			return nil, p, err
-		}
-		series = append(series, qd)
+	e, err := scenario.SimulateProbes(tk.ISPC.Probes, p, o.TraceroutesPerBin, o.Seed, 1)
+	if err != nil {
+		return nil, p, err
 	}
-	return series, p, nil
+	series, err := e.ProbeDelays(tk.ISPC.Network.ASN, p.Start, p.Bins())
+	return series, p, err
 }
 
 // AblationAggregation compares median vs mean population aggregation
@@ -149,10 +143,8 @@ func AblationBinWidth(o Options) (*AblationResult, error) {
 	// 8 ms burst per day (self-induced congestion, not persistent).
 	build := func(width time.Duration) (*timeseries.Series, error) {
 		end := start.AddDate(0, 0, days)
-		binner, err := timeseries.NewMedianBinner(start, end, width)
-		if err != nil {
-			return nil, err
-		}
+		// One group per minute: every non-empty bin is usable.
+		e := engine.New(engine.Options{BinWidth: width, MinTraceroutes: 1})
 		burstStart := make([]time.Duration, days)
 		for d := range burstStart {
 			burstStart[d] = time.Duration(rng.Int63n(int64(24 * time.Hour)))
@@ -164,13 +156,13 @@ func AblationBinWidth(o Options) (*AblationResult, error) {
 			if offset >= burstStart[day] && offset < burstStart[day]+10*time.Minute {
 				v += 8
 			}
-			binner.AddGroup(ts, []float64{v, v + 0.05, v - 0.05})
+			e.Observe(0, 1, ts, []float64{v, v + 0.05, v - 0.05})
 		}
-		qd, err := timeseries.SubtractMin(binner.Series(1))
+		qd, err := e.ProbeDelays(0, start, int(end.Sub(start)/width))
 		if err != nil {
 			return nil, err
 		}
-		return qd, nil
+		return qd[0], nil
 	}
 	amp := func(s *timeseries.Series) (float64, error) {
 		filled, err := dsp.Interpolate(s.Values)
@@ -378,9 +370,13 @@ func AblationDiscard(o Options) (*AblationResult, error) {
 	o = o.withDefaults()
 	start := scenario.TokyoPeriod().Start
 	end := start.AddDate(0, 0, 8)
-	acc, err := lastmile.NewProbeAccumulator(1, start, end, lastmile.DefaultBinWidth)
-	if err != nil {
-		return nil, err
+	// The filter-off engine keeps every bin with a group, as every group
+	// holds a sample.
+	filterOn := engine.New(engine.Options{})
+	filterOff := engine.New(engine.Options{MinTraceroutes: 1})
+	observe := func(t time.Time, samples ...float64) {
+		filterOn.Observe(0, 1, t, samples)
+		filterOff.Observe(0, 1, t, samples)
 	}
 	rng := netsim.DerivedRand(o.Seed, 0xd15c)
 	// A healthy flat last mile measured by a flapping probe: most bins
@@ -389,31 +385,30 @@ func AblationDiscard(o Options) (*AblationResult, error) {
 	// itself inflates RTTs by tens of ms.
 	for bin := start; bin.Before(end); bin = bin.Add(lastmile.DefaultBinWidth) {
 		if rng.Float64() < 0.15 {
-			acc.AddSamples(bin.Add(time.Minute), []float64{50 + rng.Float64()*20})
+			observe(bin.Add(time.Minute), 50+rng.Float64()*20)
 			continue
 		}
 		for k := 0; k < 6; k++ {
 			base := 2 + rng.Float64()*0.3
-			acc.AddSamples(bin.Add(time.Duration(k)*4*time.Minute),
-				[]float64{base, base + 0.1, base - 0.1})
+			observe(bin.Add(time.Duration(k)*4*time.Minute), base, base+0.1, base-0.1)
 		}
 	}
-	variance := func(minTraceroutes int) (float64, error) {
-		qd, err := acc.QueuingDelay(minTraceroutes)
+	variance := func(e *engine.Engine) (float64, error) {
+		qd, err := e.ProbeDelays(0, start, int(end.Sub(start)/lastmile.DefaultBinWidth))
 		if err != nil {
 			return 0, err
 		}
-		s, err := stats.Summarize(qd.Values)
+		s, err := stats.Summarize(qd[0].Values)
 		if err != nil {
 			return 0, err
 		}
 		return s.P95, nil
 	}
-	with, err := variance(lastmile.DefaultMinTraceroutes)
+	with, err := variance(filterOn)
 	if err != nil {
 		return nil, err
 	}
-	without, err := variance(0)
+	without, err := variance(filterOff)
 	if err != nil {
 		return nil, err
 	}

@@ -82,15 +82,15 @@ func Fig8(o Options) (*Fig8Result, error) {
 		}
 		anchors[0].IsAnchor = true
 		anchors[0].Availability = 1
-		anchorAcc, err := scenario.SimulateProbeDelay(anchors[0], p, o.TraceroutesPerBin, o.Seed)
+		anchor, err := scenario.SimulateProbes(anchors, p, o.TraceroutesPerBin, o.Seed, 1)
 		if err != nil {
 			return fig8Row{}, err
 		}
-		anchorQD, err := anchorAcc.QueuingDelay(3)
+		anchorQD, err := anchor.ProbeDelays(anchors[0].ASN, p.Start, p.Bins())
 		if err != nil {
 			return fig8Row{}, err
 		}
-		anchorWeekly, err := timeseries.DayHourProfile(anchorQD)
+		anchorWeekly, err := timeseries.DayHourProfile(anchorQD[0])
 		if err != nil {
 			return fig8Row{}, err
 		}

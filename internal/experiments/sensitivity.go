@@ -7,11 +7,9 @@ import (
 
 	"github.com/last-mile-congestion/lastmile/internal/core"
 	"github.com/last-mile-congestion/lastmile/internal/isp"
-	"github.com/last-mile-congestion/lastmile/internal/lastmile"
 	"github.com/last-mile-congestion/lastmile/internal/netsim"
 	"github.com/last-mile-congestion/lastmile/internal/report"
 	"github.com/last-mile-congestion/lastmile/internal/scenario"
-	"github.com/last-mile-congestion/lastmile/internal/timeseries"
 )
 
 // SensitivityResult operationalises the paper's first limitation (§5):
@@ -46,17 +44,13 @@ func ProbeSensitivity(o Options) (*SensitivityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var perProbe []*timeseries.Series
-		for _, probe := range fleet {
-			acc, err := scenario.SimulateProbeDelay(probe, p, o.TraceroutesPerBin, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			qd, err := acc.QueuingDelay(lastmile.DefaultMinTraceroutes)
-			if err != nil {
-				continue
-			}
-			perProbe = append(perProbe, qd)
+		e, err := scenario.SimulateProbes(fleet, p, o.TraceroutesPerBin, o.Seed, 1)
+		if err != nil {
+			return nil, err
+		}
+		perProbe, err := e.ProbeDelays(network.ASN, p.Start, p.Bins())
+		if err != nil {
+			return nil, err
 		}
 		boot, err := core.BootstrapAmplitude(perProbe, core.BootstrapOptions{Seed: o.Seed, Iterations: 150})
 		if err != nil {

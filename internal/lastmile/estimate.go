@@ -1,17 +1,28 @@
 // Package lastmile implements the paper's last-mile RTT estimation (§2.1):
 // locating the segment between the last private hop and the first public
-// hop of a traceroute, producing the 9 pairwise RTT samples per traceroute,
-// binning medians per probe per 30-minute window, and aggregating probe
-// populations into the queuing-delay signals the classifier consumes.
+// hop of a traceroute and producing the 9 pairwise RTT samples per
+// traceroute. Binning them into per-probe 30-minute medians and
+// aggregating probe populations into the queuing-delay signals the
+// classifier consumes is internal/engine's job; the binning defaults
+// live here.
 package lastmile
 
 import (
 	"math"
 	"net/netip"
+	"time"
 
 	"github.com/last-mile-congestion/lastmile/internal/ipnet"
 	"github.com/last-mile-congestion/lastmile/internal/traceroute"
 )
+
+// DefaultBinWidth is the paper's 30-minute aggregation window,
+// deliberately large to filter transient congestion (§2).
+const DefaultBinWidth = 30 * time.Minute
+
+// DefaultMinTraceroutes is the paper's per-bin sanity threshold: bins with
+// fewer than 3 traceroutes are discarded as probe-disconnection artefacts.
+const DefaultMinTraceroutes = 3
 
 // Segment identifies the last-mile boundary within one traceroute: the
 // last hop answering with a private address before the first hop answering

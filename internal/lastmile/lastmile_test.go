@@ -159,137 +159,3 @@ func TestEstimate(t *testing.T) {
 		t.Fatal("estimate should fail without public replies")
 	}
 }
-
-func TestProbeAccumulator(t *testing.T) {
-	acc, err := NewProbeAccumulator(7, t0, t0.Add(time.Hour), DefaultBinWidth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 traceroutes in bin 0: passes the sanity check.
-	for i := 0; i < 3; i++ {
-		ts := t0.Add(time.Duration(i*5) * time.Minute)
-		if err := acc.Add(makeTrace(7, ts, []float64{0.5}, []float64{2.5})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Only 2 in bin 1: discarded.
-	for i := 0; i < 2; i++ {
-		ts := t0.Add(30*time.Minute + time.Duration(i*5)*time.Minute)
-		if err := acc.Add(makeTrace(7, ts, []float64{0.5}, []float64{3.5})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := acc.MedianRTT(DefaultMinTraceroutes)
-	if s.Values[0] != 2.0 {
-		t.Fatalf("bin 0 = %v, want 2.0", s.Values[0])
-	}
-	if !math.IsNaN(s.Values[1]) {
-		t.Fatalf("bin 1 = %v, want NaN (sanity check)", s.Values[1])
-	}
-	if acc.Traceroutes != 5 {
-		t.Fatalf("traceroutes = %d", acc.Traceroutes)
-	}
-}
-
-func TestProbeAccumulatorRejectsForeignProbe(t *testing.T) {
-	acc, _ := NewProbeAccumulator(7, t0, t0.Add(time.Hour), DefaultBinWidth)
-	if err := acc.Add(makeTrace(8, t0, []float64{0.5}, []float64{2.5})); err == nil {
-		t.Fatal("want error for foreign probe result")
-	}
-}
-
-func TestProbeAccumulatorSkipsUnusable(t *testing.T) {
-	acc, _ := NewProbeAccumulator(7, t0, t0.Add(time.Hour), DefaultBinWidth)
-	r := makeTrace(7, t0, []float64{0.5}, []float64{2.5})
-	r.Hops = r.Hops[:1] // no public hop
-	if err := acc.Add(r); err != nil {
-		t.Fatal(err)
-	}
-	if acc.Skipped != 1 || acc.Traceroutes != 0 {
-		t.Fatalf("skipped=%d traceroutes=%d", acc.Skipped, acc.Traceroutes)
-	}
-}
-
-func TestQueuingDelayPinsMinimumAtZero(t *testing.T) {
-	acc, _ := NewProbeAccumulator(7, t0, t0.Add(time.Hour), DefaultBinWidth)
-	for i := 0; i < 3; i++ {
-		acc.Add(makeTrace(7, t0.Add(time.Duration(i)*time.Minute), []float64{0.5}, []float64{2.5}))
-		acc.Add(makeTrace(7, t0.Add(30*time.Minute+time.Duration(i)*time.Minute), []float64{0.5}, []float64{4.5}))
-	}
-	qd, err := acc.QueuingDelay(DefaultMinTraceroutes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qd.Values[0] != 0 {
-		t.Fatalf("quiet bin = %v, want 0", qd.Values[0])
-	}
-	if qd.Values[1] != 2.0 {
-		t.Fatalf("busy bin = %v, want 2.0", qd.Values[1])
-	}
-}
-
-func TestQueuingDelayNoUsableBins(t *testing.T) {
-	acc, _ := NewProbeAccumulator(7, t0, t0.Add(time.Hour), DefaultBinWidth)
-	if _, err := acc.QueuingDelay(DefaultMinTraceroutes); err == nil {
-		t.Fatal("want error with no data")
-	}
-}
-
-func TestPopulationDelay(t *testing.T) {
-	// 5 probes, all with a 1 ms peak-hour bump; the population median
-	// must show the bump.
-	var accs []*ProbeAccumulator
-	for p := 0; p < 5; p++ {
-		acc, _ := NewProbeAccumulator(p, t0, t0.Add(time.Hour), DefaultBinWidth)
-		base := 2.0 + 0.1*float64(p)
-		for i := 0; i < 3; i++ {
-			acc.Add(makeTrace(p, t0.Add(time.Duration(i)*time.Minute), []float64{0.5}, []float64{0.5 + base}))
-			acc.Add(makeTrace(p, t0.Add(30*time.Minute+time.Duration(i)*time.Minute), []float64{0.5}, []float64{0.5 + base + 1.0}))
-		}
-		accs = append(accs, acc)
-	}
-	agg, n, err := PopulationDelay(accs, DefaultMinTraceroutes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("contributing probes = %d", n)
-	}
-	if agg.Values[0] != 0 || math.Abs(agg.Values[1]-1.0) > 1e-9 {
-		t.Fatalf("aggregate = %v", agg.Values)
-	}
-}
-
-func TestPopulationDelaySkipsEmptyProbes(t *testing.T) {
-	good, _ := NewProbeAccumulator(1, t0, t0.Add(time.Hour), DefaultBinWidth)
-	for i := 0; i < 3; i++ {
-		good.Add(makeTrace(1, t0.Add(time.Duration(i)*time.Minute), []float64{0.5}, []float64{2.5}))
-	}
-	empty, _ := NewProbeAccumulator(2, t0, t0.Add(time.Hour), DefaultBinWidth)
-	agg, n, err := PopulationDelay([]*ProbeAccumulator{good, empty}, DefaultMinTraceroutes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("contributing = %d, want 1", n)
-	}
-	if agg == nil {
-		t.Fatal("nil aggregate")
-	}
-}
-
-func TestPopulationDelayEmpty(t *testing.T) {
-	if _, _, err := PopulationDelay(nil, 3); err == nil {
-		t.Fatal("want error for empty population")
-	}
-	empty, _ := NewProbeAccumulator(2, t0, t0.Add(time.Hour), DefaultBinWidth)
-	if _, _, err := PopulationDelay([]*ProbeAccumulator{empty}, 3); err == nil {
-		t.Fatal("want error when no probe contributes")
-	}
-}
-
-func TestAggregateQueuingDelayEmpty(t *testing.T) {
-	if _, err := AggregateQueuingDelay(nil); err == nil {
-		t.Fatal("want error")
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // Property: PairwiseFromRTTs always yields len(priv)*len(pub) samples and
@@ -80,48 +79,4 @@ func clampFinite(xs []float64, n int) []float64 {
 		}
 	}
 	return out
-}
-
-// Property: a probe accumulator fed k>=3 identical-delta traceroutes per
-// bin recovers exactly that delta in every bin, for any delta > 0.
-func TestAccumulatorRecoversDelta(t *testing.T) {
-	start := time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
-	f := func(rawDelta float64, rawBins uint8) bool {
-		delta := math.Mod(math.Abs(rawDelta), 50)
-		if math.IsNaN(delta) || delta == 0 {
-			delta = 1
-		}
-		bins := int(rawBins%20) + 1
-		end := start.Add(time.Duration(bins) * DefaultBinWidth)
-		acc, err := NewProbeAccumulator(1, start, end, DefaultBinWidth)
-		if err != nil {
-			return false
-		}
-		for b := 0; b < bins; b++ {
-			for k := 0; k < 3; k++ {
-				ts := start.Add(time.Duration(b)*DefaultBinWidth + time.Duration(k)*time.Minute)
-				acc.AddSamples(ts, []float64{delta, delta, delta})
-			}
-		}
-		med := acc.MedianRTT(DefaultMinTraceroutes)
-		for _, v := range med.Values {
-			if math.Abs(v-delta) > 1e-12 {
-				return false
-			}
-		}
-		qd, err := acc.QueuingDelay(DefaultMinTraceroutes)
-		if err != nil {
-			return false
-		}
-		// Constant series: queuing delay is exactly zero everywhere.
-		for _, v := range qd.Values {
-			if v != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -1,16 +1,14 @@
 package scenario
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"net/netip"
 
 	"github.com/last-mile-congestion/lastmile/internal/atlas"
 	"github.com/last-mile-congestion/lastmile/internal/ipnet"
 	"github.com/last-mile-congestion/lastmile/internal/isp"
-	"github.com/last-mile-congestion/lastmile/internal/lastmile"
 	"github.com/last-mile-congestion/lastmile/internal/netsim"
-	"github.com/last-mile-congestion/lastmile/internal/parallel"
 	"github.com/last-mile-congestion/lastmile/internal/timeseries"
 )
 
@@ -123,17 +121,18 @@ func SimulatePopulationDelay(probes []*atlas.Probe, p Period, perBin int, seed u
 }
 
 // SimulatePopulationDelayWorkers is SimulatePopulationDelay on a bounded
-// worker pool. Each probe's draws are keyed by its ID and accumulators
-// come back in probe order, so the result is identical at any worker
-// count.
+// worker pool. The fleet's probes share one AS, as BuildFleet's do;
+// they are observed into one engine, so the result is identical at any
+// worker count.
 func SimulatePopulationDelayWorkers(probes []*atlas.Probe, p Period, perBin int, seed uint64, workers int) (*PopulationResult, error) {
-	accs, err := parallel.Map(context.Background(), workers, len(probes), func(i int) (*lastmile.ProbeAccumulator, error) {
-		return SimulateProbeDelay(probes[i], p, perBin, seed)
-	})
+	if len(probes) == 0 {
+		return nil, errors.New("scenario: empty probe population")
+	}
+	e, err := SimulateProbes(probes, p, perBin, seed, workers)
 	if err != nil {
 		return nil, err
 	}
-	signal, n, err := lastmile.PopulationDelay(accs, lastmile.DefaultMinTraceroutes)
+	signal, n, err := e.Signal(probes[0].ASN, p.Start, p.Bins())
 	if err != nil {
 		return nil, err
 	}

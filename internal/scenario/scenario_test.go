@@ -1,12 +1,16 @@
 package scenario
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
+	"time"
 
 	"github.com/last-mile-congestion/lastmile/internal/core"
+	"github.com/last-mile-congestion/lastmile/internal/engine"
 	"github.com/last-mile-congestion/lastmile/internal/ipnet"
 	"github.com/last-mile-congestion/lastmile/internal/lastmile"
+	"github.com/last-mile-congestion/lastmile/internal/traceroute"
 )
 
 func TestPeriods(t *testing.T) {
@@ -299,6 +303,17 @@ func TestFlatASClassifiesNone(t *testing.T) {
 	}
 }
 
+func TestPeriodBins(t *testing.T) {
+	start := LongitudinalPeriods()[0].Start
+	if n := LongitudinalPeriods()[0].Bins(); n != 720 {
+		t.Fatalf("15-day period has %d bins, want 720", n)
+	}
+	// A partial last bin counts.
+	if n := (Period{Start: start, End: start.Add(45 * time.Minute)}).Bins(); n != 2 {
+		t.Fatalf("45-minute period has %d bins, want 2", n)
+	}
+}
+
 func TestSimulateProbeDelayDeterministic(t *testing.T) {
 	w := smallWorld(t)
 	p := LongitudinalPeriods()[0]
@@ -306,24 +321,21 @@ func TestSimulateProbeDelayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := SimulateProbeDelay(probes[0], p, 4, w.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := SimulateProbeDelay(probes[0], p, 4, w.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := a1.MedianRTT(3)
-	s2 := a2.MedianRTT(3)
-	for i := range s1.Values {
-		v1, v2 := s1.Values[i], s2.Values[i]
-		if v1 != v2 && !(v1 != v1 && v2 != v2) { // NaN-safe compare
-			t.Fatalf("bin %d differs: %v vs %v", i, v1, v2)
+	var snaps [2]bytes.Buffer
+	for i := range snaps {
+		e := engine.New(engine.Options{})
+		if err := SimulateProbeDelay(e, probes[0], p, 4, w.Seed); err != nil {
+			t.Fatal(err)
+		}
+		if e.Stats().Ingested == 0 {
+			t.Fatal("no traceroutes simulated")
+		}
+		if err := e.Snapshot(&snaps[i]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if a1.Traceroutes == 0 {
-		t.Fatal("no traceroutes simulated")
+	if !bytes.Equal(snaps[0].Bytes(), snaps[1].Bytes()) {
+		t.Fatal("two runs of one probe observed different bins")
 	}
 }
 
@@ -340,32 +352,35 @@ func TestFastPathMatchesFullTraceroutePath(t *testing.T) {
 	}
 	probe := probes[0]
 
-	fast, err := SimulateProbeDelay(probe, p, 6, w.Seed)
-	if err != nil {
+	fast := engine.New(engine.Options{})
+	if err := SimulateProbeDelay(fast, probe, p, 6, w.Seed); err != nil {
 		t.Fatal(err)
 	}
-	fastQD, err := fast.QueuingDelay(3)
+	fastQD, err := fast.ProbeDelays(probe.ASN, p.Start, p.Bins())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Full path through the Atlas engine.
-	full, err := lastmile.NewProbeAccumulator(probe.ID, p.Start, p.End, lastmile.DefaultBinWidth)
+	full := engine.New(engine.Options{})
+	eng := newTestEngine(w.Seed)
+	err = eng.Run(probe, p.Start, p.End, func(r *traceroute.Result) error {
+		if samples, _, ok := lastmile.Estimate(r); ok {
+			full.Observe(probe.ASN, r.ProbeID, r.Timestamp, samples)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newTestEngine(w.Seed)
-	if err := eng.Run(probe, p.Start, p.End, full.Add); err != nil {
-		t.Fatal(err)
-	}
-	fullQD, err := full.QueuingDelay(3)
+	fullQD, err := full.ProbeDelays(probe.ASN, p.Start, p.Bins())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Compare the medians of the two queuing-delay distributions.
-	fm := medianOf(fastQD.Values)
-	um := medianOf(fullQD.Values)
+	fm := medianOf(fastQD[0].Values)
+	um := medianOf(fullQD[0].Values)
 	if diff := fm - um; diff > 0.3 || diff < -0.3 {
 		t.Fatalf("fast path median %v vs full path %v", fm, um)
 	}

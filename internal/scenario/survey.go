@@ -9,6 +9,7 @@ import (
 
 	"github.com/last-mile-congestion/lastmile/internal/atlas"
 	"github.com/last-mile-congestion/lastmile/internal/core"
+	"github.com/last-mile-congestion/lastmile/internal/engine"
 	"github.com/last-mile-congestion/lastmile/internal/ipnet"
 	"github.com/last-mile-congestion/lastmile/internal/isp"
 	"github.com/last-mile-congestion/lastmile/internal/lastmile"
@@ -149,11 +150,10 @@ var probeScratchPool = sync.Pool{
 // over a period: per 30-minute bin, TraceroutesPerBin truncated
 // traceroutes over the probe's last-mile route, each contributing 9
 // pairwise samples, exactly as the full Atlas engine + estimator would.
-func SimulateProbeDelay(probe *atlas.Probe, p Period, perBin int, seed uint64) (*lastmile.ProbeAccumulator, error) {
-	acc, err := lastmile.NewProbeAccumulator(probe.ID, p.Start, p.End, lastmile.DefaultBinWidth)
-	if err != nil {
-		return nil, err
-	}
+// Each traceroute's samples are observed into e under the probe's AS
+// and ID. Bins do not depend on arrival order, so probes may be
+// simulated into one engine concurrently.
+func SimulateProbeDelay(e *engine.Engine, probe *atlas.Probe, p Period, perBin int, seed uint64) error {
 	route := probe.LastMileRoute()
 	scratch := probeScratchPool.Get().(*probeScratch)
 	defer probeScratchPool.Put(scratch)
@@ -171,7 +171,7 @@ func SimulateProbeDelay(probe *atlas.Probe, p Period, perBin int, seed uint64) (
 			for i := 0; i < 3; i++ {
 				v, ok, err := route.RTT(0, at, rng.Rand)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if !ok {
 					okAll = false
@@ -185,7 +185,7 @@ func SimulateProbeDelay(probe *atlas.Probe, p Period, perBin int, seed uint64) (
 			for i := 0; i < 3; i++ {
 				v, ok, err := route.RTT(1, at, rng.Rand)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if !ok {
 					okAll = false
@@ -196,21 +196,70 @@ func SimulateProbeDelay(probe *atlas.Probe, p Period, perBin int, seed uint64) (
 			if !okAll {
 				continue
 			}
-			// The accumulator copies the group, so the scratch buffer is
-			// free for the next traceroute.
-			acc.AddSamples(at, lastmile.PairwiseFromRTTsInto(scratch.samples[:0], priv[:], pub[:]))
+			// The engine copies the group, so the scratch buffer is free
+			// for the next traceroute. A traceroute without samples is
+			// not a measurement group, as in the Atlas pipeline.
+			if samples := lastmile.PairwiseFromRTTsInto(scratch.samples[:0], priv[:], pub[:]); len(samples) > 0 {
+				e.Observe(probe.ASN, probe.ID, at, samples)
+			}
 		}
 	}
-	return acc, nil
+	return nil
+}
+
+// SimulateProbes observes the fast-path measurement of every probe into
+// one new engine, on a bounded worker pool. Each probe's draws are keyed
+// by its ID and bins do not depend on arrival order, so the engine is
+// identical at any worker count.
+func SimulateProbes(probes []*atlas.Probe, p Period, perBin int, seed uint64, workers int) (*engine.Engine, error) {
+	e := engine.New(engine.Options{})
+	err := parallel.ForEach(context.Background(), workers, len(probes), func(i int) error {
+		return SimulateProbeDelay(e, probes[i], p, perBin, seed)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Bins returns the number of default-width bins covering the period, a
+// last partial bin included.
+func (p Period) Bins() int {
+	return int((p.End.Sub(p.Start) + lastmile.DefaultBinWidth - 1) / lastmile.DefaultBinWidth)
 }
 
 // PerProbeDelays measures one AS for a period and returns each probe's
-// queuing-delay series — the input for aggregation and for the §5
-// probe-variability bootstrap. Probes without a usable baseline are
-// skipped. Probes are measured on w.Workers workers; each probe's draws
-// are keyed by its ID, and results come back in probe order, so the
-// series list is identical at any worker count.
+// queuing-delay series, in ascending probe ID — the input for
+// aggregation and for the §5 probe-variability bootstrap. Probes
+// without a usable baseline are skipped. Probes are measured on
+// w.Workers workers into one engine, so the series list is identical at
+// any worker count.
 func (w *World) PerProbeDelays(a *ASInfo, p Period) ([]*timeseries.Series, error) {
+	e, err := w.measure(a, p)
+	if err != nil {
+		return nil, err
+	}
+	qds, err := e.ProbeDelays(a.Network.ASN, p.Start, p.Bins())
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %s produced no usable probe series: %w", a.Network.Name, err)
+	}
+	return qds, nil
+}
+
+// ASSignal computes one AS's aggregated queuing-delay signal for a
+// period, returning the signal and the number of contributing probes.
+func (w *World) ASSignal(a *ASInfo, p Period) (*timeseries.Series, int, error) {
+	e, err := w.measure(a, p)
+	if err != nil {
+		return nil, 0, err
+	}
+	return e.Signal(a.Network.ASN, p.Start, p.Bins())
+}
+
+// measure simulates the AS's active probes for a period into one
+// engine. An AS with fewer than 3 active probes is below the monitoring
+// bar.
+func (w *World) measure(a *ASInfo, p Period) (*engine.Engine, error) {
 	probes, err := w.ProbesFor(a, p)
 	if err != nil {
 		return nil, err
@@ -218,44 +267,7 @@ func (w *World) PerProbeDelays(a *ASInfo, p Period) ([]*timeseries.Series, error
 	if len(probes) < 3 {
 		return nil, fmt.Errorf("scenario: %s has %d active probes (<3)", a.Network.Name, len(probes))
 	}
-	series, err := parallel.Map(context.Background(), w.Workers, len(probes), func(i int) (*timeseries.Series, error) {
-		acc, err := SimulateProbeDelay(probes[i], p, w.TraceroutesPerBin, w.Seed)
-		if err != nil {
-			return nil, err
-		}
-		qd, err := acc.QueuingDelay(lastmile.DefaultMinTraceroutes)
-		if err != nil {
-			return nil, nil // probe below the sanity bar; skipped
-		}
-		return qd, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*timeseries.Series, 0, len(series))
-	for _, qd := range series {
-		if qd != nil {
-			out = append(out, qd)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("scenario: %s produced no usable probe series", a.Network.Name)
-	}
-	return out, nil
-}
-
-// ASSignal computes one AS's aggregated queuing-delay signal for a
-// period, returning the signal and the number of contributing probes.
-func (w *World) ASSignal(a *ASInfo, p Period) (*timeseries.Series, int, error) {
-	perProbe, err := w.PerProbeDelays(a, p)
-	if err != nil {
-		return nil, 0, err
-	}
-	agg, err := lastmile.AggregateQueuingDelay(perProbe)
-	if err != nil {
-		return nil, 0, err
-	}
-	return agg, len(perProbe), nil
+	return SimulateProbes(probes, p, w.TraceroutesPerBin, w.Seed, w.Workers)
 }
 
 // RunSurvey measures and classifies every AS for one period (§3). ASes

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"github.com/last-mile-congestion/lastmile/internal/atlas"
-	"github.com/last-mile-congestion/lastmile/internal/lastmile"
+	"github.com/last-mile-congestion/lastmile/internal/engine"
 	"github.com/last-mile-congestion/lastmile/internal/stats"
 )
 
@@ -76,20 +76,11 @@ func TestTokyoProbesInGreaterTokyo(t *testing.T) {
 // tokyoSignal aggregates one Tokyo ISP's probes over the case-study week.
 func tokyoSignal(t *testing.T, tk *Tokyo, ti *TokyoISP) []float64 {
 	t.Helper()
-	p := TokyoPeriod()
-	var accs []*lastmile.ProbeAccumulator
-	for _, probe := range ti.Probes {
-		acc, err := SimulateProbeDelay(probe, p, 6, tk.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		accs = append(accs, acc)
-	}
-	agg, _, err := lastmile.PopulationDelay(accs, lastmile.DefaultMinTraceroutes)
+	res, err := SimulatePopulationDelay(ti.Probes, TokyoPeriod(), 6, tk.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return agg.Values
+	return res.Signal.Values
 }
 
 func TestTokyoDelayContrast(t *testing.T) {
@@ -121,14 +112,15 @@ func TestTokyoAnchorVsProbes(t *testing.T) {
 	tk := buildTokyo(t)
 	p := TokyoPeriod()
 	probeVals := tokyoSignal(t, tk, tk.ISPD)
-	anchorAcc, err := SimulateProbeDelay(tk.ISPDAnchor, p, 6, tk.Seed)
+	anchor := engine.New(engine.Options{})
+	if err := SimulateProbeDelay(anchor, tk.ISPDAnchor, p, 6, tk.Seed); err != nil {
+		t.Fatal(err)
+	}
+	anchorQDs, err := anchor.ProbeDelays(tk.ISPDAnchor.ASN, p.Start, p.Bins())
 	if err != nil {
 		t.Fatal(err)
 	}
-	anchorQD, err := anchorAcc.QueuingDelay(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	anchorQD := anchorQDs[0]
 	probeMax, anchorMax := 0.0, 0.0
 	for _, v := range probeVals {
 		if !math.IsNaN(v) && v > probeMax {

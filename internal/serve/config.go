@@ -78,7 +78,8 @@ type Config struct {
 
 	// Window is the sliding analysis window (default 15 days).
 	Window Duration `json:"window,omitempty"`
-	// BinWidth is the aggregation bin (default 30 minutes).
+	// BinWidth is the aggregation bin (default 30 minutes), a whole
+	// number of seconds.
 	BinWidth Duration `json:"bin_width,omitempty"`
 	// MinTraceroutes is the per-bin sanity threshold (default 3).
 	MinTraceroutes int `json:"min_traceroutes,omitempty"`
@@ -119,7 +120,8 @@ func (c *Config) withDefaults() {
 }
 
 // Validate rejects configs that cannot run: no targets, duplicate or
-// unnamed targets, or negative durations.
+// unnamed targets, negative durations, or a bin width that is not a
+// whole number of seconds.
 func (c *Config) Validate() error {
 	if len(c.Targets) == 0 {
 		return errors.New("serve: config has no targets")
@@ -141,6 +143,10 @@ func (c *Config) Validate() error {
 		if d < 0 {
 			return fmt.Errorf("serve: negative %s", name)
 		}
+	}
+	// The engine keys bins by their start in unix seconds.
+	if time.Duration(c.BinWidth)%time.Second != 0 {
+		return fmt.Errorf("serve: bin_width %v is not a whole number of seconds", time.Duration(c.BinWidth))
 	}
 	if c.MinTraceroutes < 0 || c.Shards < 0 || c.Workers < 0 || c.MaxConcurrent < 0 {
 		return errors.New("serve: negative count option")

@@ -54,6 +54,8 @@ func TestParseConfigRejections(t *testing.T) {
 		{"duplicate target", `{"targets": [{"name": "a"}, {"name": "a"}]}`, "duplicate target"},
 		{"negative duration", `{"window": "-1h", "targets": [{"name": "a"}]}`, "negative window"},
 		{"negative count", `{"shards": -1, "targets": [{"name": "a"}]}`, "negative count"},
+		{"sub-second bin width", `{"bin_width": "500ms", "targets": [{"name": "a"}]}`, "whole number of seconds"},
+		{"fractional bin width", `{"bin_width": "90.5s", "targets": [{"name": "a"}]}`, "whole number of seconds"},
 		{"bad duration", `{"window": "fortnight", "targets": [{"name": "a"}]}`, "bad duration"},
 		{"bad duration type", `{"window": true, "targets": [{"name": "a"}]}`, "string or number"},
 	}

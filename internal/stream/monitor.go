@@ -37,7 +37,9 @@ type Options struct {
 	// Window is the sliding analysis window (default 15 days, the
 	// paper's measurement-period length).
 	Window time.Duration
-	// BinWidth is the aggregation bin (default 30 minutes).
+	// BinWidth is the aggregation bin (default 30 minutes). It must be a
+	// whole number of seconds: the engine keys bins by their start in
+	// unix seconds.
 	BinWidth time.Duration
 	// MinTraceroutes is the per-bin sanity threshold (default 3).
 	MinTraceroutes int

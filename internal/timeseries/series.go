@@ -1,7 +1,8 @@
 // Package timeseries provides the regular time-series machinery of the
-// last-mile pipeline: fixed-width time bins, per-bin median accumulation,
-// minimum subtraction (turning RTT medians into queuing-delay estimates),
-// and median aggregation across probe populations. Gaps are represented as
+// last-mile pipeline: fixed-width time bins, minimum subtraction
+// (turning RTT medians into queuing-delay estimates), and median
+// aggregation across probe populations. Per-bin medians are kept by
+// internal/engine. Gaps are represented as
 // NaN so that downstream statistics can skip them explicitly.
 package timeseries
 

@@ -274,90 +274,3 @@ func TestDayHourProfileBadStep(t *testing.T) {
 		t.Fatal("want error for step not dividing a day")
 	}
 }
-
-func TestMedianBinner(t *testing.T) {
-	b, err := NewMedianBinner(t0, t0.Add(time.Hour), 30*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Bins() != 2 {
-		t.Fatalf("bins = %d", b.Bins())
-	}
-	b.Add(t0, 1)
-	b.Add(t0.Add(time.Minute), 3)
-	b.Add(t0.Add(31*time.Minute), 10)
-	s := b.Series(0)
-	if s.Values[0] != 2 || s.Values[1] != 10 {
-		t.Fatalf("series = %v", s.Values)
-	}
-}
-
-func TestMedianBinnerMinGroups(t *testing.T) {
-	b, _ := NewMedianBinner(t0, t0.Add(time.Hour), 30*time.Minute)
-	// Bin 0 gets 3 traceroute groups, bin 1 only 2.
-	for i := 0; i < 3; i++ {
-		b.AddGroup(t0, []float64{1, 2, 3})
-	}
-	for i := 0; i < 2; i++ {
-		b.AddGroup(t0.Add(30*time.Minute), []float64{5})
-	}
-	s := b.Series(3)
-	if s.Values[0] != 2 {
-		t.Fatalf("bin 0 = %v", s.Values[0])
-	}
-	if !math.IsNaN(s.Values[1]) {
-		t.Fatalf("bin 1 = %v, want NaN (only 2 groups)", s.Values[1])
-	}
-	if b.GroupCount(0) != 3 || b.GroupCount(1) != 2 {
-		t.Fatalf("groups = %d, %d", b.GroupCount(0), b.GroupCount(1))
-	}
-	if b.SampleCount(0) != 9 {
-		t.Fatalf("samples = %d", b.SampleCount(0))
-	}
-}
-
-func TestMedianBinnerDropsOutOfRange(t *testing.T) {
-	b, _ := NewMedianBinner(t0, t0.Add(time.Hour), 30*time.Minute)
-	b.Add(t0.Add(-time.Minute), 1)
-	b.Add(t0.Add(2*time.Hour), 1)
-	b.AddGroup(t0.Add(2*time.Hour), []float64{1})
-	s := b.Series(0)
-	if !math.IsNaN(s.Values[0]) || !math.IsNaN(s.Values[1]) {
-		t.Fatalf("series = %v, want all gaps", s.Values)
-	}
-}
-
-func TestMedianBinnerErrors(t *testing.T) {
-	if _, err := NewMedianBinner(t0, t0, time.Minute); err == nil {
-		t.Fatal("want error for empty range")
-	}
-	if _, err := NewMedianBinner(t0, t0.Add(time.Hour), 0); err == nil {
-		t.Fatal("want error for zero step")
-	}
-}
-
-func TestMedianBinnerPartialLastBin(t *testing.T) {
-	// A 45-minute range with 30-minute bins has 2 bins.
-	b, err := NewMedianBinner(t0, t0.Add(45*time.Minute), 30*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Bins() != 2 {
-		t.Fatalf("bins = %d", b.Bins())
-	}
-	b.Add(t0.Add(40*time.Minute), 7)
-	s := b.Series(0)
-	if s.Values[1] != 7 {
-		t.Fatalf("series = %v", s.Values)
-	}
-}
-
-func TestCountSeries(t *testing.T) {
-	b, _ := NewMedianBinner(t0, t0.Add(time.Hour), 30*time.Minute)
-	b.AddGroup(t0, []float64{1})
-	b.AddGroup(t0, []float64{2})
-	cs := b.CountSeries()
-	if cs.Values[0] != 2 || cs.Values[1] != 0 {
-		t.Fatalf("counts = %v", cs.Values)
-	}
-}

@@ -12,7 +12,7 @@ package wire
 //	snapshot := header base segment*
 //	base     := meta probe*
 //	segment  := mark (resident | probe)* commit
-//	meta     := 0x00 binWidth(uvarint ns, > 0) minTraceroutes(uvarint)
+//	meta     := 0x00 binWidth(uvarint ns, whole seconds, > 0) minTraceroutes(uvarint)
 //	            window(uvarint ns) maxLateness(uvarint ns)
 //	            hasNewest(0|1) [newestNano(zigzag)]
 //	            ingested(uvarint) dropped(uvarint) evicted(uvarint)
@@ -35,26 +35,29 @@ package wire
 // Nothing in this package enforces the base/segment grammar across
 // frames; the engine's restorer does.
 //
-// Each bin serializes the two-heap median state exactly as the engine
-// holds it: the lower-half max-heap and upper-half min-heap backing
-// slices, float64 bits as fixed little-endian words. The decoder
-// re-validates everything an encoder could only produce from a live
-// engine — canonical varints, strictly increasing bin and probe keys,
-// and the two-heap invariants via timeseries.ValidateHeapState — so a
-// truncated, bit-flipped, or adversarial snapshot surfaces as a typed
-// corruption error and can never smuggle a broken heap into a restored
-// engine. Within what the validator accepts the codec is bijective, the
-// same encode(decode(b)) == b property the result and log codecs pin.
+// Each bin serializes its samples as a two-heap median state: a
+// lower-half max-heap and an upper-half min-heap, float64 bits as fixed
+// little-endian words. The engine writes the one canonical layout — the
+// sorted lower half descending, the upper half ascending — and reads
+// any valid one, so checkpoints of engines that kept live heaps still
+// restore. The decoder re-validates everything an encoder could only
+// produce from a live engine — canonical varints, strictly increasing
+// bin and probe keys, a bin width of whole seconds, and the two-heap
+// invariants via validateHeapState — so a truncated, bit-flipped, or
+// adversarial snapshot surfaces as a typed corruption error and can
+// never smuggle a broken heap into a restored engine. Within what the
+// validator accepts the codec is bijective, the same
+// encode(decode(b)) == b property the result and log codecs pin.
 
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"time"
 
 	"github.com/last-mile-congestion/lastmile/internal/bgp"
-	"github.com/last-mile-congestion/lastmile/internal/timeseries"
 )
 
 // Snapshot frame tags — the first payload byte of every non-empty
@@ -105,7 +108,8 @@ type SnapshotMeta struct {
 }
 
 // SnapshotBin is one (probe, bin) cell: the bin-start key (unix
-// seconds), the measurement-group count, and the two-heap median state.
+// seconds), the measurement-group count, and the samples as a two-heap
+// median state.
 type SnapshotBin struct {
 	Key    int64
 	Groups int
@@ -170,7 +174,8 @@ func DecodeSnapshotMetaInto(m *SnapshotMeta, payload []byte) error {
 	if v, b, err = decodeCount(b); err != nil {
 		return err
 	}
-	if v <= 0 {
+	// Engines key bins by unix seconds, so a width must be whole seconds.
+	if v <= 0 || v%int64(time.Second) != 0 {
 		return ErrBadFrame
 	}
 	m.BinWidth = time.Duration(v)
@@ -246,8 +251,8 @@ func AppendSnapshotProbe(dst []byte, p *SnapshotProbe) []byte {
 // p, reusing p's bin and heap storage, and re-validates what a correct
 // encoder could only have produced from live engine state: strictly
 // increasing bin keys and the two-heap median invariants
-// (timeseries.ValidateHeapState — finite samples, balanced halves, heap
-// order, disjoint partition). Any violation is ErrBadFrame; on error
+// (validateHeapState — finite samples, balanced halves, heap order,
+// disjoint partition). Any violation is ErrBadFrame; on error
 // p's contents are unspecified.
 func DecodeSnapshotProbeInto(p *SnapshotProbe, payload []byte) error {
 	bins := p.Bins[:0]
@@ -322,7 +327,7 @@ func DecodeSnapshotProbeInto(p *SnapshotProbe, payload []byte) error {
 			bin.Hi = append(bin.Hi, math.Float64frombits(binary.LittleEndian.Uint64(b))) //lmvet:ignore allocguard heap slices reach steady-state capacity on the first restore pass, then appends reuse it
 			b = b[8:]
 		}
-		if err := timeseries.ValidateHeapState(bin.Lo, bin.Hi); err != nil {
+		if err := validateHeapState(bin.Lo, bin.Hi); err != nil {
 			return ErrBadFrame
 		}
 		p.Bins = append(p.Bins, bin) //lmvet:ignore allocguard bin slice reaches steady-state capacity on the first restore pass
@@ -332,6 +337,60 @@ func DecodeSnapshotProbeInto(p *SnapshotProbe, payload []byte) error {
 	}
 	return nil
 }
+
+// Heap-state validation errors returned by validateHeapState, wrapped
+// with position context.
+var (
+	// errHeapInvariant marks heap-state slices that violate the two-heap
+	// structure: unbalanced halves, a broken heap ordering, or an upper
+	// half overlapping the lower one.
+	errHeapInvariant = errors.New("wire: two-heap invariant violated")
+	// errNotFinite marks a NaN or infinite sample, which the engine's
+	// ordering cannot handle.
+	errNotFinite = errors.New("wire: non-finite sample in heap state")
+)
+
+// validateHeapState checks that (lo, hi) is a well-formed two-heap
+// median state: every sample finite, len(lo) == len(hi) or len(hi)+1,
+// lo a max-heap, hi a min-heap, and max(lo) <= min(hi). It is the
+// snapshot decoder's input check, so a corrupted or adversarial
+// snapshot can never smuggle a broken heap into a live engine.
+func validateHeapState(lo, hi []float64) error {
+	for _, h := range [2][]float64{lo, hi} {
+		for i, v := range h {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: sample %d is %v", errNotFinite, i, v)
+			}
+		}
+	}
+	if len(lo) != len(hi) && len(lo) != len(hi)+1 {
+		return fmt.Errorf("%w: halves of %d and %d samples", errHeapInvariant, len(lo), len(hi))
+	}
+	if err := validateHeap(lo, lessMax); err != nil {
+		return fmt.Errorf("lower half: %w", err)
+	}
+	if err := validateHeap(hi, lessMin); err != nil {
+		return fmt.Errorf("upper half: %w", err)
+	}
+	if len(lo) > 0 && len(hi) > 0 && lo[0] > hi[0] {
+		return fmt.Errorf("%w: lower-half max %v exceeds upper-half min %v", errHeapInvariant, lo[0], hi[0])
+	}
+	return nil
+}
+
+// validateHeap checks the parent-dominates-children ordering.
+func validateHeap(h []float64, less func(a, b float64) bool) error {
+	for i := 1; i < len(h); i++ {
+		if parent := (i - 1) / 2; less(h[i], h[parent]) {
+			return fmt.Errorf("%w: element %d out of order", errHeapInvariant, i)
+		}
+	}
+	return nil
+}
+
+// lessMax orders a max-heap (parent >= children), lessMin a min-heap.
+func lessMax(a, b float64) bool { return a > b }
+func lessMin(a, b float64) bool { return a < b }
 
 // SnapshotResident is a segment's residency record for one AS: every
 // probe the AS holds at the checkpoint, in strictly increasing ID order,

@@ -6,22 +6,7 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"github.com/last-mile-congestion/lastmile/internal/timeseries"
 )
-
-// heapFrom replays vs through an IncrementalBin and returns the
-// resulting valid two-heap state — snapshot payloads must carry heap
-// layouts a real engine can produce, or the decoder's invariant checks
-// reject them.
-func heapFrom(vs ...float64) (lo, hi []float64) {
-	b := &timeseries.IncrementalBin{}
-	for _, v := range vs {
-		b.Add(v)
-	}
-	lo, hi, _ = b.Snapshot()
-	return lo, hi
-}
 
 func sampleSnapshotMeta() *SnapshotMeta {
 	return &SnapshotMeta{
@@ -38,16 +23,17 @@ func sampleSnapshotMeta() *SnapshotMeta {
 }
 
 func sampleSnapshotProbes() []*SnapshotProbe {
-	lo1, hi1 := heapFrom(4.5, 2.25, 9, 1.125, 2.25)
-	lo2, hi2 := heapFrom(0.5)
-	lo3, hi3 := heapFrom(7, 7, 7, 8)
+	// Valid two-heap states, the only layouts the decoder accepts. The
+	// first is not the canonical one an engine writes today (lower half
+	// descending): it is what an engine that kept live heaps wrote for
+	// the samples 4.5, 2.25, 9, 1.125, 2.25 in that order.
 	return []*SnapshotProbe{
 		{ASN: 64500, ProbeID: 1, Bins: []SnapshotBin{
-			{Key: 1580986800, Groups: 3, Lo: lo1, Hi: hi1},
-			{Key: 1580988600, Groups: 1, Lo: lo2, Hi: hi2},
+			{Key: 1580986800, Groups: 3, Lo: []float64{2.25, 1.125, 2.25}, Hi: []float64{4.5, 9}},
+			{Key: 1580988600, Groups: 1, Lo: []float64{0.5}, Hi: nil},
 		}},
 		{ASN: 64501, ProbeID: -2, Bins: []SnapshotBin{
-			{Key: -1800, Groups: 4, Lo: lo3, Hi: hi3},
+			{Key: -1800, Groups: 4, Lo: []float64{7, 7}, Hi: []float64{7, 8}},
 		}},
 		{ASN: 64502, ProbeID: 9, Bins: nil},
 	}
@@ -319,6 +305,19 @@ func TestSnapshotDecodeRejectsZeroBinWidth(t *testing.T) {
 	}
 }
 
+// TestSnapshotDecodeRejectsSubSecondBinWidth pins that a bin width the
+// engine cannot key — not a whole number of seconds — is a corrupt
+// frame, not a restored engine that divides by zero on its first use.
+func TestSnapshotDecodeRejectsSubSecondBinWidth(t *testing.T) {
+	for _, w := range []time.Duration{500 * time.Millisecond, 90*time.Second + time.Nanosecond} {
+		payload := AppendSnapshotMeta(nil, &SnapshotMeta{BinWidth: w})
+		var back SnapshotMeta
+		if err := DecodeSnapshotMetaInto(&back, payload); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("width %v: err = %v, want ErrBadFrame", w, err)
+		}
+	}
+}
+
 func TestSnapshotDecodeRejectsWrongTag(t *testing.T) {
 	meta := AppendSnapshotMeta(nil, sampleSnapshotMeta())
 	probe := AppendSnapshotProbe(nil, sampleSnapshotProbes()[0])
@@ -347,7 +346,7 @@ func TestSnapshotScannerReusesStorage(t *testing.T) {
 	if err := sw.WriteMeta(sampleSnapshotMeta()); err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := heapFrom(1, 2, 3, 4, 5)
+	lo, hi := []float64{3, 1, 2}, []float64{4, 5}
 	for i := 0; i < 64; i++ {
 		p := &SnapshotProbe{ASN: 64500, ProbeID: i, Bins: []SnapshotBin{{Key: 1800, Groups: 3, Lo: lo, Hi: hi}}}
 		if err := sw.WriteProbe(p); err != nil {
@@ -545,5 +544,33 @@ func TestSnapshotResidentRejectsNonCanonicalLists(t *testing.T) {
 	}
 	if err := sc.Err(); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("unknown tag: err = %v, want ErrBadFrame", err)
+	}
+}
+
+func TestValidateHeapStateRejectsCorruption(t *testing.T) {
+	cases := []struct {
+		name   string
+		lo, hi []float64
+		want   error
+	}{
+		{"nan", []float64{math.NaN()}, nil, errNotFinite},
+		{"inf", []float64{1}, []float64{math.Inf(1)}, errNotFinite},
+		{"unbalanced", []float64{3, 2, 1}, nil, errHeapInvariant},
+		{"lower-not-max-heap", []float64{1, 5}, []float64{7}, errHeapInvariant},
+		{"upper-not-min-heap", []float64{1}, []float64{9, 2}, errHeapInvariant},
+		{"overlap", []float64{5}, []float64{3}, errHeapInvariant},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := validateHeapState(tc.lo, tc.hi); !errors.Is(err, tc.want) {
+				t.Fatalf("validateHeapState = %v, want %v", err, tc.want)
+			}
+		})
+	}
+	if err := validateHeapState([]float64{2, 1}, []float64{3}); err != nil {
+		t.Fatalf("valid state rejected: %v", err)
+	}
+	if err := validateHeapState(nil, nil); err != nil {
+		t.Fatalf("empty state rejected: %v", err)
 	}
 }

@@ -10,9 +10,10 @@
 //  2. Estimate last-mile RTT samples per traceroute (EstimateLastMile):
 //     the pairwise differences between the last private hop and the first
 //     public hop.
-//  3. Accumulate per-probe median RTT in 30-minute bins and aggregate a
-//     probe population into a queuing-delay signal (NewProbeAccumulator,
-//     PopulationDelay).
+//  3. Bin per-probe median RTT in 30-minute bins, subtract each probe's
+//     minimum and aggregate a probe population into a queuing-delay
+//     signal. SurveyFeed (or RunSurvey) does this per AS, through the
+//     same engine the streaming monitor and the simulator use.
 //  4. Classify the signal (Classify): a Welch periodogram normalised to
 //     peak-to-peak amplitude locates the prominent frequency; signals
 //     whose prominent component is the daily cycle are classified
@@ -172,16 +173,6 @@ func EstimateLastMile(r *Result) (samples []float64, seg Segment, ok bool) {
 // FindSegment locates the last-mile segment of a traceroute.
 func FindSegment(r *Result) (Segment, bool) { return lm.FindSegment(r) }
 
-// ProbeAccumulator turns one probe's traceroutes into its median-RTT and
-// queuing-delay series.
-type ProbeAccumulator = lm.ProbeAccumulator
-
-// NewProbeAccumulator creates an accumulator for one probe over
-// [start, end) with the given bin width (use DefaultBinWidth).
-func NewProbeAccumulator(probeID int, start, end time.Time, binWidth time.Duration) (*ProbeAccumulator, error) {
-	return lm.NewProbeAccumulator(probeID, start, end, binWidth)
-}
-
 // Binning defaults of the paper's pipeline.
 const (
 	// DefaultBinWidth is the 30-minute aggregation bin of §2.1.
@@ -189,13 +180,6 @@ const (
 	// DefaultMinTraceroutes is the per-bin sanity threshold of §2.
 	DefaultMinTraceroutes = lm.DefaultMinTraceroutes
 )
-
-// PopulationDelay aggregates per-probe accumulators into the population
-// queuing-delay signal (median across probes per bin), returning the
-// signal and the number of contributing probes.
-func PopulationDelay(accs []*ProbeAccumulator, minTraceroutes int) (*Series, int, error) {
-	return lm.PopulationDelay(accs, minTraceroutes)
-}
 
 // --- Time series ---
 

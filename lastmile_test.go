@@ -39,7 +39,7 @@ func buildTrace(probeID int, ts time.Time, deltaMs float64) *lastmile.Result {
 }
 
 // TestEndToEndPipeline exercises the full public API path: JSON in,
-// estimation, accumulation, aggregation, classification.
+// estimation, binning, aggregation, classification.
 func TestEndToEndPipeline(t *testing.T) {
 	// 15 days of synthetic traceroutes for 5 probes with an evening
 	// delay bump: write them as Atlas JSONL first to cover the codec.
@@ -66,42 +66,23 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// Read back and feed the pipeline.
-	accs := map[int]*lastmile.ProbeAccumulator{}
+	feed := lastmile.NewSurveyFeed(lastmile.SurveyOptions{Start: t0, End: end})
 	sc := lastmile.NewResultScanner(&buf)
 	for sc.Scan() {
-		r := sc.Result()
-		acc := accs[r.ProbeID]
-		if acc == nil {
-			var err error
-			acc, err = lastmile.NewProbeAccumulator(r.ProbeID, t0, end, lastmile.DefaultBinWidth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			accs[r.ProbeID] = acc
-		}
-		if err := acc.Add(r); err != nil {
+		if err := feed.Add(64500, sc.Result()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-
-	var list []*lastmile.ProbeAccumulator
-	for _, acc := range accs {
-		list = append(list, acc)
+	survey, skipped, err := feed.Survey("e2e")
+	if err != nil || len(skipped) != 0 {
+		t.Fatalf("survey: %v, skipped %v", err, skipped)
 	}
-	signal, probes, err := lastmile.PopulationDelay(list, lastmile.DefaultMinTraceroutes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probes != 5 {
-		t.Fatalf("contributing probes = %d", probes)
-	}
-
-	cls, err := lastmile.Classify(signal, lastmile.DefaultClassifierOptions())
-	if err != nil {
-		t.Fatal(err)
+	cls := survey.Results[64500]
+	if cls.Probes != 5 {
+		t.Fatalf("contributing probes = %d", cls.Probes)
 	}
 	if cls.Class != lastmile.Severe {
 		t.Fatalf("class = %v (amp %.2f), want Severe for a 4 ms daily bump", cls.Class, cls.DailyAmplitude)

@@ -155,13 +155,16 @@ race_run 'TestRunWatchdogForcesFlush|TestRunInterruptFlushesOnce' ./cmd/lmmonito
 # Fuzz smoke: short coverage-guided runs over the two ingest decoders —
 # the Atlas JSON parser (which also differential-tests the zero-alloc
 # parser against encoding/json) and the binary wire codec's round-trip
-# target. Seeds (testdata/fuzz + f.Add) always run under plain
-# `go test`; these stages give the mutator a few seconds to hunt for
-# fresh panics.
+# target — and over engine restore, which canonicalises every bin it
+# reads (Snapshot -> Restore -> Snapshot must be a fixed point). Seeds
+# (testdata/fuzz + f.Add) always run under plain `go test`; these stages
+# give the mutator a few seconds to hunt for fresh panics.
 stage "go test -fuzz (Atlas JSON parser, 5s smoke)"
 fuzz_smoke 'FuzzParseAtlasJSON' ./internal/traceroute/
 stage "go test -fuzz (wire codec, 5s smoke)"
 fuzz_smoke 'FuzzWireRoundTrip' ./internal/wire/
+stage "go test -fuzz (engine restore, 5s smoke)"
+fuzz_smoke 'FuzzEngineRestore' ./internal/engine/
 
 # Benchmark smoke: every bench must still run one iteration cleanly.
 stage "go test -bench (smoke, 1 iteration)"
@@ -190,10 +193,11 @@ go run ./cmd/lmvet \
   -severity goleak=error,chanprotocol=error,ctxflow=error \
   -baseline lmvet.baseline ./...
 
-# Hot-path gate, dynamic half: the ingest benchmark must report exactly
+# Hot-path gate, dynamic half: the ingest benchmarks must report exactly
 # 0 allocs/op at every shard width. 200000 uncached iterations amortise
-# pool warm-up and window-map growth to steady state — the same
-# measurement scripts/bench.sh record checks into BENCH_engine.json.
+# pool warm-up and the growth of bin storage to steady state. For
+# whole-pipeline numbers, record runs with `bash bench/run.sh --record`
+# and judge them with `bash bench/run.sh compare`.
 stage "zero-alloc ingest gate (BenchmarkMonitorObserve, BenchmarkSurveyFeed, 0 allocs/op)"
 go test -run '^$' -bench 'BenchmarkMonitorObserve|BenchmarkSurveyFeed' -benchmem -benchtime 200000x -count=1 . \
   | tee /dev/stderr \
