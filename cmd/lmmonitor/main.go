@@ -7,17 +7,18 @@
 // Wire archives carry their AS attribution in-band; JSON input is
 // attributed through the optional RIB.
 //
-// With -http the monitor also serves an ops endpoint: /metrics
-// (Prometheus text), /metrics.json, and /debug/pprof, backed by the
-// process-wide telemetry registry the engine and monitor instrument.
-// With -metrics a final Prometheus-text snapshot is written at exit.
+// lmmonitor is a flag front end over serve.Daemon, the core of lmserved,
+// with one target: its input stream. The daemon resumes from -state,
+// checkpoints to it, and serves -http. The run ends at the end of the
+// input, or on SIGINT or SIGTERM, which drain the daemon as they do
+// lmserved; lmmonitor then prints a final classification report and its
+// ingestion statistics. A decode error exits 1 without that report,
+// after the drain has checkpointed everything decoded before it.
 //
-// On SIGINT or SIGTERM the monitor flushes a final classification report
-// and its ingestion statistics before exiting instead of dying
-// mid-stream. All report output is serialised through one writer, so the
-// signal-driven flush can never interleave with a scheduled report; if
-// the main loop is stuck mid-ingest, a watchdog forces the flush after a
-// grace period.
+// With -http the monitor serves the daemon's ops endpoint: /metrics
+// (Prometheus text), /metrics.json, /debug/pprof, and the read API
+// (/api/verdicts, /api/series/{asn}, /api/health). With -metrics a final
+// Prometheus-text snapshot is written at exit.
 //
 // Usage:
 //
@@ -30,8 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -41,15 +40,10 @@ import (
 
 	lastmile "github.com/last-mile-congestion/lastmile"
 	"github.com/last-mile-congestion/lastmile/internal/ioutil"
-	"github.com/last-mile-congestion/lastmile/internal/report"
 	"github.com/last-mile-congestion/lastmile/internal/serve"
 	"github.com/last-mile-congestion/lastmile/internal/stream"
 	"github.com/last-mile-congestion/lastmile/internal/telemetry"
 )
-
-// flushGrace is how long the SIGINT watchdog waits for the main loop to
-// produce the final report before forcing the flush itself.
-const flushGrace = 2 * time.Second
 
 func main() {
 	var (
@@ -60,21 +54,11 @@ func main() {
 		sortIn   = flag.Bool("sort", true, "sort input by timestamp before feeding the monitor (file dumps are grouped by measurement, not time; disable for genuinely ordered streams)")
 		shards   = flag.Int("shards", 0, "engine lock stripes for concurrent ingestion (0 = GOMAXPROCS; verdicts are identical at any count)")
 		workers  = flag.Int("workers", 0, "worker goroutines for classification reports (0 = GOMAXPROCS; output is identical at any count)")
-		httpAddr = flag.String("http", "", "ops endpoint address (e.g. :9090) serving /metrics, /metrics.json, and /debug/pprof")
+		httpAddr = flag.String("http", "", "ops endpoint address (e.g. :9090) serving /metrics, /metrics.json, /debug/pprof and the read API: /api/verdicts, /api/series/{asn}, /api/health")
 		metrics  = flag.String("metrics", "", "write a Prometheus-text metrics snapshot to this file at exit (- for stdout)")
-		state    = flag.String("state", "", "engine checkpoint file: resume from it at startup if present, snapshot to it on every bin boundary, scheduled report, and at exit (atomic rename, zero data loss on SIGTERM)")
+		state    = flag.String("state", "", "engine checkpoint file: resume from it at startup if present; checkpoint to it when a maintenance tick (every half bin of wall time) finds the stream in a new bin, and write a full snapshot at exit (atomic rename, zero data loss on SIGTERM)")
 	)
 	flag.Parse()
-
-	reg := telemetry.Default()
-	if *httpAddr != "" {
-		srv, err := serveOps(*httpAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lmmonitor:", err)
-			os.Exit(1)
-		}
-		defer ioutil.CloseQuiet(srv)
-	}
 
 	var r io.Reader = os.Stdin
 	if *in != "-" {
@@ -99,19 +83,19 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
+	reg := telemetry.Default()
 	cfg := config{
-		rib:     rib,
-		window:  *window,
-		every:   *every,
-		sortIn:  *sortIn,
-		shards:  *shards,
-		workers: *workers,
-		metrics: reg,
-		state:   *state,
-		grace:   flushGrace,
-		exit:    os.Exit,
+		rib:      rib,
+		window:   *window,
+		every:    *every,
+		sortIn:   *sortIn,
+		shards:   *shards,
+		workers:  *workers,
+		metrics:  reg,
+		state:    *state,
+		httpAddr: *httpAddr,
 	}
-	err := run(ctx, cfg, r, &printer{w: os.Stdout})
+	err := run(ctx, cfg, r, os.Stdout, os.Stderr)
 	if *metrics != "" {
 		if derr := reg.DumpFile(*metrics); err == nil {
 			err = derr
@@ -137,55 +121,6 @@ func loadRIB(path string) (*lastmile.RIB, error) {
 	return parsed, nil
 }
 
-// serveOps starts the ops endpoint: Prometheus text and JSON metric
-// exposition plus the pprof profile handlers. The returned closer shuts
-// the listener down.
-func serveOps(addr string, reg *telemetry.Registry) (io.Closer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: reg.OpsMux()}
-	fmt.Fprintf(os.Stderr, "lmmonitor: ops endpoint on http://%s (/metrics, /metrics.json, /debug/pprof)\n", ln.Addr())
-	go func() {
-		if serr := srv.Serve(ln); serr != nil && serr != http.ErrServerClosed {
-			fmt.Fprintln(os.Stderr, "lmmonitor: ops endpoint:", serr)
-		}
-	}()
-	return srv, nil
-}
-
-// printer serialises all monitor output through one mutex-guarded
-// writer, so the signal-driven final flush can never interleave with a
-// scheduled report mid-table on shared stdout (the regression
-// TestPrinterSerialises pins this).
-type printer struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// Printf writes one formatted fragment atomically.
-func (p *printer) Printf(format string, args ...any) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fmt.Fprintf(p.w, format, args...)
-}
-
-// Block runs fn against the locked writer, so a multi-line block (a
-// stats header plus a rendered table) is emitted as one unit.
-func (p *printer) Block(fn func(io.Writer) error) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return fn(p.w)
-}
-
-// arrival is one scanned result with its in-band AS attribution (0 for
-// JSON input), owned by the receiver until processed.
-type arrival struct {
-	asn lastmile.ASN
-	res *lastmile.Result
-}
-
 // config carries run's knobs; main fills it from flags, tests directly.
 type config struct {
 	rib             *lastmile.RIB
@@ -195,281 +130,241 @@ type config struct {
 	metrics         *telemetry.Registry
 	// state is the checkpoint file path; empty disables checkpointing.
 	state string
-	// grace is the watchdog's wait before it forces the final flush; exit
-	// is called if the main loop still has not finished by then.
-	grace time.Duration
-	exit  func(int)
-	// clock is the watchdog's time source; nil means the system clock.
-	// Tests inject a serve.FakeClock so the grace period is simulated
-	// time, not a wall-clock sleep.
-	clock serve.Clock
-	// stall, when set, runs at the top of each processed arrival — a test
-	// hook for simulating a main loop stuck mid-ingest.
-	stall func()
+	// httpAddr is the ops endpoint address; empty serves none.
+	httpAddr string
 }
 
-// openMonitor builds the monitor, resuming from the checkpoint file
-// when a usable one exists: the restored engine carries the window
-// contents, watermark, and counters of the killed run, so the resumed
-// monitor's verdicts and stats are those of a monitor that never
-// stopped. A corrupt checkpoint cold-starts with a logged warning —
-// crash recovery must never be the thing that crashes.
-func openMonitor(cfg config) (*stream.Monitor, error) {
-	opened, err := stream.Open(cfg.state, stream.Options{
-		Window:  cfg.window,
-		Shards:  cfg.shards,
-		Workers: cfg.workers,
+// run monitors the results read from r on a one-target daemon, prints
+// the scheduled reports to out as the stream passes each -every
+// boundary, and the final report once the daemon has drained. Daemon
+// log lines go to errw.
+func run(ctx context.Context, cfg config, r io.Reader, out, errw io.Writer) error {
+	if cfg.every <= 0 {
+		return fmt.Errorf("-every must be positive, got %v", cfg.every)
+	}
+	// The run ends when the daemon closes the source (end of input or a
+	// decode error), or when ctx is cancelled.
+	runCtx, endRun := context.WithCancel(ctx)
+	defer endRun()
+	var (
+		d   *serve.Daemon
+		src *source
+	)
+	d, err := serve.NewFromConfig(serve.Config{
+		HTTPAddr:      cfg.httpAddr,
+		StatePath:     cfg.state,
+		Window:        serve.Duration(cfg.window),
+		Shards:        cfg.shards,
+		Workers:       cfg.workers,
+		MaxConcurrent: 1,
+		Targets:       []serve.Target{{Name: "input"}},
+	}, serve.Options{
+		Open: func(serve.Target) (serve.Source, error) {
+			src = newSource(r, cfg, d.Monitor(), out, endRun)
+			return src, nil
+		},
 		Metrics: cfg.metrics,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(errw, "lmmonitor: "+format+"\n", args...)
+		},
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if opened.Warning != nil {
-		fmt.Fprintln(os.Stderr, "lmmonitor:", opened.Warning)
-	}
-	if opened.Resumed {
-		fmt.Fprintf(os.Stderr, "lmmonitor: resumed from checkpoint %s\n", cfg.state)
-	}
-	return opened.Monitor, nil
-}
-
-func run(ctx context.Context, cfg config, r io.Reader, out *printer) error {
-	monitor, err := openMonitor(cfg)
+	stopHTTP, err := d.ListenHTTP()
 	if err != nil {
 		return err
 	}
-	// ckpt persists engine state across restarts: once per bin boundary
-	// as the stream advances, after every scheduled report, and in the
-	// final flush (interrupt, end of stream, or watchdog).
-	var ckpt *stream.Checkpointer
-	if cfg.state != "" {
-		ckpt = stream.NewCheckpointer(monitor, cfg.state)
-	}
-	// feed attributes one result and hands it to the monitor. Binary
-	// wire archives carry the origin AS in-band (asn != 0); JSON input
-	// falls back to the RIB, when given.
-	feed := func(asn lastmile.ASN, res *lastmile.Result) error {
-		if asn == 0 && cfg.rib != nil && res.FromAddr.IsValid() {
-			if origin, err := cfg.rib.OriginOf(res.FromAddr); err == nil {
-				asn = origin
-			}
-		}
-		return monitor.Observe(asn, res)
-	}
+	runErr := d.Run(runCtx, nil)
+	stopHTTP()
 
-	// The final flush runs exactly once no matter who triggers it — the
-	// end-of-stream path, the interrupt path, or the watchdog.
-	var flushOnce sync.Once
-	finalFlush := func(header string) error {
-		var err error
-		flushOnce.Do(func() {
-			// Persist state before reporting, so even a report failure
-			// leaves a checkpoint covering everything ingested — the
-			// zero-data-loss half of the SIGTERM contract. On the forced
-			// watchdog path the loop may be stuck mid-ingest; the snapshot
-			// is then best-effort (per-shard locking keeps it structurally
-			// valid either way).
-			var cerr error
-			if ckpt != nil {
-				cerr = ckpt.Checkpoint()
-			}
-			err = out.Block(func(w io.Writer) error {
-				fmt.Fprintf(w, "\n%s; final state:\n", header)
-				writeStats(monitor, w)
-				return writeReport(monitor, w, time.Time{})
-			})
-			if err == nil {
-				err = cerr
-			}
-		})
+	// Run has joined the target runner, so src is set, and only this
+	// goroutine writes to out from here on.
+	header := "end of stream"
+	switch {
+	case ctx.Err() != nil:
+		header = "interrupted"
+	case src.err != nil:
+		return src.err
+	}
+	s := d.ReadSnapshot()
+	if err := writeReport(out, header+"; final state:", s.Stats, s.Verdicts, s.Skipped); err != nil {
 		return err
 	}
-
-	// Watchdog: if a signal arrives and the main loop does not complete
-	// the final flush within the grace period (stuck mid-ingest on a slow
-	// or hostile input), force the flush and exit. done is closed when
-	// run returns, retiring the watchdog. The grace is measured on the
-	// injected clock so tests drive it with simulated time.
-	clk := cfg.clock
-	if clk == nil {
-		clk = serve.SystemClock()
-	}
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-done:
-			return
-		case <-ctx.Done():
-		}
-		select {
-		case <-done:
-		case <-clk.After(cfg.grace):
-			if err := finalFlush("interrupted (forced flush)"); err != nil {
-				fmt.Fprintln(os.Stderr, "lmmonitor:", err)
-			}
-			if cfg.exit != nil {
-				cfg.exit(130)
-			}
-		}
-	}()
-
-	var nextReport time.Time
-	process := func(a arrival) error {
-		if cfg.stall != nil {
-			cfg.stall()
-		}
-		if err := feed(a.asn, a.res); err != nil {
-			return err
-		}
-		if ckpt != nil {
-			// Cheap in the common case: a watermark read and a compare;
-			// an actual snapshot only when the stream crossed into a new
-			// bin since the last checkpoint.
-			if _, err := ckpt.MaybeCheckpoint(); err != nil {
-				return err
-			}
-		}
-		if nextReport.IsZero() {
-			nextReport = a.res.Timestamp.Add(cfg.every)
-			return nil
-		}
-		if !a.res.Timestamp.Before(nextReport) {
-			if err := printReport(monitor, out, a.res.Timestamp); err != nil {
-				return err
-			}
-			if ckpt != nil {
-				if err := ckpt.Checkpoint(); err != nil {
-					return err
-				}
-			}
-			nextReport = a.res.Timestamp.Add(cfg.every)
-		}
-		return nil
-	}
-
-	// The scanner feeds a channel so that the processing loop can also
-	// watch for termination signals; results is closed when the input is
-	// exhausted, with any scan error left in scanErr. The scanner reuses
-	// its Result between Scan calls, so each arrival carries its own
-	// copy: the streaming path recycles copies through a pool (one
-	// CopyFrom per result, no steady-state allocation), the sorting path
-	// clones, since every result is live until the sort.
-	pool := sync.Pool{New: func() any { return new(lastmile.Result) }}
-	results := make(chan arrival)
-	var scanErr error
-	go func() {
-		defer close(results)
-		sc := lastmile.NewResultScanner(r)
-		if cfg.sortIn {
-			var buffered []arrival
-			for sc.Scan() {
-				buffered = append(buffered, arrival{sc.ASN(), sc.Result().Clone()})
-			}
-			if scanErr = sc.Err(); scanErr != nil {
-				return
-			}
-			sort.SliceStable(buffered, func(i, j int) bool {
-				return buffered[i].res.Timestamp.Before(buffered[j].res.Timestamp)
-			})
-			for _, a := range buffered {
-				select {
-				case results <- a:
-				case <-ctx.Done():
-					return
-				}
-			}
-			return
-		}
-		for sc.Scan() {
-			res := pool.Get().(*lastmile.Result)
-			res.CopyFrom(sc.Result())
-			select {
-			case results <- arrival{sc.ASN(), res}:
-			case <-ctx.Done():
-				return
-			}
-		}
-		scanErr = sc.Err()
-	}()
-
-	interrupted := false
-loop:
-	for {
-		select {
-		case a, ok := <-results:
-			if !ok {
-				break loop
-			}
-			err := process(a)
-			pool.Put(a.res)
-			if err != nil {
-				return err
-			}
-		case <-ctx.Done():
-			interrupted = true
-			break loop
-		}
-	}
-	// The feeder also watches ctx and closes results when it fires, so a
-	// cancellation can surface here as a closed channel rather than
-	// through the ctx case — both selects were ready and Go picked one at
-	// random. Re-check ctx so that race never misreports an interrupted
-	// run as a clean end of stream.
-	if ctx.Err() != nil {
-		interrupted = true
-	}
-	if !interrupted && scanErr != nil {
-		return scanErr
-	}
-
-	if interrupted {
-		return finalFlush("interrupted")
-	}
-	return finalFlush("end of stream")
+	return runErr
 }
 
-// writeStats renders the ingestion counters and live window gauges so
-// operators can see what the window holds in memory. The caller holds
-// the printer lock.
-func writeStats(m *stream.Monitor, w io.Writer) {
-	st := m.Stats()
+// writeReport renders one classification report: a header line, the
+// ingestion counters and live window gauges, so operators can see what
+// the window holds in memory, then the verdict table.
+func writeReport(w io.Writer, header string, st stream.Stats, verdicts []*stream.Verdict, skipped []stream.SkippedAS) error {
+	fmt.Fprintf(w, "\n%s\n", header)
 	fmt.Fprintf(w, "ingested %d, dropped %d (too late), window: %d AS(es), %d probe(s), %d bin(s), %d sample(s), %d bin(s) evicted\n",
 		st.Ingested, st.Dropped, st.ASes, st.Probes, st.Bins, st.Samples, st.EvictedBins)
-}
-
-// printReport classifies and renders one scheduled report atomically.
-func printReport(m *stream.Monitor, out *printer, at time.Time) error {
-	return out.Block(func(w io.Writer) error {
-		return writeReport(m, w, at)
-	})
-}
-
-// writeReport renders one classification report to w; the caller holds
-// the printer lock.
-func writeReport(m *stream.Monitor, w io.Writer, at time.Time) error {
-	if !at.IsZero() {
-		fmt.Fprintf(w, "\n== %s ==\n", at.UTC().Format(time.RFC3339))
-		writeStats(m, w)
-	}
-	verdicts, skipped := m.ClassifyAll()
 	if len(verdicts) == 0 && len(skipped) == 0 {
 		fmt.Fprintln(w, "(no classifiable AS yet — windows warming up)")
 		return nil
 	}
-	if len(verdicts) > 0 {
-		tb := report.NewTable("AS", "probes", "class", "daily amp (ms)", "window signal")
-		for _, v := range verdicts {
-			tb.AddRowf(v.ASN.String(), v.Probes, v.Class.String(),
-				fmt.Sprintf("%.2f", v.DailyAmplitude),
-				report.Sparkline(report.Downsample(v.Signal.Values, 48), 0))
-		}
-		if err := tb.Render(w); err != nil {
-			return err
+	return serve.WriteVerdictTable(w, verdicts, skipped)
+}
+
+// arrival is one scanned result with its in-band AS attribution (0 for
+// JSON input), owned by the receiver until processed.
+type arrival struct {
+	asn lastmile.ASN
+	res *lastmile.Result
+}
+
+// source is the daemon's target over lmmonitor's input. A scanner
+// goroutine reads the input into results, so a read blocked on an idle
+// stdin never blocks the drain: Next selects on the drain's context
+// instead. Next also prints the scheduled reports.
+type source struct {
+	results <-chan arrival
+	// scanErr is the scanner's error, set before results is closed.
+	scanErr error
+	// stop is closed by Close and stops the scanner at its next send.
+	stop chan struct{}
+	// endRun ends the daemon's run once the daemon closes the source.
+	endRun context.CancelFunc
+	// pool recycles the results of the unsorted path: the scanner reuses
+	// its Result between Scans, so each arrival carries its own copy.
+	pool sync.Pool
+
+	rib     *lastmile.RIB
+	monitor *stream.Monitor
+	out     io.Writer
+	every   time.Duration
+
+	// last is the result the previous Next handed out; nextReport is the
+	// stream time at which the next scheduled report is due.
+	last       *lastmile.Result
+	nextReport time.Time
+	// err is the error Next failed the target with, if any.
+	err error
+}
+
+// newSource starts the scanner over r and returns the source reading
+// from it.
+func newSource(r io.Reader, cfg config, m *stream.Monitor, out io.Writer, endRun context.CancelFunc) *source {
+	results := make(chan arrival)
+	s := &source{
+		results: results,
+		stop:    make(chan struct{}),
+		endRun:  endRun,
+		pool:    sync.Pool{New: func() any { return new(lastmile.Result) }},
+		rib:     cfg.rib,
+		monitor: m,
+		out:     out,
+		every:   cfg.every,
+	}
+	go s.scan(r, cfg.sortIn, results)
+	return s
+}
+
+// scan feeds results until the input ends or Close stops it, then closes
+// results with any scan error left in scanErr. The sorting path clones,
+// since every result is live until the sort; the streaming path copies
+// into pooled results (one CopyFrom per result, no steady-state
+// allocation). A scanner blocked in a read no close can interrupt exits
+// when that read returns.
+func (s *source) scan(r io.Reader, sortIn bool, results chan<- arrival) {
+	defer close(results)
+	send := func(a arrival) bool {
+		select {
+		case results <- a:
+			return true
+		case <-s.stop:
+			return false
 		}
 	}
-	for _, s := range skipped {
-		fmt.Fprintf(w, "skipped %s: %v\n", s.ASN, s.Reason)
+	sc := lastmile.NewResultScanner(r)
+	if sortIn {
+		var buffered []arrival
+		for sc.Scan() {
+			buffered = append(buffered, arrival{sc.ASN(), sc.Result().Clone()})
+		}
+		if s.scanErr = sc.Err(); s.scanErr != nil {
+			return
+		}
+		sort.SliceStable(buffered, func(i, j int) bool {
+			return buffered[i].res.Timestamp.Before(buffered[j].res.Timestamp)
+		})
+		for _, a := range buffered {
+			if !send(a) {
+				return
+			}
+		}
+		return
 	}
+	for sc.Scan() {
+		res := s.pool.Get().(*lastmile.Result)
+		res.CopyFrom(sc.Result())
+		if !send(arrival{sc.ASN(), res}) {
+			return
+		}
+	}
+	s.scanErr = sc.Err()
+}
+
+// Next hands out the next input result, attributed through the RIB when
+// the input carries no AS. The daemon delivers each result to the
+// monitor before it calls Next again, so Next first prints the report
+// the previous result made due — from exactly the results handed out so
+// far — and recycles it.
+func (s *source) Next(ctx context.Context) (lastmile.ASN, *lastmile.Result, error) {
+	if s.last != nil {
+		err := s.report(s.last.Timestamp)
+		s.pool.Put(s.last)
+		s.last = nil
+		if err != nil {
+			s.err = err
+			return 0, nil, err
+		}
+	}
+	select {
+	case a, ok := <-s.results:
+		if !ok {
+			if s.scanErr != nil {
+				s.err = s.scanErr
+				return 0, nil, s.err
+			}
+			return 0, nil, io.EOF
+		}
+		if a.asn == 0 && s.rib != nil && a.res.FromAddr.IsValid() {
+			if origin, err := s.rib.OriginOf(a.res.FromAddr); err == nil {
+				a.asn = origin
+			}
+		}
+		s.last = a.res
+		return a.asn, a.res, nil
+	case <-ctx.Done():
+		return 0, nil, ctx.Err()
+	}
+}
+
+// report prints a scheduled report when a result at stream time ts
+// reaches the next -every boundary. The first result sets the boundary
+// one interval ahead of itself; each report sets it one interval past
+// the result that triggered it.
+func (s *source) report(ts time.Time) error {
+	if s.nextReport.IsZero() {
+		s.nextReport = ts.Add(s.every)
+		return nil
+	}
+	if ts.Before(s.nextReport) {
+		return nil
+	}
+	s.nextReport = ts.Add(s.every)
+	st := s.monitor.Stats()
+	verdicts, skipped := s.monitor.ClassifyAll()
+	return writeReport(s.out, "== "+ts.UTC().Format(time.RFC3339)+" ==", st, verdicts, skipped)
+}
+
+// Close stops the scanner and ends the daemon's run: the daemon closes
+// the source once its one target has finished or failed.
+func (s *source) Close() error {
+	close(s.stop)
+	s.endRun()
 	return nil
 }

@@ -18,15 +18,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 
 	lastmile "github.com/last-mile-congestion/lastmile"
 	"github.com/last-mile-congestion/lastmile/internal/bgp"
-	"github.com/last-mile-congestion/lastmile/internal/ioutil"
 	"github.com/last-mile-congestion/lastmile/internal/serve"
 	"github.com/last-mile-congestion/lastmile/internal/traceroute"
 )
@@ -66,29 +63,14 @@ func run(ctx context.Context, hup <-chan os.Signal, cfgPath string, out, errw io
 		return err
 	}
 
-	var srv *http.Server
-	if addr := d.HTTPAddr(); addr != "" {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			return fmt.Errorf("lmserved: listen: %w", err)
-		}
-		srv = &http.Server{Handler: d.Handler()}
-		go func() {
-			// Serve exits with ErrServerClosed on the Close below; any
-			// other error surfaces in the daemon log.
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(errw, "lmserved: http: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(errw, "lmserved: ops endpoint on http://%s\n", ln.Addr())
+	stopHTTP, err := d.ListenHTTP()
+	if err != nil {
+		return err
 	}
-
 	runErr := d.Run(ctx, hup)
-	if srv != nil {
-		// The daemon has drained; in-flight reads of the final snapshot
-		// are not worth delaying exit for.
-		ioutil.CloseQuiet(srv)
-	}
+	// The daemon has drained; in-flight reads of the final snapshot are
+	// not worth delaying exit for.
+	stopHTTP()
 	if err := d.WriteReport(out); err != nil {
 		return err
 	}

@@ -66,9 +66,10 @@ type Target struct {
 // file and hot-reloaded on SIGHUP or every PollInterval. Engine-semantic
 // fields (Window, BinWidth, MinTraceroutes, MaxLateness, Thresholds)
 // cannot change across a reload — they define the meaning of the
-// in-flight window state — and a reload that tries is rejected whole,
-// keeping the running config. Target and operational fields reload
-// freely.
+// in-flight window state — and neither can the fields bound once at
+// startup (HTTPAddr, StatePath, Shards, Workers, MaxConcurrent); a
+// reload that tries is rejected whole, keeping the running config.
+// Targets, StartupJitter and PollInterval reload freely.
 type Config struct {
 	// HTTPAddr is the ops/API listen address; empty disables HTTP.
 	HTTPAddr string `json:"http_addr,omitempty"`
@@ -204,6 +205,9 @@ func (c *Config) ReloadableFrom(old *Config) error {
 		return errors.New("serve: reload cannot change state_path (restart required)")
 	case c.Shards != old.Shards:
 		return errors.New("serve: reload cannot change shards (restart required)")
+	case c.Workers != old.Workers:
+		// The monitor fixes its classification fan-out when it is built.
+		return errors.New("serve: reload cannot change workers (restart required)")
 	case c.MaxConcurrent != old.MaxConcurrent:
 		return errors.New("serve: reload cannot change max_concurrent (restart required)")
 	}

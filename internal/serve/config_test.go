@@ -104,7 +104,6 @@ func TestReloadableFromFreezesEngineSemantics(t *testing.T) {
 
 	// Operational fields reload freely.
 	free := base()
-	free.Workers = 8
 	free.StartupJitter = Duration(time.Minute)
 	free.PollInterval = Duration(time.Hour)
 	free.Targets = append(free.Targets, Target{Name: "b", ASN: 2, Source: "y"})
@@ -125,6 +124,7 @@ func TestReloadableFromFreezesEngineSemantics(t *testing.T) {
 		{"thresholds", func(c *Config) { c.Thresholds.Severe = 10 }},
 		{"state_path", func(c *Config) { c.StatePath = "other" }},
 		{"shards", func(c *Config) { c.Shards = 16 }},
+		{"workers", func(c *Config) { c.Workers = 8 }},
 		{"max_concurrent", func(c *Config) { c.MaxConcurrent = 1 }},
 	}
 	for _, tc := range frozen {

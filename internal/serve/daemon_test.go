@@ -1,8 +1,8 @@
 package serve
 
 // Daemon unit tests: deterministic startup jitter, the reload rejection
-// paths (bad JSON, frozen engine-semantic fields, reload-while-draining),
-// and the invariant that a rejected reload leaves the running config,
+// paths (bad JSON, frozen engine-semantic fields, reload-while-draining,
+// a daemon built from a Config value with no file), and the invariant that a rejected reload leaves the running config,
 // generation, and target set untouched.
 
 import (
@@ -202,5 +202,41 @@ func TestApplyConfigRejectedWhileDraining(t *testing.T) {
 	if err := d.applyConfig(context.Background(), cfg); err == nil ||
 		!strings.Contains(err.Error(), "draining") {
 		t.Fatalf("applyConfig while draining = %v, want draining error", err)
+	}
+}
+
+// TestNewFromConfig pins the constructor from a Config value: it
+// validates and defaults like a parsed file, and a daemon built this way
+// has no file to reload from, so a reload request is rejected and
+// counted while the running config stays in force.
+func TestNewFromConfig(t *testing.T) {
+	h := &soakHarness{clock: NewFakeClock(soakT0)}
+	h.setTimelines(map[string][]soakObs{"src-alpha": nil})
+	opts := Options{Clock: h.clock, Open: h.opener, Logf: t.Logf}
+	alpha := []Target{{Name: "alpha", ASN: 64500, Source: "src-alpha"}}
+	if _, err := NewFromConfig(Config{Window: Duration(-time.Hour), Targets: alpha}, opts); err == nil ||
+		!strings.Contains(err.Error(), "negative window") {
+		t.Fatalf("err = %v, want negative-window rejection", err)
+	}
+	d, err := NewFromConfig(Config{Targets: alpha}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.cfg.MaxConcurrent != 4 {
+		t.Fatalf("MaxConcurrent = %d, want default 4", d.cfg.MaxConcurrent)
+	}
+
+	ctx, kill := context.WithCancel(context.Background())
+	hup := make(chan os.Signal, 1)
+	run := make(chan error, 1)
+	go func() { run <- d.Run(ctx, hup) }()
+	hup <- os.Interrupt
+	spinUntil(t, "reload rejection", func() bool { return d.reloadErrs.Value() == 1 })
+	if g := d.Generation(); g != 0 {
+		t.Fatalf("generation = %d after rejected reload, want 0", g)
+	}
+	kill()
+	if err := <-run; err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }

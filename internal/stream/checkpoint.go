@@ -6,12 +6,13 @@ package stream
 // and a directory fsync — followed by segments appended at later bin
 // boundaries, each holding only what changed since the checkpoint
 // before it. A killed monitor restarts from its last complete
-// checkpoint instead of from nothing. The cadence is data-driven, not
-// wall-clock-driven: MaybeCheckpoint writes only when the observation
-// watermark has crossed into a new bin since the last checkpoint, which
-// bounds checkpoint I/O to one write per bin width no matter how fast
-// results arrive, and makes replayed archives checkpoint exactly like
-// live feeds.
+// checkpoint instead of from nothing. MaybeCheckpoint writes only when
+// the observation watermark has crossed into a new bin since the last
+// checkpoint, which bounds checkpoint I/O to one write per bin width no
+// matter how fast results arrive. How often it is asked is the caller's
+// choice: the serve daemon asks on a maintenance tick every half bin of
+// wall time, so a live feed checkpoints once per bin and an archive
+// replayed faster than real time less often.
 
 import (
 	"errors"
@@ -125,9 +126,8 @@ func NewCheckpointer(m *Monitor, path string) *Checkpointer {
 // start). It appends a segment of what changed, or writes a fresh base
 // when there is none yet, the last checkpoint failed, or the segments
 // have outgrown compactRatio times the base. It reports whether a
-// checkpoint was written. Call it after each observed result; the
-// bin-boundary gate makes that cheap — a watermark load and a
-// comparison in the common case.
+// checkpoint was written. Asking often is cheap: the bin-boundary gate
+// costs a watermark load and a comparison in the common case.
 func (c *Checkpointer) MaybeCheckpoint() (bool, error) {
 	bin, ok := c.m.NewestBin()
 	if !ok || bin == c.lastBin {

@@ -129,7 +129,6 @@ race_run 'Equivalence|OutOfOrder' ./internal/core/ ./internal/stream/
 stage "go test -race -count=1 (snapshot and checkpoint equivalence)"
 race_run 'SnapshotRestore' ./internal/experiments/
 race_run 'Checkpoint|RestoreMonitor' ./internal/stream/
-race_run 'ResumeAfterInterrupt' ./cmd/lmmonitor/
 go test -race -count=1 ./cmd/lmsurvey/
 
 # Telemetry registry: a dedicated uncached -race stress pass — eight
@@ -139,18 +138,21 @@ stage "go test -race -count=1 (telemetry stress)"
 go test -race -count=1 ./internal/telemetry/
 
 # Daemon soak: the short-mode deterministic soak drives simulated days
-# through the lmserved lifecycle — reloads mid-window, target churn, a
+# through the daemon lifecycle — reloads mid-window, target churn, a
 # SIGHUP storm, kill-and-resume — and pins the final verdicts
 # bit-identical to a batch replay of the same observations. Uncached and
-# under -race: goroutine scheduling is the variable under test. The
-# watchdog and API suites ride along for the same reason, and the
-# consistent-cut test runs ten times: it checkpoints while targets
-# ingest, so each run samples different interleavings.
+# under -race: goroutine scheduling is the variable under test. The API
+# suite rides along for the same reason, and the consistent-cut test
+# runs ten times: it checkpoints while targets ingest, so each run
+# samples different interleavings. Both commands run on the daemon, so
+# their whole suites run here too: lmmonitor's golden reports,
+# kill-and-resume, interrupt drain and decode-error checkpoint, and
+# lmserved's end-to-end run.
 stage "serve-soak (deterministic daemon soak under -race)"
 race_run -short 'TestServeSoakEquivalence' ./internal/serve/
 race_run -count=10 'TestDaemonCheckpointConsistentCut' ./internal/serve/
 race_run 'TestAPIConcurrentReadsDuringIngest' ./internal/serve/
-race_run 'TestRunWatchdogForcesFlush|TestRunInterruptFlushesOnce' ./cmd/lmmonitor/
+go test -race -count=1 ./cmd/lmmonitor/ ./cmd/lmserved/
 
 # Fuzz smoke: short coverage-guided runs over the two ingest decoders —
 # the Atlas JSON parser (which also differential-tests the zero-alloc
