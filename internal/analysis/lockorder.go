@@ -12,8 +12,8 @@ import (
 
 // LockOrderAnalyzer builds a lock-acquisition-order graph across every
 // sync.Mutex/sync.RWMutex class in the module — the engine's striped
-// shard locks, the telemetry registry mutex, the monitor's printer lock
-// — and reports two defect classes:
+// shard locks, the telemetry registry mutex, the serve daemon's mutex —
+// and reports two defect classes:
 //
 //   - a cycle in the order graph: two call paths that acquire the same
 //     locks in opposite orders can deadlock under concurrency even
@@ -32,8 +32,8 @@ import (
 // body, a call made while a lock is held (the callee's transitive
 // acquire set), and callbacks invoked under a lock — a function value
 // passed to a callee that acquires L induces L → acquires(callback),
-// which is how the registry's GaugeFunc snapshot evaluation and the
-// printer's Block are modelled despite being dynamic calls.
+// which is how the registry's GaugeFunc snapshot evaluation is modelled
+// despite being a dynamic call.
 //
 // The TryLock-then-Lock contention idiom (`if !mu.TryLock() { ...;
 // mu.Lock() }`) is recognised: the failed TryLock does not hold the
@@ -41,7 +41,7 @@ import (
 // the lock".
 var LockOrderAnalyzer = &Analyzer{
 	Name:      "lockorder",
-	Doc:       "builds the lock-acquisition-order graph (shard stripes, registry, printer) and reports cycles and unsampled telemetry under hot locks",
+	Doc:       "builds the lock-acquisition-order graph (shard stripes, registry, daemon) and reports cycles and unsampled telemetry under hot locks",
 	RunModule: runLockOrder,
 }
 

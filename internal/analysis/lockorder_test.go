@@ -72,11 +72,13 @@ func TestLockOrderCycleDetail(t *testing.T) {
 	}
 }
 
-// TestLockOrderRepoEdges pins the two real dynamic edges the callback
-// modelling exists for: the registry mutex and the printer mutex both
-// order before the engine shard lock (Snapshot evaluates GaugeFunc
-// closures under the registry lock; lmmonitor's Block writes reports
-// under the printer lock), and the repo graph stays cycle-free.
+// TestLockOrderRepoEdges pins two real dynamic edges the callback
+// modelling exists for: the registry mutex orders before the engine
+// shard lock and before the daemon mutex, because Snapshot evaluates
+// GaugeFunc closures under the registry lock and the engine's and the
+// daemon's closures take those locks. It also pins that the repo graph
+// stays cycle-free. The other callback shape, a lock held across a
+// caller-supplied function, is pinned by the withDelta fixture.
 func TestLockOrderRepoEdges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module; skipped in -short")
@@ -120,7 +122,7 @@ func TestLockOrderRepoEdges(t *testing.T) {
 	}
 	wantEdges := [][2]string{
 		{"telemetry.Registry.mu", "engine.shard.mu"},
-		{"main.printer.mu", "engine.shard.mu"},
+		{"telemetry.Registry.mu", "serve.Daemon.mu"},
 	}
 	for _, w := range wantEdges {
 		if _, ok := lo.edges[w]; !ok {

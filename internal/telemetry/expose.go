@@ -214,8 +214,8 @@ func (r *Registry) JSONHandler() http.Handler {
 
 // OpsMux returns the standard ops endpoint of a long-running command:
 // /metrics (Prometheus text), /metrics.json, and the /debug/pprof
-// profile handlers, all backed by this registry. lmmonitor and lmserved
-// mount it as-is; lmserved layers its /api routes on top.
+// profile handlers, all backed by this registry. serve.Daemon, which
+// lmmonitor and lmserved run on, layers its /api routes on top.
 func (r *Registry) OpsMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.Handler())
