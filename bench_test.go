@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -333,6 +334,64 @@ func BenchmarkMonitorObserve(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkMonitorRefresh measures the daemon's per-bin refresh: a
+// monitor with a 7-day window over 80 ASes and 100 probes, filled at 6
+// traceroutes per probe per bin. One op observes the next bin's
+// traceroutes and classifies every AS over the window they moved, as
+// the daemon does each time the watermark crosses a bin boundary.
+func BenchmarkMonitorRefresh(b *testing.B) {
+	const (
+		ases, probes, perBin = 80, 100, 6
+		bin                  = 30 * time.Minute
+	)
+	m := lastmile.NewStreamMonitor(lastmile.StreamOptions{Window: 7 * 24 * time.Hour})
+	rng := rand.New(rand.NewSource(1))
+	traces := make([]*lastmile.Result, probes)
+	for p := range traces {
+		traces[p] = buildTrace(p+1, t0, 0)
+	}
+	// observeBin feeds every probe perBin traceroutes spread over the bin
+	// at start: a per-probe base delay, an evening bump on every third
+	// AS, and noise on each reply.
+	observeBin := func(start time.Time) {
+		bump := 0.0
+		if h := start.Hour(); h >= 18 && h < 23 {
+			bump = 3
+		}
+		for k := 0; k < perBin; k++ {
+			ts := start.Add(time.Duration(k) * bin / perBin)
+			for p, r := range traces {
+				asn := p % ases
+				r.Timestamp = ts
+				for j := range r.Hops[1].Replies {
+					rtt := 1.5 + float64(p%5) + rng.ExpFloat64()*0.3
+					if asn%3 == 0 {
+						rtt += bump
+					}
+					r.Hops[1].Replies[j].RTT = rtt
+				}
+				if err := m.Observe(lastmile.ASN(64500+asn), r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	next := t0
+	for ; next.Before(t0.Add(7 * 24 * time.Hour)); next = next.Add(bin) {
+		observeBin(next)
+	}
+	if verdicts, _ := m.ClassifyAll(); len(verdicts) != ases {
+		b.Fatalf("%d verdicts over the filled window, want %d", len(verdicts), ases)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		observeBin(next)
+		next = next.Add(bin)
+		m.ClassifyAll()
 	}
 }
 

@@ -2,12 +2,17 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"github.com/last-mile-congestion/lastmile/internal/stats"
 	"github.com/last-mile-congestion/lastmile/internal/wire"
@@ -17,7 +22,7 @@ import (
 func (c *cell) add(vs ...float64) {
 	c.samples = append(c.samples, vs...)
 	c.groups++
-	c.sorted = false
+	c.med = math.NaN()
 }
 
 // Property: a bin's median is bit-for-bit identical to the
@@ -88,6 +93,241 @@ func TestCellRunningMedian(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("prefix %d: median %v, want %v", i+1, got, want)
 		}
+	}
+}
+
+// TestCellStoredMedianThroughLifecycle drives engines through random
+// interleavings of every path that touches a cell's stored median:
+// appends as Observe makes them, median reads, Snapshot, checkpoint
+// base and segment writes, and Restore, both of the checkpoint (the
+// canonical layout) and of a base whose bins hold older, non-canonical
+// heap layouts. After every step each cell holds the samples it was
+// fed, a stored median belongs to sorted samples, and the median a read
+// returns equals stats.Median of the samples bit for bit. The read is
+// made on a copy, so checking sorts nothing the next step would.
+func TestCellStoredMedianThroughLifecycle(t *testing.T) {
+	type ref struct {
+		probe int
+		key   int64
+	}
+	type bin struct {
+		samples []float64
+		groups  int
+	}
+	var staleRestored, canonicalRestores, heapRestores int
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := New(Options{})
+		model := map[ref]*bin{}
+		var ckpt []byte // the checkpoint stream; nil before its base
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(16); {
+			case op < 8: // append
+				probe := 1 + rng.Intn(3)
+				at := t0.Add(time.Duration(rng.Intn(4*1800)) * time.Second)
+				vs := make([]float64, rng.Intn(5))
+				for i := range vs {
+					vs[i] = float64(rng.Intn(12))/4 - 0.5 // ties, signs, zero
+				}
+				e.Observe(64500, probe, at, vs)
+				r := ref{probe, e.binKey(at.Unix())}
+				if model[r] == nil {
+					model[r] = &bin{}
+				}
+				model[r].samples = append(model[r].samples, vs...)
+				model[r].groups++
+			case op < 10: // median reads: one cell, then the signal
+				for r, b := range model {
+					got, ok := e.cellAt(r.probe, r.key).median()
+					want, err := stats.Median(b.samples)
+					if ok != (err == nil) || (ok && math.Float64bits(got) != math.Float64bits(want)) {
+						t.Fatalf("seed %d step %d: median read %v (%v), want %v", seed, step, got, ok, want)
+					}
+					break
+				}
+				_, _, _ = e.Signal(64500, t0, 4)
+			case op == 10:
+				if err := e.Snapshot(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			case op == 11 || op == 12: // checkpoint: a base, then segments
+				if len(model) == 0 {
+					continue // a segment needs a watermark
+				}
+				var buf bytes.Buffer
+				write := e.AppendSegment
+				if ckpt == nil {
+					write = e.WriteBase
+				}
+				if err := write(&buf); err != nil {
+					t.Fatal(err)
+				}
+				ckpt = append(ckpt, buf.Bytes()...)
+			case op == 13 || op == 14: // restore the checkpoint, brought up to date
+				if ckpt == nil {
+					continue
+				}
+				var buf bytes.Buffer
+				if err := e.AppendSegment(&buf); err != nil {
+					t.Fatal(err)
+				}
+				ckpt = append(ckpt, buf.Bytes()...)
+				r, err := Restore(bytes.NewReader(ckpt), Options{})
+				if err != nil {
+					t.Fatalf("seed %d step %d: restore: %v", seed, step, err)
+				}
+				e = r
+				canonicalRestores++
+			default: // restore a base written in non-canonical heap layouts
+				if len(model) == 0 {
+					continue
+				}
+				perProbe := map[int][]wire.SnapshotBin{}
+				for r, b := range model {
+					lo, hi := heapLayout(rng, b.samples)
+					perProbe[r.probe] = append(perProbe[r.probe], wire.SnapshotBin{Key: r.key, Groups: b.groups, Lo: lo, Hi: hi})
+				}
+				var buf bytes.Buffer
+				sw := wire.NewSnapshotWriter(&buf)
+				st := e.Stats()
+				meta := wire.SnapshotMeta{
+					BinWidth: 30 * time.Minute, MinTraceroutes: 3,
+					Ingested: st.Ingested, Dropped: st.Dropped, EvictedBins: st.EvictedBins,
+					HasNewest: true, NewestNano: e.newest.Load(),
+				}
+				if err := sw.WriteMeta(&meta); err != nil {
+					t.Fatal(err)
+				}
+				for probe := 1; probe <= 3; probe++ {
+					bins := perProbe[probe]
+					if len(bins) == 0 {
+						continue
+					}
+					slices.SortFunc(bins, func(a, b wire.SnapshotBin) int { return cmp.Compare(a.Key, b.Key) })
+					if err := sw.WriteProbe(&wire.SnapshotProbe{ASN: 64500, ProbeID: probe, Bins: bins}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := sw.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				r, err := Restore(bytes.NewReader(buf.Bytes()), Options{})
+				if err != nil {
+					t.Fatalf("seed %d step %d: restore: %v", seed, step, err)
+				}
+				e, ckpt = r, buf.Bytes() // a valid checkpoint base of this state
+				heapRestores++
+				for _, pw := range e.shards[0].ases[64500].probes {
+					for i := range pw.cells {
+						if math.IsNaN(pw.cells[i].med) {
+							staleRestored++
+						}
+					}
+				}
+			}
+			// The invariant, over every cell.
+			cells := 0
+			if aw := e.shards[0].ases[64500]; aw != nil {
+				for _, pw := range aw.probes {
+					cells += len(pw.cells)
+				}
+			}
+			if cells != len(model) {
+				t.Fatalf("seed %d step %d: %d cells, model holds %d", seed, step, cells, len(model))
+			}
+			for r, b := range model {
+				c := e.cellAt(r.probe, r.key)
+				if c.groups != b.groups || !sameMultiset(c.samples, b.samples) {
+					t.Fatalf("seed %d step %d: cell %v holds %v (%d groups), fed %v (%d)", seed, step, r, c.samples, c.groups, b.samples, b.groups)
+				}
+				want, err := stats.Median(c.samples)
+				if !math.IsNaN(c.med) && (!slices.IsSorted(c.samples) || math.Float64bits(c.med) != math.Float64bits(want)) {
+					t.Fatalf("seed %d step %d: cell %v stores median %v over %v, want %v", seed, step, r, c.med, c.samples, want)
+				}
+				cc := *c
+				cc.samples = slices.Clone(c.samples)
+				got, ok := cc.median()
+				if ok != (err == nil) || (ok && math.Float64bits(got) != math.Float64bits(want)) {
+					t.Fatalf("seed %d step %d: cell %v reads median %v (%v), want %v", seed, step, r, got, ok, want)
+				}
+			}
+		}
+	}
+	if canonicalRestores == 0 || heapRestores == 0 || staleRestored == 0 {
+		t.Fatalf("restores: %d canonical, %d non-canonical leaving %d stale cells; want each > 0", canonicalRestores, heapRestores, staleRestored)
+	}
+}
+
+// cellAt returns AS 64500's cell for probe and key, which must exist.
+func (e *Engine) cellAt(probe int, key int64) *cell {
+	pw := e.shards[0].ases[64500].probes[probe]
+	i, ok := pw.find(key)
+	if !ok {
+		panic(fmt.Sprintf("no cell for probe %d key %d", probe, key))
+	}
+	return &pw.cells[i]
+}
+
+// sameMultiset reports whether a and b hold the same values, bit for
+// bit, in any order.
+func sameMultiset(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	x, y := slices.Clone(a), slices.Clone(b)
+	slices.Sort(x)
+	slices.Sort(y)
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// heapLayout splits samples into a valid two-heap state that is, for
+// more than two samples, usually not the canonical one: each half is
+// shuffled and then heapified, as an engine that kept live heaps left
+// them.
+func heapLayout(rng *rand.Rand, samples []float64) (lo, hi []float64) {
+	s := slices.Clone(samples)
+	slices.Sort(s)
+	h := (len(s) + 1) / 2
+	lo, hi = s[:h:h], s[h:]
+	for _, half := range []struct {
+		v    []float64
+		less func(a, b float64) bool
+	}{{lo, func(a, b float64) bool { return a > b }}, {hi, func(a, b float64) bool { return a < b }}} {
+		rng.Shuffle(len(half.v), func(i, j int) { half.v[i], half.v[j] = half.v[j], half.v[i] })
+		for i := len(half.v)/2 - 1; i >= 0; i-- {
+			for j := i; ; {
+				c := 2*j + 1
+				if c >= len(half.v) {
+					break
+				}
+				if c+1 < len(half.v) && half.less(half.v[c+1], half.v[c]) {
+					c++
+				}
+				if !half.less(half.v[c], half.v[j]) {
+					break
+				}
+				half.v[c], half.v[j] = half.v[j], half.v[c]
+				j = c
+			}
+		}
+	}
+	return lo, hi
+}
+
+// TestCellSize pins a cell at 56 bytes on 64-bit platforms: the
+// daemon holds one per resident probe bin, and a 64-byte cell raised
+// peak RSS by about 5% on the survey workloads.
+func TestCellSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned on 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(cell{}); got != 56 {
+		t.Fatalf("cell is %d bytes, want 56", got)
 	}
 }
 

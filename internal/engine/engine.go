@@ -19,6 +19,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -119,18 +120,25 @@ type probeWindow struct {
 // median read after an append, so Observe's cost follows the samples it
 // adds, not the bin's size. Sorting changes no observable state: a bin
 // is the multiset of its samples.
+//
+// The sort also stores the median, so a refresh reads two samples only
+// of the bins that changed since the last one. NaN in med means stale:
+// an append has unsorted the samples since. Samples are finite, so a
+// median never is NaN, and the field takes the place of a sorted flag
+// rather than growing the cell past 56 bytes.
 type cell struct {
 	key     int64
 	samples []float64
 	// groups counts measurement groups (traceroutes), the unit of the
 	// paper's "fewer than 3 traceroutes" discard rule.
 	groups, saved int
-	sorted        bool
+	med           float64
 }
 
-// sort orders the samples if an append has unsorted them.
+// sort orders the samples and stores their median if an append has
+// left them unsorted. An empty bin has no median and stays stale.
 func (c *cell) sort() {
-	if c.sorted {
+	if !math.IsNaN(c.med) || len(c.samples) == 0 {
 		return
 	}
 	if len(c.samples) <= maxInsertionSort {
@@ -138,7 +146,17 @@ func (c *cell) sort() {
 	} else {
 		slices.Sort(c.samples) //lmvet:ignore nanguard samples are finite: the estimator drops non-finite RTTs and the snapshot decoder rejects them
 	}
-	c.sorted = true
+	c.med = sortedMedian(c.samples)
+}
+
+// sortedMedian returns the median of ascending, non-empty samples with
+// the arithmetic of stats.Median, so the two agree bit for bit.
+func sortedMedian(s []float64) float64 {
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return stats.Midpoint(s[n/2-1], s[n/2])
 }
 
 // maxInsertionSort is the largest bin insertionSort orders. Up to it,
@@ -159,17 +177,14 @@ func insertionSort(s []float64) {
 }
 
 // median returns the bin's exact median, bit-for-bit identical to
-// stats.Median over the same samples; ok is false for an empty bin.
+// stats.Median over the same samples; ok is false for an empty bin. It
+// reads the stored median, sorting first only after an append.
 func (c *cell) median() (v float64, ok bool) {
-	n := len(c.samples)
-	if n == 0 {
+	if len(c.samples) == 0 {
 		return 0, false
 	}
 	c.sort()
-	if n%2 == 1 {
-		return c.samples[n/2], true
-	}
-	return stats.Midpoint(c.samples[n/2-1], c.samples[n/2]), true
+	return c.med, true
 }
 
 // find returns the index of key's cell and true, or the index where a
@@ -210,7 +225,7 @@ func (pw *probeWindow) insert(i int, key int64) {
 	}
 	pw.cells = append(pw.cells, cell{}) //lmvet:ignore allocguard the cell slice grows by amortised doubling, one new cell per probe per bin width
 	copy(pw.cells[i+1:], pw.cells[i:n])
-	pw.cells[i] = cell{key: key, samples: spare}
+	pw.cells[i] = cell{key: key, samples: spare, med: math.NaN()}
 }
 
 // dropPrefix evicts the first k cells, the lowest keys, and returns
@@ -408,7 +423,7 @@ func (e *Engine) Observe(asn bgp.ASN, probeID int, t time.Time, samples []float6
 	c := &pw.cells[i]
 	c.samples = append(c.samples, samples...) //lmvet:ignore allocguard bin storage grows by amortised doubling, or reuses an evicted bin's
 	c.groups++
-	c.sorted = false
+	c.med = math.NaN()
 	sh.samples += int64(len(samples))
 	sh.ingested.Inc()
 	if sampled {
@@ -444,14 +459,40 @@ func (e *Engine) evictShardLocked(sh *shard, newestNano int64) {
 	}
 }
 
-// Newest returns the latest observation timestamp, or a zero time when
-// nothing has been observed.
-func (e *Engine) Newest() (time.Time, bool) {
+// Watermark is one read of the engine's newest-observation watermark
+// with everything derived from it. A caller that needs several of these
+// facts to agree, such as a read snapshot publishing verdicts with the
+// window they were computed over, takes them from one Watermark; a
+// second read may land after ingest has crossed a bin boundary.
+type Watermark struct {
+	// Newest is the latest observation timestamp.
+	Newest time.Time
+	// Bin is the epoch-aligned bin key (bin-start unix seconds) covering
+	// Newest.
+	Bin int64
+	// WindowStart and NBins are the analysis window ending at the bin
+	// boundary just past Newest: [WindowStart, WindowStart +
+	// NBins*BinWidth), with NBins = Window/BinWidth whole bins, so
+	// WindowStart is a bin key. Both are zero for an unbounded engine.
+	WindowStart time.Time
+	NBins       int
+}
+
+// Watermark reads the watermark once; ok is false before any
+// observation.
+func (e *Engine) Watermark() (w Watermark, ok bool) {
 	n := e.newest.Load()
 	if n == -1<<62 {
-		return time.Time{}, false
+		return Watermark{}, false
 	}
-	return time.Unix(0, n).UTC(), true
+	w.Newest = time.Unix(0, n).UTC()
+	w.Bin = e.binKey(n / int64(time.Second))
+	if e.opts.Window > 0 {
+		w.NBins = int(e.opts.Window / e.opts.BinWidth)
+		width := int64(e.opts.BinWidth / time.Second)
+		w.WindowStart = time.Unix(w.Bin+width-int64(w.NBins)*width, 0).UTC()
+	}
+	return w, true
 }
 
 // NewestBin returns the epoch-aligned bin key (bin-start unix seconds)
@@ -473,21 +514,14 @@ func (e *Engine) BinStart(t time.Time) time.Time {
 	return time.Unix(e.binKey(t.Unix()), 0).UTC()
 }
 
-// WindowBounds derives the analysis window ending at the bin boundary
-// just past the newest observation: [start, start + nBins*BinWidth),
-// with nBins = Window/BinWidth whole bins, so start is a bin key. ok is
-// false for an unbounded engine or before any observation.
+// WindowBounds returns the Watermark's analysis window. ok is false for
+// an unbounded engine or before any observation.
 func (e *Engine) WindowBounds() (start time.Time, nBins int, ok bool) {
-	if e.opts.Window == 0 {
+	w, ok := e.Watermark()
+	if !ok || e.opts.Window == 0 {
 		return time.Time{}, 0, false
 	}
-	key, ok := e.NewestBin()
-	if !ok {
-		return time.Time{}, 0, false
-	}
-	nBins = int(e.opts.Window / e.opts.BinWidth)
-	w := int64(e.opts.BinWidth / time.Second)
-	return time.Unix(key+w-int64(nBins)*w, 0).UTC(), nBins, true
+	return w.WindowStart, w.NBins, true
 }
 
 // ASNs returns the ASes with resident state, sorted.
@@ -550,10 +584,11 @@ func (e *Engine) ProbeDelays(asn bgp.ASN, start time.Time, nBins int) ([]*timese
 	if err != nil {
 		return nil, err
 	}
+	// The series are this call's own, so the minimum comes off in place.
 	qds := perProbe[:0]
 	for _, s := range perProbe {
-		if qd, err := timeseries.SubtractMin(s); err == nil {
-			qds = append(qds, qd)
+		if timeseries.SubtractMinInPlace(s) == nil {
+			qds = append(qds, s)
 		}
 	}
 	if len(qds) == 0 {
@@ -564,7 +599,9 @@ func (e *Engine) ProbeDelays(asn bgp.ASN, start time.Time, nBins int) ([]*timese
 
 // medianSeries materialises the AS's per-probe median series over the
 // window under the shard lock, in ascending probe ID. Probes with no
-// usable bin are omitted.
+// usable bin are omitted. A cell's index is Series.IndexOf of its key's
+// time, found by integer arithmetic: floor((key·1e9 − start) /
+// BinWidth) in nanoseconds, for keys from start's second on.
 func (e *Engine) medianSeries(asn bgp.ASN, start time.Time, nBins int) ([]*timeseries.Series, error) {
 	sh := e.shardOf(asn)
 	sh.mu.Lock()
@@ -573,6 +610,11 @@ func (e *Engine) medianSeries(asn bgp.ASN, start time.Time, nBins int) ([]*times
 	if aw == nil || len(aw.probes) == 0 {
 		return nil, fmt.Errorf("engine: no state for %v", asn)
 	}
+	// Offsets are taken from start's whole second, so a key within the
+	// window's span never overflows, whatever the key or the start.
+	sec, nsec := start.Unix(), int64(start.Nanosecond())
+	width := int64(e.opts.BinWidth)
+	last := start.Add(time.Duration(nBins) * e.opts.BinWidth).Unix()
 	var perProbe []*timeseries.Series
 	for _, id := range sortedProbeIDs(nil, aw) {
 		s, err := timeseries.NewSeries(start, e.opts.BinWidth, nBins)
@@ -583,11 +625,18 @@ func (e *Engine) medianSeries(asn bgp.ASN, start time.Time, nBins int) ([]*times
 		cells := aw.probes[id].cells
 		for j := range cells {
 			c := &cells[j]
-			if c.groups < e.opts.MinTraceroutes {
+			if c.key > last {
+				break // keys ascend: the rest lie past the window
+			}
+			if c.key < sec || c.groups < e.opts.MinTraceroutes {
 				continue
 			}
-			i, ok := s.IndexOf(time.Unix(c.key, 0).UTC())
-			if !ok {
+			off := (c.key-sec)*int64(time.Second) - nsec
+			if off < 0 {
+				continue // in start's second, before start
+			}
+			i := off / width
+			if i >= int64(nBins) {
 				continue
 			}
 			if med, ok := c.median(); ok {

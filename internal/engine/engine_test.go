@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/last-mile-congestion/lastmile/internal/bgp"
+	"github.com/last-mile-congestion/lastmile/internal/stats"
 	"github.com/last-mile-congestion/lastmile/internal/timeseries"
 )
 
@@ -232,6 +235,63 @@ func TestEngineWindowBoundsOnBinKeys(t *testing.T) {
 	i, ok := qds[0].IndexOf(key)
 	if !ok || !qds[0].TimeAt(i).Equal(key) || qds[0].Values[i] != 3 {
 		t.Fatalf("record at %v: slot %d at %v holds %v, want its bin key %v holding 3", at, i, qds[0].TimeAt(i), qds[0].Values[i], key)
+	}
+}
+
+// TestMedianSeriesPlacesKeysLikeIndexOf compares medianSeries, which
+// places a bin by integer arithmetic on its key, with a reference that
+// places it by Series.IndexOf of the key's time, over windows whose
+// start is a bin key, falls inside a bin, carries a sub-second part or
+// lies before, across or after every key, as caller bounds may.
+func TestMedianSeriesPlacesKeysLikeIndexOf(t *testing.T) {
+	const w = 7 * time.Minute
+	e := New(Options{BinWidth: w, MinTraceroutes: 1})
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 600; i++ {
+		at := t0.Add(time.Duration(rng.Int63n(int64(36 * time.Hour))))
+		e.Observe(64500, 1+rng.Intn(3), at, []float64{rng.Float64() * 10})
+	}
+	for trial := 0; trial < 300; trial++ {
+		start := t0.Add(time.Duration(rng.Int63n(int64(40*time.Hour))) - 2*time.Hour)
+		switch trial % 4 {
+		case 0:
+			start = e.BinStart(start) // a bin key
+		case 1:
+			start = start.Truncate(time.Second) // whole seconds
+		case 2:
+			// Inside a key's second: that key lies before start.
+			start = e.BinStart(start).Add(1 + time.Duration(rng.Int63n(int64(time.Second-1))))
+		}
+		nBins := rng.Intn(400)
+		got, gotErr := e.medianSeries(64500, start, nBins)
+		// The reference: IndexOf of each key's time, medians by stats.Median.
+		var want []*timeseries.Series
+		aw := e.shards[0].ases[64500]
+		for _, id := range sortedProbeIDs(nil, aw) {
+			s, err := timeseries.NewSeries(start, w, nBins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			usable := false
+			for _, c := range aw.probes[id].cells {
+				if i, ok := s.IndexOf(time.Unix(c.key, 0).UTC()); ok {
+					s.Values[i], _ = stats.Median(c.samples)
+					usable = true
+				}
+			}
+			if usable {
+				want = append(want, s)
+			}
+		}
+		if (gotErr == nil) != (len(want) > 0) {
+			t.Fatalf("start %v, %d bins: error %v, reference has %d probes", start, nBins, gotErr, len(want))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("start %v, %d bins: %d probes, reference %d", start, nBins, len(got), len(want))
+		}
+		for i := range got {
+			sameValues(t, fmt.Sprintf("start %v probe series %d", start, i), got[i], want[i])
+		}
 	}
 }
 

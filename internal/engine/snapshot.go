@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"time"
 
@@ -387,16 +388,21 @@ func (rs *restorer) run(sc *wire.SnapshotScanner) error {
 
 // restoreCell builds an owned cell from one decoded bin: the lower half
 // reversed, then the upper half. A canonical frame gives sorted samples,
-// so restore sorts nothing. Any other valid heap layout, as older
-// binaries wrote, is sorted by the first read instead. The restored
-// cell is what the stream holds: it counts as written.
+// so restore sorts nothing and stores the median. Any other valid heap
+// layout, as older binaries wrote, stays stale and is sorted by the
+// first read instead. The restored cell is what the stream holds: it
+// counts as written.
 func restoreCell(sb *wire.SnapshotBin) cell {
 	s := make([]float64, 0, len(sb.Lo)+len(sb.Hi))
 	for i := len(sb.Lo) - 1; i >= 0; i-- {
 		s = append(s, sb.Lo[i])
 	}
 	s = append(s, sb.Hi...)
-	return cell{key: sb.Key, samples: s, groups: sb.Groups, saved: sb.Groups, sorted: slices.IsSorted(s)}
+	c := cell{key: sb.Key, samples: s, groups: sb.Groups, saved: sb.Groups, med: math.NaN()}
+	if len(s) > 0 && slices.IsSorted(s) {
+		c.med = sortedMedian(s)
+	}
+	return c
 }
 
 // baseProbe restores one probe window of the base. The decoder has

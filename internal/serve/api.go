@@ -10,6 +10,7 @@ package serve
 // "racing the ingest path".
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -52,6 +53,10 @@ type Snapshot struct {
 	Stats stream.Stats
 
 	byASN map[bgp.ASN]*stream.Verdict
+	// verdictsJSON is the /api/verdicts body, rendered at publish, and
+	// verdictsErr the error rendering it returned.
+	verdictsJSON []byte
+	verdictsErr  error
 }
 
 // Verdict returns the snapshot's verdict for asn, if any.
@@ -78,27 +83,28 @@ func (b *snapshotBox) bin() int64 {
 // result. It runs on the maintenance goroutine (construction, bin
 // boundaries, drain) — never concurrently with itself, and concurrently
 // with ingest only where the engine's shard locking already makes
-// classification safe.
+// classification safe. It reads the watermark once: Newest, Bin, the
+// window and every verdict's window all come from that read, so a
+// refresh that ingest overtakes still publishes one window. The
+// /api/verdicts body is rendered here, once per snapshot.
 func (d *Daemon) refreshSnapshot() {
 	defer d.refreshTimer.Start().Stop()
-	verdicts, skipped := d.monitor.ClassifyAll()
+	w, ok := d.monitor.Watermark()
+	verdicts, skipped := d.monitor.ClassifyWindow(w.WindowStart, w.NBins)
 	s := &Snapshot{
-		Built:    d.clock.Now(),
-		Bin:      snapNoBin,
-		BinWidth: d.monitor.BinWidth(),
-		Verdicts: verdicts,
-		Skipped:  skipped,
-		Stats:    d.monitor.Stats(),
-		byASN:    make(map[bgp.ASN]*stream.Verdict, len(verdicts)),
+		Built:       d.clock.Now(),
+		Newest:      w.Newest,
+		Bin:         w.Bin,
+		WindowStart: w.WindowStart,
+		NBins:       w.NBins,
+		BinWidth:    d.monitor.BinWidth(),
+		Verdicts:    verdicts,
+		Skipped:     skipped,
+		Stats:       d.monitor.Stats(),
+		byASN:       make(map[bgp.ASN]*stream.Verdict, len(verdicts)),
 	}
-	if newest, ok := d.monitor.Newest(); ok {
-		s.Newest = newest
-	}
-	if bin, ok := d.monitor.NewestBin(); ok {
-		s.Bin = bin
-	}
-	if start, nBins, ok := d.monitor.WindowBounds(); ok {
-		s.WindowStart, s.NBins = start, nBins
+	if !ok {
+		s.Bin = snapNoBin
 	}
 	for _, v := range verdicts {
 		s.byASN[v.ASN] = v
@@ -106,6 +112,7 @@ func (d *Daemon) refreshSnapshot() {
 	d.mu.Lock()
 	s.Gen = d.gen
 	d.mu.Unlock()
+	s.verdictsJSON, s.verdictsErr = renderJSON(verdictsDoc(s))
 	d.snap.store(s)
 	d.refreshes.Inc()
 }
@@ -133,15 +140,24 @@ func (d *Daemon) counted(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeJSON renders v with a stable indent; API responses are golden-
-// tested byte-for-byte.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+// renderJSON renders v with a stable indent and a trailing newline; API
+// responses are golden-tested byte-for-byte.
+func renderJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	err := enc.Encode(v)
+	return buf.Bytes(), err
+}
+
+// writeJSON serves a body renderJSON returned, or its error as a 500.
+func writeJSON(w http.ResponseWriter, body []byte, err error) {
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body) // a failed write means the client went away
 }
 
 // jsonVerdict is the API shape of one classified AS.
@@ -186,10 +202,8 @@ func snapWindow(s *Snapshot) jsonWindow {
 	return w
 }
 
-// handleVerdicts serves the classified state of every monitored AS from
-// the published snapshot.
-func (d *Daemon) handleVerdicts(w http.ResponseWriter, _ *http.Request) {
-	s := d.snap.load()
+// verdictsDoc builds a snapshot's /api/verdicts document.
+func verdictsDoc(s *Snapshot) verdictsResponse {
 	resp := verdictsResponse{
 		Generation: s.Gen,
 		Window:     snapWindow(s),
@@ -209,7 +223,14 @@ func (d *Daemon) handleVerdicts(w http.ResponseWriter, _ *http.Request) {
 	for _, sk := range s.Skipped {
 		resp.Skipped = append(resp.Skipped, jsonSkipped{ASN: sk.ASN, Reason: sk.Reason.Error()})
 	}
-	writeJSON(w, resp)
+	return resp
+}
+
+// handleVerdicts serves the classified state of every monitored AS: the
+// body the published snapshot rendered when it was built.
+func (d *Daemon) handleVerdicts(w http.ResponseWriter, _ *http.Request) {
+	s := d.snap.load()
+	writeJSON(w, s.verdictsJSON, s.verdictsErr)
 }
 
 // seriesResponse is the /api/series/{asn} document. Values mirror the
@@ -252,7 +273,8 @@ func (d *Daemon) handleSeries(w http.ResponseWriter, r *http.Request) {
 			resp.Values[i] = &v
 		}
 	}
-	writeJSON(w, resp)
+	body, err := renderJSON(resp)
+	writeJSON(w, body, err)
 }
 
 // jsonTarget is one target's live lifecycle state in /api/health.
@@ -312,5 +334,6 @@ func (d *Daemon) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	}
 	d.mu.Unlock()
 	sort.Slice(resp.Targets, func(i, j int) bool { return resp.Targets[i].Name < resp.Targets[j].Name })
-	writeJSON(w, resp)
+	body, err := renderJSON(resp)
+	writeJSON(w, body, err)
 }

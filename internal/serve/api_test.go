@@ -9,13 +9,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/last-mile-congestion/lastmile/internal/bgp"
+	"github.com/last-mile-congestion/lastmile/internal/stream"
+	"github.com/last-mile-congestion/lastmile/internal/timeseries"
 )
 
 // newAPIDaemon builds a daemon over one congested target with a 48h
@@ -275,5 +282,94 @@ func TestAPIConcurrentReadsDuringIngest(t *testing.T) {
 	}
 	if g := d.Generation(); g == 0 {
 		t.Fatal("no reload applied during the hammer")
+	}
+}
+
+// TestRefreshPublishesOneWindow refreshes the read snapshot in a loop
+// while a backlog ingest keeps crossing bin boundaries, as when a cold
+// daemon catches up or lmmonitor replays an archive. Every published
+// snapshot must describe one window: each verdict's signal starts at
+// WindowStart and spans NBins bins, and Bin is the window's last bin.
+func TestRefreshPublishesOneWindow(t *testing.T) {
+	const binWidth = 30 * time.Minute
+	d, err := NewFromConfig(Config{
+		Window: Duration(24 * time.Hour), BinWidth: Duration(binWidth),
+		MinTraceroutes: 3, MaxLateness: Duration(2 * time.Hour),
+		Shards: 4, Workers: 2,
+		Targets: []Target{{Name: "backlog", ASN: 64500, Source: "unused"}},
+	}, Options{
+		Clock: NewFakeClock(soakT0),
+		Open:  func(Target) (Source, error) { return nil, errors.New("the test observes directly") },
+		Logf:  t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The backlog: 40 ASes of one probe each, three days at a 10-minute
+	// step, in time order, so the watermark crosses a bin every 120
+	// observations.
+	const ases = 40
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ts := soakT0; ts.Before(soakT0.Add(72 * time.Hour)); ts = ts.Add(10 * time.Minute) {
+			delta := 2.0
+			if h := ts.Hour(); h >= 12 && h < 18 {
+				delta += 5
+			}
+			for a := 0; a < ases; a++ {
+				if err := d.monitor.Observe(bgp.ASN(64500+a), soakTrace(a+1, ts, delta)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	width := int64(binWidth / time.Second)
+	overtaken, checked := 0, 0
+	for ingesting := true; ingesting; {
+		select {
+		case <-done:
+			ingesting = false
+		default:
+		}
+		d.refreshSnapshot()
+		s := d.ReadSnapshot()
+		if bin, _ := d.monitor.NewestBin(); bin != s.Bin {
+			overtaken++
+		}
+		if s.NBins == 0 {
+			continue // nothing observed yet
+		}
+		if last := s.WindowStart.Unix() + int64(s.NBins-1)*width; s.Bin != last {
+			t.Fatalf("snapshot bin %d, but its window %v + %d bins ends in bin %d", s.Bin, s.WindowStart, s.NBins, last)
+		}
+		for _, v := range s.Verdicts {
+			if !v.Signal.Start.Equal(s.WindowStart) || v.Signal.Len() != s.NBins {
+				t.Fatalf("%v: signal %v + %d bins in a snapshot of window %v + %d bins",
+					v.ASN, v.Signal.Start, v.Signal.Len(), s.WindowStart, s.NBins)
+			}
+			checked++
+		}
+	}
+	if overtaken == 0 || checked == 0 {
+		t.Fatalf("ingest overtook %d refreshes and %d verdicts were checked; the test needs both", overtaken, checked)
+	}
+	t.Logf("%d verdicts checked; ingest overtook %d refreshes", checked, overtaken)
+}
+
+// TestAPIVerdictsEncodeError serves a snapshot whose verdicts cannot be
+// encoded (JSON has no NaN): the error rendered at publish is served as
+// a 500, as an error encoding per request was.
+func TestAPIVerdictsEncodeError(t *testing.T) {
+	d, _ := newAPIDaemon(t)
+	s := *d.ReadSnapshot()
+	s.Verdicts = []*stream.Verdict{{ASN: 64500, Signal: &timeseries.Series{}}}
+	s.Verdicts[0].DailyAmplitude = math.NaN()
+	s.verdictsJSON, s.verdictsErr = renderJSON(verdictsDoc(&s))
+	d.snap.store(&s)
+	rec, body := get(t, d.Handler(), "/api/verdicts")
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(string(body), "unsupported value: NaN") {
+		t.Fatalf("verdicts = %d %q, want a 500 naming the NaN", rec.Code, body)
 	}
 }

@@ -371,22 +371,32 @@ func TestServeSoakEquivalence(t *testing.T) {
 	spinUntil(t, "post-resume ingest", ingested(d2, want))
 
 	// v4 lands on disk at 62h; only the hourly poll can pick it up. The
-	// poll fires on a maintenance wakeup, so advance in small simulated
-	// steps until the daemon has the new target (well before epsilon's
-	// 66h data start).
+	// poll fires on a maintenance wakeup, so advance one maintenance
+	// tick at a time until the daemon has the new target (well before
+	// epsilon's 66h data start). Before each advance, wait until every
+	// timer is parked again: the maintenance tick, and one per target,
+	// whose runner waits on its source's next release. The daemon then
+	// has finished the last tick's work, however slowly it runs.
 	writeFile(t, cfgPath, soakConfig(statePath, "1h", alpha, delta, epsilon))
-	hasEpsilon := func() bool {
+	targets := func() (n int, hasEpsilon bool) {
 		d2.mu.Lock()
 		defer d2.mu.Unlock()
-		_, ok := d2.targets[epsilon.Name]
-		return ok
+		_, hasEpsilon = d2.targets[epsilon.Name]
+		return len(d2.targets), hasEpsilon
 	}
-	for !hasEpsilon() {
+	parked := func() bool {
+		n, _ := targets()
+		return h.clock.Waiters() == 1+n
+	}
+	for {
+		spinUntil(t, "maintenance and sources parked", parked)
+		if _, ok := targets(); ok {
+			break
+		}
 		if h.clock.Now().After(at(65 * time.Hour)) {
 			t.Fatal("poll reload never picked up v4")
 		}
-		h.clock.Advance(10 * time.Minute)
-		time.Sleep(time.Millisecond)
+		h.clock.Advance(d2.tick)
 	}
 
 	// Run out the clock; every source hits EOF.

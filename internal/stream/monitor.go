@@ -245,10 +245,6 @@ func (m *Monitor) Stats() Stats { return m.eng.Stats() }
 // ASNs returns the ASes with live state, sorted.
 func (m *Monitor) ASNs() []bgp.ASN { return m.eng.ASNs() }
 
-// Newest returns the newest observation timestamp, or false before any
-// observation.
-func (m *Monitor) Newest() (time.Time, bool) { return m.eng.Newest() }
-
 // BinWidth returns the monitor's effective aggregation bin width: after
 // defaults, and after snapshot adoption on a resumed monitor.
 func (m *Monitor) BinWidth() time.Duration { return m.eng.Options().BinWidth }
@@ -265,6 +261,16 @@ func (m *Monitor) WindowBounds() (start time.Time, nBins int, ok bool) {
 	return m.eng.WindowBounds()
 }
 
+// Watermark is one read of the newest observation with its bin and its
+// analysis window (see engine.Watermark).
+type Watermark = engine.Watermark
+
+// Watermark reads the newest observation once and derives its bin and
+// its analysis window from that read; ok is false before any
+// observation. Callers that publish verdicts with their window classify
+// with ClassifyWindow over this window, so the two cannot disagree.
+func (m *Monitor) Watermark() (Watermark, bool) { return m.eng.Watermark() }
+
 // Verdict is the outcome of an online classification: the batch
 // survey's per-AS result, with Signal the aggregated queuing delay over
 // the current window.
@@ -277,6 +283,12 @@ func (m *Monitor) ClassifyAS(asn bgp.ASN) (*Verdict, error) {
 	if !ok {
 		return nil, fmt.Errorf("stream: no observations yet for %v", asn)
 	}
+	return m.classifyAS(asn, start, nBins)
+}
+
+// classifyAS classifies one AS over the window [start,
+// start+nBins*BinWidth).
+func (m *Monitor) classifyAS(asn bgp.ASN, start time.Time, nBins int) (*Verdict, error) {
 	st := m.signalStage.Start()
 	signal, probes, err := m.eng.Signal(asn, start, nBins)
 	st.Stop()
@@ -292,11 +304,19 @@ func (m *Monitor) ClassifyAS(asn bgp.ASN) (*Verdict, error) {
 	return &Verdict{ASN: asn, Probes: probes, Signal: signal, Classification: cls}, nil
 }
 
-// ClassifyAll classifies every monitored AS on the monitor's worker
-// pool. Verdicts come back sorted by ASN; ASes whose window cannot be
-// classified yet are returned separately with their reasons, in ASN
-// order.
+// ClassifyAll classifies every monitored AS over the current window,
+// read once: ClassifyWindow over the Watermark's window.
 func (m *Monitor) ClassifyAll() ([]*Verdict, []SkippedAS) {
+	w, _ := m.eng.Watermark()
+	return m.ClassifyWindow(w.WindowStart, w.NBins)
+}
+
+// ClassifyWindow classifies every monitored AS over the window [start,
+// start+nBins*BinWidth) on the monitor's worker pool, so every verdict
+// covers the same window however far ingest moves meanwhile. Verdicts
+// come back sorted by ASN; ASes that cannot be classified over the
+// window are returned separately with their reasons, in ASN order.
+func (m *Monitor) ClassifyWindow(start time.Time, nBins int) ([]*Verdict, []SkippedAS) {
 	defer m.classifySeconds.Start().Stop()
 	m.classifyRuns.Inc()
 	asns := m.eng.ASNs()
@@ -304,10 +324,10 @@ func (m *Monitor) ClassifyAll() ([]*Verdict, []SkippedAS) {
 		v      *Verdict
 		reason error
 	}
-	// ClassifyAS never returns a non-nil error through parallel.Map's
+	// classifyAS never returns a non-nil error through parallel.Map's
 	// error path, so the outer error is always nil.
 	outcomes, _ := parallel.Map(context.Background(), m.opts.Workers, len(asns), func(i int) (outcome, error) {
-		v, err := m.ClassifyAS(asns[i])
+		v, err := m.classifyAS(asns[i], start, nBins)
 		if err != nil {
 			return outcome{reason: err}, nil
 		}

@@ -2,9 +2,12 @@ package timeseries
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/last-mile-congestion/lastmile/internal/stats"
 )
 
 // mkFiniteSeries builds a series from arbitrary raw floats, mapping
@@ -49,6 +52,16 @@ func TestSubtractMinProperties(t *testing.T) {
 		}
 		if min != 0 {
 			return false
+		}
+		// SubtractMinInPlace on a copy gives the same bits.
+		in := s.Clone()
+		if SubtractMinInPlace(in) != nil {
+			return false
+		}
+		for i, v := range in.Values {
+			if math.Float64bits(v) != math.Float64bits(qd.Values[i]) {
+				return false
+			}
 		}
 		// Pairwise differences preserved.
 		for i := range s.Values {
@@ -99,6 +112,56 @@ func TestAggregateMedianProperties(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: each bin of the median aggregate is stats.MedianIgnoringNaN
+// of the bin's column, bit for bit, and the population is left as it
+// was: the aggregate selects in its own column.
+func TestAggregateMedianMatchesMedianIgnoringNaN(t *testing.T) {
+	f := func(seed int64, size, length uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		pop := make([]*Series, int(size%9)+1)
+		for i := range pop {
+			raw := make([]float64, int(length%12)+1)
+			for j := range raw {
+				switch rng.Intn(4) {
+				case 0:
+					raw[j] = math.NaN() // a gap
+				case 1:
+					raw[j] = float64(rng.Intn(4)) // ties
+				default:
+					raw[j] = rng.NormFloat64() * 10
+				}
+			}
+			pop[i] = mkFiniteSeries(raw)
+		}
+		before := make([]*Series, len(pop))
+		for i, s := range pop {
+			before[i] = s.Clone()
+		}
+		agg, err := AggregateMedian(pop)
+		if err != nil {
+			return false
+		}
+		column := make([]float64, len(pop))
+		for bin := range agg.Values {
+			for i, s := range before {
+				column[i] = s.Values[bin]
+			}
+			if math.Float64bits(agg.Values[bin]) != math.Float64bits(stats.MedianIgnoringNaN(column)) {
+				return false
+			}
+			for i, s := range pop {
+				if math.Float64bits(s.Values[bin]) != math.Float64bits(before[i].Values[bin]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -124,17 +124,26 @@ func aligned(a, b *Series) bool {
 // minimum is computed per call, i.e. per measurement period, exactly as
 // §2.1 prescribes. An all-gap series is an error.
 func SubtractMin(s *Series) (*Series, error) {
-	min := stats.MinIgnoringNaN(s.Values)
-	if math.IsNaN(min) {
-		return nil, errors.New("timeseries: series has no finite value")
-	}
 	out := s.Clone()
-	for i, v := range out.Values {
-		if !math.IsNaN(v) {
-			out.Values[i] = v - min
-		}
+	if err := SubtractMinInPlace(out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// SubtractMinInPlace is SubtractMin on s itself, for a caller that owns
+// the series. An all-gap series is an error and is left unchanged.
+func SubtractMinInPlace(s *Series) error {
+	min := stats.MinIgnoringNaN(s.Values)
+	if math.IsNaN(min) {
+		return errors.New("timeseries: series has no finite value")
+	}
+	for i, v := range s.Values {
+		if !math.IsNaN(v) {
+			s.Values[i] = v - min
+		}
+	}
+	return nil
 }
 
 // AggregateMedian combines a population of aligned series into one series
@@ -143,7 +152,25 @@ func SubtractMin(s *Series) (*Series, error) {
 // aggregation: "large fluctuations reveal times when the majority of the
 // probes experience high latency."
 func AggregateMedian(series []*Series) (*Series, error) {
-	return aggregate(series, stats.MedianIgnoringNaN)
+	return aggregate(series, medianIgnoringNaNInPlace)
+}
+
+// medianIgnoringNaNInPlace is stats.MedianIgnoringNaN without its copy:
+// it packs the non-NaN values to the front of xs, in order, and selects
+// the median among them there, so the result is the same bits.
+func medianIgnoringNaNInPlace(xs []float64) float64 {
+	n := 0
+	for _, v := range xs {
+		if !math.IsNaN(v) {
+			xs[n] = v
+			n++
+		}
+	}
+	m, err := stats.MedianInPlace(xs[:n])
+	if err != nil {
+		return math.NaN()
+	}
+	return m
 }
 
 // AggregateMean is the non-robust variant of AggregateMedian, used by the
@@ -152,6 +179,9 @@ func AggregateMean(series []*Series) (*Series, error) {
 	return aggregate(series, stats.MeanIgnoringNaN)
 }
 
+// aggregate fills each bin of the result with combine over the bin's
+// column across the population. The column is refilled for every bin,
+// so combine may reorder it.
 func aggregate(series []*Series, combine func([]float64) float64) (*Series, error) {
 	if len(series) == 0 {
 		return nil, errors.New("timeseries: no series to aggregate")

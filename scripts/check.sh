@@ -137,21 +137,26 @@ go test -race -count=1 ./cmd/lmsurvey/
 stage "go test -race -count=1 (telemetry stress)"
 go test -race -count=1 ./internal/telemetry/
 
-# Daemon soak: the short-mode deterministic soak drives simulated days
-# through the daemon lifecycle — reloads mid-window, target churn, a
-# SIGHUP storm, kill-and-resume — and pins the final verdicts
-# bit-identical to a batch replay of the same observations. Uncached and
-# under -race: goroutine scheduling is the variable under test. The API
-# suite rides along for the same reason, and the consistent-cut test
-# runs ten times: it checkpoints while targets ingest, so each run
+# Daemon soak: the deterministic soak drives simulated days through the
+# daemon lifecycle — reloads mid-window, target churn, a SIGHUP storm,
+# kill-and-resume — and pins the final verdicts bit-identical to a batch
+# replay of the same observations. Uncached and under -race: goroutine
+# scheduling is the variable under test. It runs once in short mode and
+# five times at its full sampling cadence, which otherwise runs under
+# -race only inside the cached `go test -race ./...` above. The API
+# suite rides along for the same reason, with the one-window test, which
+# refreshes while a backlog ingest crosses bins and requires every
+# snapshot's verdicts to share the snapshot's window. The consistent-cut
+# test runs ten times: it checkpoints while targets ingest, so each run
 # samples different interleavings. Both commands run on the daemon, so
 # their whole suites run here too: lmmonitor's golden reports,
 # kill-and-resume, interrupt drain and decode-error checkpoint, and
 # lmserved's end-to-end run.
 stage "serve-soak (deterministic daemon soak under -race)"
 race_run -short 'TestServeSoakEquivalence' ./internal/serve/
+race_run -count=5 'TestServeSoakEquivalence' ./internal/serve/
 race_run -count=10 'TestDaemonCheckpointConsistentCut' ./internal/serve/
-race_run 'TestAPIConcurrentReadsDuringIngest' ./internal/serve/
+race_run 'TestAPIConcurrentReadsDuringIngest|TestRefreshPublishesOneWindow' ./internal/serve/
 go test -race -count=1 ./cmd/lmmonitor/ ./cmd/lmserved/
 
 # Fuzz smoke: short coverage-guided runs over the two ingest decoders —
