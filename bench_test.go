@@ -417,15 +417,24 @@ func BenchmarkSurveyFeed(b *testing.B) {
 // ingestBenchData builds one day of traceroutes in every shape the
 // ingest benches need: individual Atlas JSON lines, the concatenated
 // JSONL archive, the binary wire archive, and the raw frame payloads.
+// Each reply's RTT carries a seeded jitter, so the JSON holds RTTs in
+// full shortest round-trip form (up to 17 digits), as simulated
+// campaigns write them.
 func ingestBenchData(b *testing.B) (lines [][]byte, jsonArchive, wireArchive []byte, payloads [][]byte) {
 	b.Helper()
 	var jsonBuf, wireBuf bytes.Buffer
 	jw := lastmile.NewResultWriter(&jsonBuf)
 	ww := lastmile.NewBinaryResultWriter(&wireBuf)
+	rng := rand.New(rand.NewSource(1))
 	end := t0.Add(24 * time.Hour)
 	for ts := t0; ts.Before(end); ts = ts.Add(10 * time.Minute) {
 		for probe := 1; probe <= 4; probe++ {
 			r := buildTrace(probe, ts, 2.0+float64(probe))
+			for i := range r.Hops {
+				for j := range r.Hops[i].Replies {
+					r.Hops[i].Replies[j].RTT += rng.Float64()
+				}
+			}
 			line, err := lastmile.MarshalAtlasResult(r)
 			if err != nil {
 				b.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	lastmile "github.com/last-mile-congestion/lastmile"
+	"github.com/last-mile-congestion/lastmile/internal/traceroute"
 	"github.com/last-mile-congestion/lastmile/internal/wire"
 )
 
@@ -177,6 +179,34 @@ func TestRunTruncatedWireArchive(t *testing.T) {
 	}
 	if out != "" {
 		t.Fatalf("printed output for a corrupt archive:\n%s", out)
+	}
+}
+
+// TestRunTruncatedJSONLArchive: a JSONL archive cut inside a record
+// returns the parser's located SyntaxError, with the line it stopped
+// on, and prints nothing.
+func TestRunTruncatedJSONLArchive(t *testing.T) {
+	c := writeCampaign(t)
+	data, err := os.ReadFile(c.jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := len(data) / 2
+	for data[cut-1] == '\n' || data[cut] == '\n' {
+		cut++
+	}
+	path := filepath.Join(t.TempDir(), "truncated.jsonl")
+	writeFile(t, path, data[:cut])
+	out, err := runReport(path, "", c.probes, 1)
+	var se *traceroute.SyntaxError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v, want a *traceroute.SyntaxError", err)
+	}
+	if line := fmt.Sprintf("line %d:", bytes.Count(data[:cut], []byte("\n"))+1); !strings.Contains(err.Error(), line) {
+		t.Fatalf("err = %v, want it located at %q", err, line)
+	}
+	if out != "" {
+		t.Fatalf("printed output for a truncated archive:\n%s", out)
 	}
 }
 

@@ -283,10 +283,12 @@ func (tw *Writer) Write(r *Result) error {
 func (tw *Writer) Flush() error { return tw.w.Flush() }
 
 // Scanner streams results from newline-delimited Atlas JSON. It owns
-// one Result that every Scan decodes into, so steady-state scanning
-// allocates nothing per line; see Result for the reuse contract.
+// one Result that every Scan decodes into and one parser, so
+// steady-state scanning allocates nothing per line; see Result for the
+// reuse contract.
 type Scanner struct {
 	sc   *bufio.Scanner
+	p    atlasParser
 	res  Result
 	err  error
 	line int
@@ -330,7 +332,7 @@ func (s *Scanner) Scan() bool {
 		if blank {
 			continue
 		}
-		if err := ParseAtlasInto(&s.res, line); err != nil {
+		if err := s.p.parse(&s.res, line); err != nil {
 			s.err = fmt.Errorf("line %d: %w", s.line, err) //lmvet:ignore allocguard terminal error path: the scan is over
 			return false
 		}

@@ -24,14 +24,35 @@ package traceroute
 // FuzzParseAtlasJSON pins the containment: every input ParseAtlasInto
 // accepts, ParseAtlas accepts with an identical Result.
 //
+// Three fast paths are branches inside this one parser, chosen by the
+// input bytes, each falling back to the general code for anything it
+// does not recognise:
+//
+//   - Predicted keys. At a key position each object parser first
+//     compares the raw input with the quoted keys it maps, colon
+//     included (`"rtt":`). A byte-for-byte match is exactly the key
+//     readKey would decode, so both paths yield the same key id; escaped,
+//     upper-case, unknown or space-padded keys take readKey.
+//   - One scan per number. scanNumber validates the JSON number grammar
+//     while it accumulates the mantissa and decimal exponent. Clinger's
+//     path and an exact 128-bit division path (number.float) decode
+//     every literal of at most 19 significant digits with an exponent
+//     in their range, bit-identical to strconv.ParseFloat; anything else
+//     falls back to strconv.
+//   - Reused reply addresses. A reply whose "from" bytes equal those of
+//     the last address parsed reuses its netip.Addr.
+//
 // The code avoids closures and string conversions throughout — not
 // style, contract: allocguard flags both classes on hot paths, so
 // object/array walking is explicit loops over enterObject/nextMember
 // rather than callbacks.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/netip"
 	"strconv"
 	"sync"
@@ -80,13 +101,16 @@ const (
 	litFalse = "false"
 )
 
-// atlasParser is the pooled per-parse state: the input cursor plus two
-// reusable buffers (string unescaping, reply source-address retention).
+// atlasParser is the per-parse state: the input cursor, two reusable
+// buffers (string unescaping, reply source-address retention) and the
+// last reply address parsed, which persists across parses.
 type atlasParser struct {
-	data    []byte
-	pos     int
-	scratch []byte // unescape buffer, valid until the next readString
-	fromBuf []byte // holds a reply's "from" string across its object
+	data     []byte
+	pos      int
+	scratch  []byte     // unescape buffer, valid until the next readString
+	fromBuf  []byte     // holds a reply's "from" string across its object
+	lastFrom []byte     // the bytes lastAddr was parsed from
+	lastAddr netip.Addr // the last reply address parsed successfully
 }
 
 var atlasParserPool = sync.Pool{
@@ -103,10 +127,16 @@ var atlasParserPool = sync.Pool{
 //lmvet:hotpath
 func ParseAtlasInto(r *Result, data []byte) error {
 	p := atlasParserPool.Get().(*atlasParser)
+	err := p.parse(r, data)
+	atlasParserPool.Put(p)
+	return err
+}
+
+// parse decodes data into r and drops the parser's reference to data.
+func (p *atlasParser) parse(r *Result, data []byte) error {
 	p.data, p.pos = data, 0
 	err := p.parseResult(r)
 	p.data = nil
-	atlasParserPool.Put(p)
 	return err
 }
 
@@ -116,15 +146,15 @@ func (p *atlasParser) errAt(msg string) error {
 	return &SyntaxError{Off: p.pos, Msg: msg} //lmvet:ignore allocguard terminal error path: one allocation when a stream aborts on malformed input
 }
 
-// skipSpace advances past JSON whitespace.
+// skipSpace advances past JSON whitespace. Every byte above ' ' ends it
+// at the first test.
 func (p *atlasParser) skipSpace() {
 	for p.pos < len(p.data) {
-		switch p.data[p.pos] {
-		case ' ', '\t', '\n', '\r':
-			p.pos++
-		default:
+		c := p.data[p.pos]
+		if c > ' ' || c != ' ' && c != '\t' && c != '\n' && c != '\r' {
 			return
 		}
+		p.pos++
 	}
 }
 
@@ -157,34 +187,149 @@ func (p *atlasParser) parseResult(r *Result) error {
 	return nil
 }
 
-// Bit positions for duplicate-key detection, one seen-set per object.
+// Key ids: every key a result, hop or reply object maps, and keyOther
+// for the rest. Both key paths (predicted and readKeyID) yield an id,
+// and an object's duplicate-key set holds bit 1<<id.
 const (
-	seenFw = 1 << iota
-	seenAF
-	seenPrbID
-	seenMsmID
-	seenTimestamp
-	seenSrcAddr
-	seenFrom
-	seenDstAddr
-	seenProto
-	seenResult
-	seenHop
-	seenX
-	seenErrKey
-	seenRTT
-	seenTTL
+	keyOther = iota
+	keyFw
+	keyAF
+	keyPrbID
+	keyMsmID
+	keyTimestamp
+	keySrcAddr
+	keyFrom
+	keyDstAddr
+	keyProto
+	keyResult
+	keyHop
+	keyX
+	keyErr
+	keyRTT
+	keyTTL
+	numKeys
+)
+
+// keyNames are the field names readKeyID matches decoded keys against.
+var keyNames = [numKeys]string{
+	keyFw: "fw", keyAF: "af", keyPrbID: "prb_id", keyMsmID: "msm_id",
+	keyTimestamp: "timestamp", keySrcAddr: "src_addr", keyFrom: "from",
+	keyDstAddr: "dst_addr", keyProto: "proto", keyResult: "result",
+	keyHop: "hop", keyX: "x", keyErr: "err", keyRTT: "rtt", keyTTL: "ttl",
+}
+
+// The keys each object kind maps, as sets of 1<<id.
+const (
+	resultKeys = 1<<keyFw | 1<<keyAF | 1<<keyPrbID | 1<<keyMsmID | 1<<keyTimestamp |
+		1<<keySrcAddr | 1<<keyFrom | 1<<keyDstAddr | 1<<keyProto | 1<<keyResult
+	hopKeys   = 1<<keyHop | 1<<keyResult
+	replyKeys = 1<<keyX | 1<<keyErr | 1<<keyFrom | 1<<keyRTT | 1<<keyTTL
 )
 
 // mark records a mapped key in an object's seen set, rejecting a second
 // occurrence (see the package comment on why duplicates are rejected
-// rather than merged).
-func (p *atlasParser) mark(seen *uint32, bit uint32) error {
+// rather than merged). keyOther is never marked.
+func (p *atlasParser) mark(seen *uint32, id int) error {
+	if id == keyOther {
+		return nil
+	}
+	bit := uint32(1) << id
 	if *seen&bit != 0 {
 		return p.errAt("duplicate object key")
 	}
 	*seen |= bit
 	return nil
+}
+
+// predictedKeys holds each mapped key as predictKey compares it: the
+// quoted name and its colon (`"rtt":`, at most 16 bytes), packed
+// little-endian into two words, with masks over its length.
+var predictedKeys = func() (t [numKeys]struct {
+	lo, hi, loMask, hiMask uint64
+	n                      int
+}) {
+	for id := keyOther + 1; id < numKeys; id++ {
+		lit := `"` + keyNames[id] + `":`
+		k := &t[id]
+		k.n = len(lit)
+		for i := 0; i < len(lit); i++ {
+			w, m := &k.lo, &k.loMask
+			if i >= 8 {
+				w, m = &k.hi, &k.hiMask
+			}
+			*w |= uint64(lit[i]) << (8 * (i % 8))
+			*m |= 0xFF << (8 * (i % 8))
+		}
+	}
+	return t
+}()
+
+// predictKey consumes key id's quoted name and colon when the input at
+// the cursor is exactly those bytes. It compares two words at once, so
+// a key within 16 bytes of the end takes readKeyID instead.
+func (p *atlasParser) predictKey(id int) bool {
+	if len(p.data)-p.pos < 16 {
+		return false
+	}
+	k := &predictedKeys[id]
+	if binary.LittleEndian.Uint64(p.data[p.pos:])&k.loMask != k.lo ||
+		binary.LittleEndian.Uint64(p.data[p.pos+8:])&k.hiMask != k.hi {
+		return false
+	}
+	p.pos += k.n
+	return true
+}
+
+// keysByFirst maps a byte to the set (1<<id) of mapped keys whose name
+// starts with it.
+var keysByFirst = func() (t [256]uint32) {
+	for id := keyOther + 1; id < numKeys; id++ {
+		t[keyNames[id][0]] |= 1 << id
+	}
+	return t
+}()
+
+// objectKey reads the key of a member of an object that maps the keys
+// in mapped, and returns its id. It first tries as predicted keys the
+// mapped keys that start with the key's first byte: one in a hop or a
+// reply, at most two at the top level (fw and from, prb_id and proto).
+func (p *atlasParser) objectKey(mapped uint32) (int, error) {
+	p.skipSpace()
+	if p.pos+1 < len(p.data) {
+		for cand := keysByFirst[p.data[p.pos+1]] & mapped; cand != 0; cand &= cand - 1 {
+			if id := bits.TrailingZeros32(cand); p.predictKey(id) {
+				return id, nil
+			}
+		}
+	}
+	return p.readKeyID(mapped)
+}
+
+// readKeyID is the general key path: it decodes the key with readKey
+// and matches it against the mapped names. keyEquals' case folding runs
+// only for a key holding an ASCII upper-case letter or a non-ASCII
+// byte; any other key folds onto a lower-case name only if it equals it.
+func (p *atlasParser) readKeyID(mapped uint32) (int, error) {
+	key, err := p.readKey()
+	if err != nil {
+		return keyOther, err
+	}
+	fold := false
+	for _, c := range key {
+		if c-'A' < 26 || c >= utf8.RuneSelf {
+			fold = true
+			break
+		}
+	}
+	for id := keyOther + 1; id < numKeys; id++ {
+		if mapped&(1<<id) == 0 {
+			continue
+		}
+		if fold && keyEquals(key, keyNames[id]) || !fold && bytesEqualString(key, keyNames[id]) {
+			return id, nil
+		}
+	}
+	return keyOther, nil
 }
 
 // parseResultObject decodes the top-level object's fields.
@@ -195,24 +340,21 @@ func (p *atlasParser) parseResultObject(r *Result) error {
 	}
 	var seen uint32
 	for more {
-		key, err := p.readKey()
+		id, err := p.objectKey(resultKeys)
 		if err != nil {
 			return err
 		}
-		switch {
-		case keyEquals(key, "fw"):
-			if err := p.mark(&seen, seenFw); err != nil {
-				return err
-			}
+		if err := p.mark(&seen, id); err != nil {
+			return err
+		}
+		switch id {
+		case keyFw:
 			// Decoded for validation (the reference schema maps it) but
 			// not represented in Result.
 			if _, _, err := p.parseIntField(); err != nil {
 				return err
 			}
-		case keyEquals(key, "af"):
-			if err := p.mark(&seen, seenAF); err != nil {
-				return err
-			}
+		case keyAF:
 			v, isNull, err := p.parseIntField()
 			if err != nil {
 				return err
@@ -220,10 +362,7 @@ func (p *atlasParser) parseResultObject(r *Result) error {
 			if !isNull {
 				r.AF = int(v)
 			}
-		case keyEquals(key, "prb_id"):
-			if err := p.mark(&seen, seenPrbID); err != nil {
-				return err
-			}
+		case keyPrbID:
 			v, isNull, err := p.parseIntField()
 			if err != nil {
 				return err
@@ -231,10 +370,7 @@ func (p *atlasParser) parseResultObject(r *Result) error {
 			if !isNull {
 				r.ProbeID = int(v)
 			}
-		case keyEquals(key, "msm_id"):
-			if err := p.mark(&seen, seenMsmID); err != nil {
-				return err
-			}
+		case keyMsmID:
 			v, isNull, err := p.parseIntField()
 			if err != nil {
 				return err
@@ -242,10 +378,7 @@ func (p *atlasParser) parseResultObject(r *Result) error {
 			if !isNull {
 				r.MsmID = int(v)
 			}
-		case keyEquals(key, "timestamp"):
-			if err := p.mark(&seen, seenTimestamp); err != nil {
-				return err
-			}
+		case keyTimestamp:
 			v, isNull, err := p.parseIntField()
 			if err != nil {
 				return err
@@ -253,31 +386,19 @@ func (p *atlasParser) parseResultObject(r *Result) error {
 			if !isNull {
 				r.Timestamp = time.Unix(v, 0).UTC()
 			}
-		case keyEquals(key, "src_addr"):
-			if err := p.mark(&seen, seenSrcAddr); err != nil {
-				return err
-			}
+		case keySrcAddr:
 			if err := p.parseAddrField(&r.SrcAddr); err != nil {
 				return err
 			}
-		case keyEquals(key, "from"):
-			if err := p.mark(&seen, seenFrom); err != nil {
-				return err
-			}
+		case keyFrom:
 			if err := p.parseAddrField(&r.FromAddr); err != nil {
 				return err
 			}
-		case keyEquals(key, "dst_addr"):
-			if err := p.mark(&seen, seenDstAddr); err != nil {
-				return err
-			}
+		case keyDstAddr:
 			if err := p.parseAddrField(&r.DstAddr); err != nil {
 				return err
 			}
-		case keyEquals(key, "proto"):
-			if err := p.mark(&seen, seenProto); err != nil {
-				return err
-			}
+		case keyProto:
 			s, isNull, err := p.parseStringField()
 			if err != nil {
 				return err
@@ -285,10 +406,7 @@ func (p *atlasParser) parseResultObject(r *Result) error {
 			if !isNull {
 				r.Proto = InternProto(s)
 			}
-		case keyEquals(key, "result"):
-			if err := p.mark(&seen, seenResult); err != nil {
-				return err
-			}
+		case keyResult:
 			if err := p.parseHops(r); err != nil {
 				return err
 			}
@@ -339,15 +457,15 @@ func (p *atlasParser) parseHop(h *HopResult) error {
 	}
 	var seen uint32
 	for more {
-		key, err := p.readKey()
+		id, err := p.objectKey(hopKeys)
 		if err != nil {
 			return err
 		}
-		switch {
-		case keyEquals(key, "hop"):
-			if err := p.mark(&seen, seenHop); err != nil {
-				return err
-			}
+		if err := p.mark(&seen, id); err != nil {
+			return err
+		}
+		switch id {
+		case keyHop:
 			v, isNull, err := p.parseIntField()
 			if err != nil {
 				return err
@@ -355,10 +473,7 @@ func (p *atlasParser) parseHop(h *HopResult) error {
 			if !isNull {
 				h.Hop = int(v)
 			}
-		case keyEquals(key, "result"):
-			if err := p.mark(&seen, seenResult); err != nil {
-				return err
-			}
+		case keyResult:
 			if err := p.parseReplies(h); err != nil {
 				return err
 			}
@@ -417,20 +532,19 @@ func (p *atlasParser) parseReply(rep *Reply) error {
 		return err
 	}
 	var seen uint32
-	var sawX, sawErr, rttSet bool
+	var sawX, sawErr, rttSet, hasFrom, fromSame bool
 	var rtt float64
 	var ttl int
-	p.fromBuf = p.fromBuf[:0]
 	for more {
-		key, err := p.readKey()
+		id, err := p.objectKey(replyKeys)
 		if err != nil {
 			return err
 		}
-		switch {
-		case keyEquals(key, "x"):
-			if err := p.mark(&seen, seenX); err != nil {
-				return err
-			}
+		if err := p.mark(&seen, id); err != nil {
+			return err
+		}
+		switch id {
+		case keyX:
 			s, isNull, err := p.parseStringField()
 			if err != nil {
 				return err
@@ -438,10 +552,7 @@ func (p *atlasParser) parseReply(rep *Reply) error {
 			if !isNull {
 				sawX = len(s) > 0
 			}
-		case keyEquals(key, "err"):
-			if err := p.mark(&seen, seenErrKey); err != nil {
-				return err
-			}
+		case keyErr:
 			s, isNull, err := p.parseStringField()
 			if err != nil {
 				return err
@@ -449,9 +560,10 @@ func (p *atlasParser) parseReply(rep *Reply) error {
 			if !isNull {
 				sawErr = len(s) > 0
 			}
-		case keyEquals(key, "from"):
-			if err := p.mark(&seen, seenFrom); err != nil {
-				return err
+		case keyFrom:
+			if p.sameFrom() {
+				hasFrom, fromSame = true, true
+				break
 			}
 			s, isNull, err := p.parseStringField()
 			if err != nil {
@@ -461,12 +573,10 @@ func (p *atlasParser) parseReply(rep *Reply) error {
 				// Retained for after the object: whether it must parse
 				// as an address depends on fields that may follow (rtt,
 				// x, err).
+				hasFrom, fromSame = len(s) > 0, false
 				p.fromBuf = append(p.fromBuf[:0], s...)
 			}
-		case keyEquals(key, "rtt"):
-			if err := p.mark(&seen, seenRTT); err != nil {
-				return err
-			}
+		case keyRTT:
 			// *float64 in the reference schema: null is an explicit
 			// absent value, not a no-op.
 			p.skipSpace()
@@ -482,10 +592,7 @@ func (p *atlasParser) parseReply(rep *Reply) error {
 				return err
 			}
 			rtt, rttSet = v, true
-		case keyEquals(key, "ttl"):
-			if err := p.mark(&seen, seenTTL); err != nil {
-				return err
-			}
+		case keyTTL:
 			v, isNull, err := p.parseIntField()
 			if err != nil {
 				return err
@@ -502,19 +609,37 @@ func (p *atlasParser) parseReply(rep *Reply) error {
 			return err
 		}
 	}
-	if sawX || sawErr || len(p.fromBuf) == 0 || !rttSet {
+	if sawX || sawErr || !hasFrom || !rttSet {
 		rep.Timeout = true
 		rep.RTT = math.NaN()
 		return nil
 	}
-	addr, ok := parseAddrBytes(p.fromBuf)
-	if !ok {
-		return p.errAt("bad reply address")
+	if !fromSame {
+		addr, ok := parseAddrBytes(p.fromBuf)
+		if !ok {
+			return p.errAt("bad reply address")
+		}
+		p.lastAddr = addr
+		p.lastFrom, p.fromBuf = p.fromBuf, p.lastFrom
 	}
-	rep.From = addr
+	rep.From = p.lastAddr
 	rep.RTT = rtt
 	rep.TTL = ttl
 	return nil
+}
+
+// sameFrom consumes a "from" value that repeats the last address parsed:
+// replies mostly repeat the previous responder. It matches the raw
+// input against the quoted lastFrom, which decodes to lastFrom itself
+// because a valid address holds no byte a JSON string escapes.
+func (p *atlasParser) sameFrom() bool {
+	n := len(p.lastFrom)
+	if n == 0 || len(p.data)-p.pos < n+2 || p.data[p.pos] != '"' || p.data[p.pos+n+1] != '"' ||
+		!bytes.Equal(p.data[p.pos+1:p.pos+n+1], p.lastFrom) {
+		return false
+	}
+	p.pos += n + 2
+	return true
 }
 
 // parseAddrField decodes a string field into an address: the empty
@@ -570,10 +695,10 @@ func bytesEqualString(b []byte, s string) bool {
 	return true
 }
 
-// enterObject consumes '{' and reports whether the object has members;
-// an empty object is consumed entirely.
+// enterObject consumes the '{' at the cursor (every caller has skipped
+// space to look at it) and reports whether the object has members; an
+// empty object is consumed entirely.
 func (p *atlasParser) enterObject() (bool, error) {
-	p.skipSpace()
 	if p.pos >= len(p.data) || p.data[p.pos] != '{' {
 		return false, p.errAt("expected an object")
 	}
@@ -620,10 +745,10 @@ func (p *atlasParser) readKey() ([]byte, error) {
 	return key, nil
 }
 
-// enterArray consumes '[' and reports whether the array has elements;
-// an empty array is consumed entirely.
+// enterArray consumes the '[' at the cursor, as enterObject does '{',
+// and reports whether the array has elements; an empty array is
+// consumed entirely.
 func (p *atlasParser) enterArray() (bool, error) {
-	p.skipSpace()
 	if p.pos >= len(p.data) || p.data[p.pos] != '[' {
 		return false, p.errAt("expected an array")
 	}
@@ -681,141 +806,231 @@ func (p *atlasParser) parseIntField() (v int64, isNull bool, err error) {
 		}
 		return 0, true, nil
 	}
-	lit, err := p.readNumber()
-	if err != nil {
+	var n number
+	if err := p.scanNumber(&n); err != nil {
 		return 0, false, err
 	}
-	i := 0
-	neg := false
-	if lit[0] == '-' {
-		neg = true
-		i = 1
+	switch {
+	case n.bigInt:
+		return 0, false, p.errAt("integer overflow")
+	case !n.integer:
+		return 0, false, p.errAt("number is not an integer")
 	}
-	var u uint64
-	for ; i < len(lit); i++ {
-		c := lit[i]
-		if c < '0' || c > '9' {
-			return 0, false, p.errAt("number is not an integer")
-		}
-		u = u*10 + uint64(c-'0')
-		if u > math.MaxInt64 {
-			return 0, false, p.errAt("integer overflow")
-		}
+	if n.neg {
+		return -int64(n.mant), false, nil
 	}
-	if neg {
-		return -int64(u), false, nil
-	}
-	return int64(u), false, nil
+	return int64(n.mant), false, nil
 }
 
-// parseFloatValue decodes a JSON number into a float64 with
-// strconv-identical rounding: the Clinger fast path covers every RTT
-// real Atlas data carries; mantissas beyond 19 significant digits or
-// decimal exponents outside ±22 fall back to strconv.ParseFloat.
+// parseFloatValue decodes a JSON number into a float64, bit-identical
+// to strconv.ParseFloat: number.float's exact paths cover Atlas's
+// three-decimal RTTs and the shortest round-trip literals of up to 17
+// significant digits that atlasgen writes; longer mantissas and
+// exponents beyond both paths fall back to strconv itself.
 func (p *atlasParser) parseFloatValue() (float64, error) {
-	lit, err := p.readNumber()
-	if err != nil {
+	var n number
+	if err := p.scanNumber(&n); err != nil {
 		return 0, err
 	}
-	f, ok := fastFloat(lit)
-	if ok {
+	if f, ok := n.float(); ok {
 		return f, nil
 	}
-	f, perr := strconv.ParseFloat(string(lit), 64) //lmvet:ignore allocguard slow-path conversion for extreme literals; real Atlas RTTs take the exact fast path
+	f, perr := strconv.ParseFloat(string(p.data[n.start:p.pos]), 64) //lmvet:ignore allocguard slow-path conversion for literals beyond the exact paths: over 19 significant digits or a far exponent
 	if perr != nil {
 		return 0, p.errAt("number out of range")
 	}
 	return f, nil
 }
 
-// fastFloat is the exact fast path: a mantissa of at most 19 significant
-// digits that fits 2^53 combined with a decimal exponent in [-22, 22] is
-// correctly rounded by one float64 multiply or divide (Clinger 1990).
-// ok=false falls back to strconv.
-func fastFloat(lit []byte) (f float64, ok bool) {
-	i := 0
-	neg := false
-	if lit[0] == '-' {
-		neg = true
-		i = 1
-	}
-	var mant uint64
-	digits := 0
-	exp := 0
-	for ; i < len(lit); i++ {
-		c := lit[i]
-		if c < '0' || c > '9' {
-			break
-		}
-		if digits < 19 {
-			mant = mant*10 + uint64(c-'0')
-			if mant != 0 {
-				digits++
-			}
-		} else {
-			if c != '0' {
-				return 0, false // dropped a non-zero digit: inexact
-			}
-			exp++
-		}
-	}
-	if i < len(lit) && lit[i] == '.' {
+// number is one JSON number literal as scanNumber accumulates it: its
+// value is mant × 10^exp, negated when neg, unless inexact.
+type number struct {
+	start   int    // offset of the literal's first byte
+	mant    uint64 // the first 19 significant digits
+	exp     int    // decimal exponent of mant's last digit
+	neg     bool
+	inexact bool // a non-zero digit past the 19th was dropped, or |exponent part| > 10000
+	integer bool // no fraction and no exponent part
+	bigInt  bool // the integer part exceeds math.MaxInt64
+}
+
+// scanNumber consumes one JSON number token, validating its grammar and
+// accumulating it into n, which must be zero, in the same pass.
+func (p *atlasParser) scanNumber(n *number) error {
+	d, i := p.data, p.pos
+	n.start = i
+	if i < len(d) && d[i] == '-' {
+		n.neg = true
 		i++
-		for ; i < len(lit); i++ {
-			c := lit[i]
-			if c < '0' || c > '9' {
-				break
-			}
-			if digits < 19 {
-				mant = mant*10 + uint64(c-'0')
-				if mant != 0 {
-					digits++
-				}
-				exp--
-			} else if c != '0' {
-				return 0, false
-			}
-		}
 	}
-	if i < len(lit) {
-		// Exponent part; the grammar was validated by readNumber.
-		i++ // 'e' | 'E'
+	switch {
+	case i >= len(d):
+		p.pos = i
+		return p.errAt("expected a number")
+	case d[i] == '0':
+		i++
+	case d[i]-'1' < 9:
+		var dropped int
+		i, n.mant, _, dropped, n.inexact = digitRun(d, i, 0)
+		n.exp = dropped
+	default:
+		p.pos = i
+		return p.errAt("expected a number")
+	}
+	// 19 digits hold every int64, so a dropped digit is an overflow.
+	n.bigInt = n.exp > 0 || n.mant > math.MaxInt64
+	n.integer = true
+	if i < len(d) && d[i] == '.' {
+		i++
+		if i >= len(d) || d[i]-'0' > 9 {
+			p.pos = i
+			return p.errAt("bad number fraction")
+		}
+		n.integer = false
+		var took int
+		var inexact bool
+		i, n.mant, took, _, inexact = digitRun(d, i, n.mant)
+		n.exp -= took
+		n.inexact = n.inexact || inexact
+	}
+	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		i++
 		eneg := false
-		if lit[i] == '+' || lit[i] == '-' {
-			eneg = lit[i] == '-'
+		if i < len(d) && (d[i] == '+' || d[i] == '-') {
+			eneg = d[i] == '-'
 			i++
 		}
+		if i >= len(d) || d[i]-'0' > 9 {
+			p.pos = i
+			return p.errAt("bad number exponent")
+		}
+		n.integer = false
 		ev := 0
-		for ; i < len(lit); i++ {
-			ev = ev*10 + int(lit[i]-'0')
-			if ev > 10000 {
-				return 0, false
+		for ; i < len(d); i++ {
+			c := d[i] - '0'
+			if c > 9 {
+				break
 			}
+			if ev <= 10000 {
+				ev = ev*10 + int(c)
+			}
+		}
+		if ev > 10000 {
+			n.inexact = true
 		}
 		if eneg {
 			ev = -ev
 		}
-		exp += ev
+		n.exp += ev
 	}
-	if mant == 0 {
-		if neg {
-			return math.Copysign(0, -1), true
+	p.pos = i
+	return nil
+}
+
+// digitRun consumes the run of ASCII digits at d[i:], appending each to
+// mant while mant < 10^18, so mant keeps at most 19 significant digits
+// (leading zeros are not significant: they leave mant at 0). It returns
+// the cursor after the run, the new mant, how many digits it appended
+// and dropped, and whether a dropped digit was non-zero.
+//
+// With 8 input bytes available it classifies and converts them as one
+// little-endian word: a byte's high bit in nonDigit marks a non-digit,
+// and the lowest marked byte is exact, since carries and borrows only
+// run from a marked byte upwards. The k leading digits are shifted to
+// the word's top and combined pairwise (10a+b, then 100 and 10^4 steps)
+// in three multiplications.
+func digitRun(d []byte, i int, mant uint64) (j int, m uint64, took, dropped int, inexact bool) {
+	for i+8 <= len(d) {
+		v := binary.LittleEndian.Uint64(d[i:])
+		nonDigit := ((v + 0x4646464646464646) | (v - 0x3030303030303030)) & 0x8080808080808080
+		k := bits.TrailingZeros64(nonDigit) >> 3
+		if mant >= uint64pow10[19-k] {
+			break // the 19th digit falls inside this word: go digit by digit
 		}
-		return 0, true
+		x := (v - 0x3030303030303030) << (64 - 8*k)
+		x = x*10 + x>>8
+		x = ((x&0x000000FF000000FF)*(100+1000000<<32) + (x>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+		mant = mant*uint64pow10[k] + x
+		i += k
+		took += k
+		if k < 8 {
+			return i, mant, took, 0, false
+		}
 	}
-	if mant > 1<<53-1 || exp < -22 || exp > 22 {
+	for ; i < len(d); i++ {
+		c := d[i] - '0'
+		if c > 9 {
+			break
+		}
+		if mant < 1e18 {
+			mant = mant*10 + uint64(c)
+			took++
+		} else {
+			inexact = inexact || c != 0
+			dropped++
+		}
+	}
+	return i, mant, took, dropped, inexact
+}
+
+// float returns n's float64, correctly rounded, or ok=false when
+// neither exact path applies and strconv must decide:
+//
+//   - Clinger (1990): a mantissa below 2^53 and a decimal exponent in
+//     [-22, 22] are both exact float64s, so one multiply or divide
+//     rounds once, correctly.
+//   - Any mantissa of up to 19 digits with an exponent in [-19, -1]:
+//     divPow10 divides in 128-bit integers and rounds the quotient
+//     itself.
+func (n number) float() (f float64, ok bool) {
+	switch {
+	case n.inexact:
+		return 0, false
+	case n.mant == 0:
+		f = 0
+	case n.mant < 1<<53 && n.exp >= -22 && n.exp <= 22:
+		f = float64(n.mant)
+		if n.exp > 0 {
+			f *= float64pow10[n.exp]
+		} else if n.exp < 0 {
+			f /= float64pow10[-n.exp]
+		}
+	case n.exp < 0 && n.exp >= -19:
+		f = divPow10(n.mant, -n.exp)
+	default:
 		return 0, false
 	}
-	f = float64(mant)
-	if exp > 0 {
-		f *= float64pow10[exp]
-	} else if exp < 0 {
-		f /= float64pow10[-exp]
-	}
-	if neg {
+	if n.neg {
 		f = -f
 	}
 	return f, true
+}
+
+// divPow10 returns mant / 10^k rounded to the nearest float64, ties to
+// even, for mant > 0 and 1 ≤ k ≤ 19 — the rounding strconv.ParseFloat
+// applies. mant is shifted so the 128-by-64-bit quotient q has 63 or 64
+// bits; its top 53 bits are the float's mantissa, the bits below them
+// and the remainder (sticky: whether anything is left beyond q) decide
+// the rounding. The result is ≥ 1e-19, far from the subnormals, and
+// scaling by a power of two is exact.
+func divPow10(mant uint64, k int) float64 {
+	d := uint64pow10[k]
+	// With mant and d both normalised to bit 63 their ratio lies in
+	// (1/2, 2), so a shift of lz+t puts q in (2^62, 2^64): hi < d and
+	// Div64 cannot overflow.
+	lz := bits.LeadingZeros64(mant)
+	t := 63 - bits.LeadingZeros64(d)
+	m := mant << lz
+	q, rem := bits.Div64(m>>(64-t), m<<t, d)
+	drop := bits.Len64(q) - 53
+	top := q >> drop
+	low := q & (1<<drop - 1)
+	half := uint64(1) << (drop - 1)
+	if low > half || low == half && (rem != 0 || top&1 == 1) {
+		top++ // top may reach 2^53, still exact
+	}
+	// value = top × 2^(drop-lz-t), with drop-lz-t in [-116, 8].
+	return float64(top) * math.Float64frombits(uint64(1023+drop-lz-t)<<52)
 }
 
 // float64pow10 holds the powers of ten exactly representable as float64.
@@ -824,46 +1039,10 @@ var float64pow10 = [23]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// readNumber consumes one JSON number token and returns its literal.
-func (p *atlasParser) readNumber() ([]byte, error) {
-	start := p.pos
-	if p.pos < len(p.data) && p.data[p.pos] == '-' {
-		p.pos++
-	}
-	switch {
-	case p.pos >= len(p.data):
-		return nil, p.errAt("expected a number")
-	case p.data[p.pos] == '0':
-		p.pos++
-	case p.data[p.pos] >= '1' && p.data[p.pos] <= '9':
-		for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
-			p.pos++
-		}
-	default:
-		return nil, p.errAt("expected a number")
-	}
-	if p.pos < len(p.data) && p.data[p.pos] == '.' {
-		p.pos++
-		if p.pos >= len(p.data) || p.data[p.pos] < '0' || p.data[p.pos] > '9' {
-			return nil, p.errAt("bad number fraction")
-		}
-		for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
-			p.pos++
-		}
-	}
-	if p.pos < len(p.data) && (p.data[p.pos] == 'e' || p.data[p.pos] == 'E') {
-		p.pos++
-		if p.pos < len(p.data) && (p.data[p.pos] == '+' || p.data[p.pos] == '-') {
-			p.pos++
-		}
-		if p.pos >= len(p.data) || p.data[p.pos] < '0' || p.data[p.pos] > '9' {
-			return nil, p.errAt("bad number exponent")
-		}
-		for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
-			p.pos++
-		}
-	}
-	return p.data[start:p.pos], nil
+// uint64pow10 holds the powers of ten that fit a uint64.
+var uint64pow10 = [20]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
 }
 
 // parseStringField decodes a string-typed field or null. The returned
@@ -880,33 +1059,42 @@ func (p *atlasParser) parseStringField() (s []byte, isNull bool, err error) {
 	return s, false, err
 }
 
+// plainByte marks the string bytes readString passes through as they
+// are: printable ASCII other than the quote and the backslash.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
 // readString consumes one JSON string token and returns its decoded
 // bytes: a zero-copy sub-slice of the input when the token is plain
 // ASCII without escapes, the reusable scratch buffer otherwise (valid
 // until the next readString). Escapes follow encoding/json, including
 // replacing unpaired surrogates and invalid UTF-8 with U+FFFD.
 func (p *atlasParser) readString() ([]byte, error) {
-	if p.pos >= len(p.data) || p.data[p.pos] != '"' {
+	d := p.data
+	if p.pos >= len(d) || d[p.pos] != '"' {
 		return nil, p.errAt("expected a string")
 	}
-	p.pos++
-	start := p.pos
-	for p.pos < len(p.data) {
-		c := p.data[p.pos]
-		if c == '"' {
-			s := p.data[start:p.pos]
-			p.pos++
-			return s, nil
-		}
-		if c == '\\' || c >= utf8.RuneSelf {
-			return p.readStringSlow(start)
-		}
-		if c < 0x20 {
-			return nil, p.errAt("raw control character in string")
-		}
-		p.pos++
+	start := p.pos + 1
+	i := start
+	for i < len(d) && plainByte[d[i]] {
+		i++
 	}
-	return nil, p.errAt("unterminated string")
+	p.pos = i
+	if i >= len(d) {
+		return nil, p.errAt("unterminated string")
+	}
+	switch c := d[i]; {
+	case c == '"':
+		p.pos++
+		return d[start:i], nil
+	case c == '\\' || c >= utf8.RuneSelf:
+		return p.readStringSlow(start)
+	}
+	return nil, p.errAt("raw control character in string")
 }
 
 // readStringSlow finishes a string containing escapes or non-ASCII
@@ -1031,8 +1219,8 @@ func (p *atlasParser) skipValue(depth int) error {
 	case c == '"':
 		return p.skipString()
 	case c == '-' || (c >= '0' && c <= '9'):
-		_, err := p.readNumber()
-		return err
+		var n number
+		return p.scanNumber(&n)
 	case c == 't':
 		return p.expectLiteral(litTrue)
 	case c == 'f':

@@ -47,6 +47,22 @@ func FuzzParseAtlasJSON(f *testing.F) {
 	// Key folding and escape handling must match encoding/json exactly.
 	f.Add([]byte(`{"PRB_ID": 3, "timestamp": 9}`))
 	f.Add([]byte(`{"proto": "𝄞\uD800x", "prb_id": 1}`))
+	// Int fields whose first 19 digits overflow uint64 once multiplied:
+	// both parsers must reject them.
+	f.Add([]byte(`{"prb_id":20000000000000000000}`))
+	f.Add([]byte(`{"prb_id":-20000000000000000000}`))
+	f.Add([]byte(`{"timestamp":18446744073709551617}`))
+	// Inputs that must leave the predicted keys or the reused reply
+	// address for the general path.
+	f.Add([]byte(`{"result":[{"hop":1,"result":[{"\u0066rom":"10.0.0.1","rtt":1,"ttl":3}]}]}`))
+	f.Add([]byte(`{"result":[{"hop":1,"result":[{"from":"10.0.0.1","rtt" : 1,"ttl":3}]}]}`))
+	f.Add([]byte(`{"result":[{"hop":1,"result":[{"FROM":"10.0.0.1","Rtt":1,"TTL":3,"Kx":"*","rttK":2}]}]}`))
+	f.Add([]byte(`{"result":[{"hop":1,"reſult":[{"from":"10.0.0.1","rtt":1,"ttl":3}]}]}`))
+	f.Add([]byte(`{"result":[{"hop":1,"result":[{"from":"10.0.0.1","rtt":1,"rtt":2}]}]}`))
+	f.Add([]byte(`{"result":[{"hop":1,"result":[{"from":"10.0.0.1","rtt":0.39252994275924824},` +
+		`{"from":"10.0.0.1","rtt":0.32526529539117355},{"from":"10.0.0.2","rtt":0.5385039174889947}]}]}`))
+	f.Add([]byte(`{"result":[{"hop":1,"result":[{"from":"10.0.0.1","rtt":1},{"from":"10.0.0.1x","rtt":2}]}]}`))
+	f.Add([]byte(`{"fw":5020,"prb_id":1,"result":[{"hop":1,"result":[{"from":"10.0.0.1","rt`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var into traceroute.Result
