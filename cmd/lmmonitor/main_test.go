@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -255,6 +256,38 @@ func TestRunInterruptFlushesOnce(t *testing.T) {
 	}
 	if !strings.Contains(s, "\ninterrupted; final state:\n") {
 		t.Fatalf("missing interrupted header:\n%s", s)
+	}
+}
+
+// TestRunInterruptStopsSortingScanner pins that an interrupt stops the
+// sorting scanner while it still holds records it has not sent: the
+// interrupt lands when the scanner reads the end of input, before it
+// sorts, and once run returns the scanner goroutine exits rather than
+// blocking on a send nobody receives.
+func TestRunInterruptStopsSortingScanner(t *testing.T) {
+	scanners := func() int {
+		buf := make([]byte, 1<<20)
+		return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("(*source).scan("))
+	}
+	before := scanners()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := config{
+		window:  5 * 24 * time.Hour,
+		every:   24 * time.Hour,
+		sortIn:  true,
+		metrics: telemetry.NewRegistry(),
+	}
+	r := &cancelAtEOFReader{data: syntheticJSONL(t, 3, 6), cancel: cancel}
+	if err := run(ctx, cfg, r, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for scanners() > before {
+		if time.Now().After(deadline) {
+			t.Fatal("the sorting scanner still runs after the interrupted run returned")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

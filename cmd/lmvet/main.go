@@ -1,61 +1,34 @@
 // Command lmvet runs the repo-specific static-analysis suite over the
-// last-mile congestion codebase: NaN-unsafe float comparisons, unguarded
-// float sorts and reductions, nondeterminism in the simulation packages
-// (both the local detguard checks and the interprocedural dettaint taint
-// engine over the module call graph), lock misuse in the streaming
-// monitor, goroutine fan-out that bypasses the worker-pool index
-// discipline, dropped Close/Flush errors on the ingest/report paths,
-// hidden allocations reachable from //lmvet:hotpath roots (allocguard,
-// over the intraprocedural escape/provenance dataflow lattice),
-// lock-acquisition-order cycles plus unsampled telemetry under hot
-// locks (lockorder, over the module-wide lock graph), and — over the
-// goflow goroutine/channel lifecycle summaries — goroutines that can
-// outlive their spawner (goleak), channel ownership-protocol violations
-// such as close by a non-sender, double close, send after close, and
-// default-polled completion signals (chanprotocol), and context.Context
-// parameters never threaded into blocking work (ctxflow). The three
-// concurrency analyzers are interprocedural: blocking effects reached
-// through channel-valued parameters are reported at the spawn or call
-// site with a dettaint-style witness chain.
+// last-mile congestion codebase: nondeterminism reaching the simulation
+// entry points through the module call graph (dettaint), dropped
+// Close/Flush errors on the ingest/report paths (errclose), hidden
+// allocations reachable from //lmvet:hotpath roots (allocguard, over the
+// intraprocedural escape/provenance dataflow lattice), and
+// lock-acquisition-order cycles plus unsampled telemetry under hot locks
+// (lockorder, over the module-wide lock graph).
 //
 // Usage:
 //
-//	lmvet [flags] [packages]
+//	lmvet [-sarif PATH] [packages]
 //
 // Packages follow the usual pattern syntax ("./...", "./internal/stats").
-// With no arguments, ./... is analysed.
+// With no arguments, ./... is analysed. -sarif also writes a SARIF 2.1.0
+// report to PATH ("-" = stdout, in place of the plain findings).
 //
-// Flags beyond the per-analyzer on/off switches:
-//
-//	-workers N          analyze packages concurrently (default GOMAXPROCS);
-//	                    output is byte-identical to -workers=1
-//	-json               emit findings as a JSON document
-//	-sarif PATH         also write a SARIF 2.1.0 report to PATH ("-" = stdout)
-//	-baseline PATH      suppress findings recorded in the baseline file
-//	                    (matched by analyzer+file+message, falling back to
-//	                    analyzer+directory+message across file moves)
-//	-write-baseline     rewrite the -baseline file from current findings
-//	-severity LIST      override severities, e.g. "poolsafe=error,errclose=warn"
-//	-unscoped           ignore the default per-analyzer package scoping
-//
-// Findings can also be suppressed inline with a
+// Findings can be suppressed inline with a
 // "//lmvet:ignore <analyzer> <reason>" comment on (or directly above) the
 // offending line.
 //
-// Exit codes: 0 — no error-severity findings (warnings may have been
-// printed); 1 — error findings reported; 2 — usage, load, or type-check
-// error.
+// Exit codes: 0 — no findings; 1 — findings reported; 2 — usage, load,
+// or type-check error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strings"
 
 	"github.com/last-mile-congestion/lastmile/internal/analysis"
 	"github.com/last-mile-congestion/lastmile/internal/ioutil"
@@ -65,56 +38,16 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonDiagnostic is the stable -json output shape for one finding.
-type jsonDiagnostic struct {
-	Analyzer string `json:"analyzer"`
-	Severity string `json:"severity"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-// jsonReport is the stable -json output document.
-type jsonReport struct {
-	Count       int              `json:"count"`
-	Baselined   int              `json:"baselined"`
-	Diagnostics []jsonDiagnostic `json:"diagnostics"`
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lmvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON document")
 	sarifPath := fs.String("sarif", "", "write a SARIF 2.1.0 report to this path (\"-\" for stdout)")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings to suppress")
-	writeBaseline := fs.Bool("write-baseline", false, "rewrite the -baseline file from the current findings and exit")
-	severityFlag := fs.String("severity", "", "per-analyzer severity overrides: name=error|warn, comma-separated")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "max packages analyzed concurrently (output is identical at any setting)")
-	unscoped := fs.Bool("unscoped", false, "ignore the default per-analyzer package scoping and apply every analyzer everywhere")
-	enabled := make(map[string]*bool)
-	for _, a := range analysis.All() {
-		enabled[a.Name] = fs.Bool(a.Name, true, a.Doc)
-	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	severities, err := parseSeverities(*severityFlag)
-	if err != nil {
-		fmt.Fprintln(stderr, "lmvet:", err)
-		return 2
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "lmvet: -write-baseline requires -baseline")
-		return 2
-	}
-	if *jsonOut && *sarifPath == "-" {
-		fmt.Fprintln(stderr, "lmvet: -json and -sarif=- both claim stdout; write the SARIF report to a file")
-		return 2
 	}
 
 	cwd, err := os.Getwd()
@@ -137,50 +70,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := analysis.DefaultConfig()
-	if *unscoped {
-		cfg.Scope = nil
-	}
-	cfg.Workers = *workers
-	cfg.Severity = severities
-	cfg.Enabled = make(map[string]bool, len(enabled))
-	for name, on := range enabled {
-		cfg.Enabled[name] = *on
-	}
-
-	diags, err := analysis.RunSuite(loader, dirs, cfg)
+	diags, err := analysis.RunSuite(loader, dirs)
 	if err != nil {
 		fmt.Fprintln(stderr, "lmvet:", err)
 		return 2
-	}
-
-	if *writeBaseline {
-		body := analysis.FormatBaseline(diags, loader.ModuleDir)
-		if err := os.WriteFile(*baselinePath, []byte(body), 0o644); err != nil {
-			fmt.Fprintln(stderr, "lmvet:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "lmvet: wrote %d baseline entr%s to %s\n",
-			len(diags), plural(len(diags), "y", "ies"), *baselinePath)
-		return 0
-	}
-
-	baselined := 0
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "lmvet:", err)
-			return 2
-		}
-		base, err := analysis.ParseBaseline(f)
-		ioutil.CloseQuiet(f)
-		if err != nil {
-			fmt.Fprintln(stderr, "lmvet:", err)
-			return 2
-		}
-		var accepted []analysis.Diagnostic
-		diags, accepted = base.Filter(diags, loader.ModuleDir)
-		baselined = len(accepted)
 	}
 
 	if *sarifPath != "" {
@@ -189,54 +82,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-
-	errors, warnings := 0, 0
-	for _, d := range diags {
-		if d.Severity == string(analysis.SeverityWarn) {
-			warnings++
-		} else {
-			errors++
-		}
-	}
-
-	if *sarifPath == "-" {
-		// SARIF already owns stdout; report only the summary on stderr.
-		if baselined > 0 {
-			fmt.Fprintf(stderr, "lmvet: %d baselined finding(s) suppressed\n", baselined)
-		}
-		if len(diags) > 0 {
-			fmt.Fprintf(stderr, "lmvet: %d finding(s): %d error(s), %d warning(s)\n", len(diags), errors, warnings)
-		}
-	} else if *jsonOut {
-		report := jsonReport{Count: len(diags), Baselined: baselined, Diagnostics: make([]jsonDiagnostic, 0, len(diags))}
-		for _, d := range diags {
-			report.Diagnostics = append(report.Diagnostics, jsonDiagnostic{
-				Analyzer: d.Analyzer,
-				Severity: d.Severity,
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintln(stderr, "lmvet:", err)
-			return 2
-		}
-	} else {
+	if *sarifPath != "-" {
+		// With -sarif=- the report owns stdout.
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d.String())
 		}
-		if baselined > 0 {
-			fmt.Fprintf(stderr, "lmvet: %d baselined finding(s) suppressed\n", baselined)
-		}
-		if len(diags) > 0 {
-			fmt.Fprintf(stderr, "lmvet: %d finding(s): %d error(s), %d warning(s)\n", len(diags), errors, warnings)
-		}
 	}
-	if errors > 0 {
+	if len(diags) > 0 {
+		fmt.Fprintf(stderr, "lmvet: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
@@ -261,36 +114,4 @@ func writeSARIF(path string, stdout io.Writer, diags []analysis.Diagnostic, modu
 		return err
 	}
 	return f.Close()
-}
-
-// parseSeverities parses "name=error|warn,..." into an override map.
-func parseSeverities(s string) (map[string]analysis.Severity, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := make(map[string]analysis.Severity)
-	for _, part := range strings.Split(s, ",") {
-		name, level, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -severity entry %q; want name=error|warn", part)
-		}
-		if analysis.Lookup(name) == nil {
-			return nil, fmt.Errorf("unknown analyzer %q in -severity", name)
-		}
-		switch analysis.Severity(level) {
-		case analysis.SeverityError, analysis.SeverityWarn:
-			out[name] = analysis.Severity(level)
-		default:
-			return nil, fmt.Errorf("bad severity %q for %s; want error or warn", level, name)
-		}
-	}
-	return out, nil
-}
-
-// plural picks the singular or plural suffix for n.
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

@@ -33,7 +33,7 @@ func TestFindingsExitOne(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; stderr=%q", code, stderr)
 	}
-	if !strings.Contains(stdout, "floatcmp") || !strings.Contains(stdout, "dirty.go") {
+	if !strings.Contains(stdout, "errclose") || !strings.Contains(stdout, "dirty.go") {
 		t.Errorf("findings output missing analyzer or file: %q", stdout)
 	}
 	if !strings.Contains(stderr, "1 finding") {
@@ -65,75 +65,6 @@ func TestUnknownFlagExitsTwo(t *testing.T) {
 	}
 }
 
-func TestJSONShape(t *testing.T) {
-	code, stdout, _ := exec(t, "-json", "testdata/dirty")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	var report struct {
-		Count       int `json:"count"`
-		Diagnostics []struct {
-			Analyzer string `json:"analyzer"`
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Column   int    `json:"column"`
-			Message  string `json:"message"`
-		} `json:"diagnostics"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &report); err != nil {
-		t.Fatalf("output is not the documented JSON shape: %v\n%s", err, stdout)
-	}
-	if report.Count != 1 || len(report.Diagnostics) != 1 {
-		t.Fatalf("count = %d, diagnostics = %d, want 1 and 1", report.Count, len(report.Diagnostics))
-	}
-	d := report.Diagnostics[0]
-	if d.Analyzer != "floatcmp" {
-		t.Errorf("analyzer = %q, want floatcmp", d.Analyzer)
-	}
-	if !strings.HasSuffix(d.File, "dirty.go") || d.Line == 0 || d.Column == 0 {
-		t.Errorf("position not populated: %+v", d)
-	}
-	if d.Message == "" {
-		t.Errorf("empty message")
-	}
-}
-
-func TestJSONCleanRun(t *testing.T) {
-	code, stdout, _ := exec(t, "-json", "testdata/clean")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0", code)
-	}
-	var report struct {
-		Count       int   `json:"count"`
-		Diagnostics []any `json:"diagnostics"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &report); err != nil {
-		t.Fatalf("clean -json output unparsable: %v", err)
-	}
-	if report.Count != 0 || len(report.Diagnostics) != 0 {
-		t.Errorf("clean run reported count=%d diagnostics=%d", report.Count, len(report.Diagnostics))
-	}
-}
-
-func TestDisableFlagSuppressesFindings(t *testing.T) {
-	code, stdout, stderr := exec(t, "-floatcmp=false", "testdata/dirty")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 with floatcmp disabled; stdout=%q stderr=%q", code, stdout, stderr)
-	}
-}
-
-func TestOtherCheckersStillRunWhenOneDisabled(t *testing.T) {
-	// Disabling an unrelated checker must not suppress the floatcmp
-	// finding.
-	code, stdout, _ := exec(t, "-errclose=false", "testdata/dirty")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	if !strings.Contains(stdout, "floatcmp") {
-		t.Errorf("floatcmp finding missing: %q", stdout)
-	}
-}
-
 func TestIgnoreDirectiveSuppressesFinding(t *testing.T) {
 	code, stdout, stderr := exec(t, "testdata/ignored")
 	if code != 0 {
@@ -153,63 +84,9 @@ func TestMalformedIgnoreDirectiveReported(t *testing.T) {
 		t.Errorf("missing malformed-directive diagnostic: %q", stdout)
 	}
 	// A directive without a reason suppresses nothing: the underlying
-	// floatcmp finding must still be printed.
-	if !strings.Contains(stdout, "floatcmp") {
-		t.Errorf("floatcmp finding was wrongly suppressed: %q", stdout)
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "lmvet.baseline")
-
-	code, stdout, stderr := exec(t, "-baseline", path, "-write-baseline", "testdata/dirty")
-	if code != 0 {
-		t.Fatalf("-write-baseline exit = %d, want 0; stderr=%q", code, stderr)
-	}
-	if !strings.Contains(stderr, "wrote 1 baseline entry") {
-		t.Errorf("stderr missing write report: %q", stderr)
-	}
-	body, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("baseline not written: %v", err)
-	}
-	if !strings.Contains(string(body), "floatcmp\t") {
-		t.Errorf("baseline body missing entry: %q", body)
-	}
-
-	// The same dirty package now passes against its own baseline.
-	code, stdout, stderr = exec(t, "-baseline", path, "testdata/dirty")
-	if code != 0 {
-		t.Fatalf("baselined exit = %d, want 0; stdout=%q stderr=%q", code, stdout, stderr)
-	}
-	if stdout != "" {
-		t.Errorf("baselined findings still printed: %q", stdout)
-	}
-	if !strings.Contains(stderr, "1 baselined finding(s) suppressed") {
-		t.Errorf("stderr missing baseline summary: %q", stderr)
-	}
-}
-
-func TestBaselineDoesNotSuppressNewFindings(t *testing.T) {
-	// A baseline recorded from one package must not absorb findings
-	// from a different file.
-	path := filepath.Join(t.TempDir(), "lmvet.baseline")
-	if code, _, stderr := exec(t, "-baseline", path, "-write-baseline", "testdata/dirty"); code != 0 {
-		t.Fatalf("-write-baseline exit = %d; stderr=%q", code, stderr)
-	}
-	code, stdout, _ := exec(t, "-baseline", path, "testdata/multi/a")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 for unbaselined finding", code)
-	}
-	if !strings.Contains(stdout, "a.go") {
-		t.Errorf("new finding missing: %q", stdout)
-	}
-}
-
-func TestWriteBaselineRequiresPath(t *testing.T) {
-	code, _, stderr := exec(t, "-write-baseline", "testdata/dirty")
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2; stderr=%q", code, stderr)
+	// errclose finding must still be printed.
+	if !strings.Contains(stdout, "errclose") {
+		t.Errorf("errclose finding was wrongly suppressed: %q", stdout)
 	}
 }
 
@@ -275,8 +152,8 @@ func TestSARIFShape(t *testing.T) {
 		t.Fatalf("results = %d, want 1", len(run.Results))
 	}
 	res := run.Results[0]
-	if res.RuleID != "floatcmp" || res.Level != "error" {
-		t.Errorf("ruleId = %q level = %q, want floatcmp/error", res.RuleID, res.Level)
+	if res.RuleID != "errclose" || res.Level != "error" {
+		t.Errorf("ruleId = %q level = %q, want errclose/error", res.RuleID, res.Level)
 	}
 	if len(res.Locations) != 1 {
 		t.Fatalf("locations = %d, want 1", len(res.Locations))
@@ -307,102 +184,6 @@ func TestSARIFStdout(t *testing.T) {
 	}
 }
 
-func TestSARIFStdoutConflictsWithJSON(t *testing.T) {
-	code, _, stderr := exec(t, "-json", "-sarif", "-", "testdata/dirty")
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2; stderr=%q", code, stderr)
-	}
-}
-
-func TestSeverityOverrideDowngradesExit(t *testing.T) {
-	code, stdout, stderr := exec(t, "-severity", "floatcmp=warn", "testdata/dirty")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 for warn-only findings; stderr=%q", code, stderr)
-	}
-	if !strings.Contains(stdout, "floatcmp") {
-		t.Errorf("downgraded finding no longer printed: %q", stdout)
-	}
-	if !strings.Contains(stderr, "0 error(s), 1 warning(s)") {
-		t.Errorf("stderr summary missing warning count: %q", stderr)
-	}
-}
-
-func TestSeverityFlagValidation(t *testing.T) {
-	if code, _, _ := exec(t, "-severity", "floatcmp=fatal", "testdata/clean"); code != 2 {
-		t.Errorf("bad level: exit = %d, want 2", code)
-	}
-	if code, _, _ := exec(t, "-severity", "nosuch=warn", "testdata/clean"); code != 2 {
-		t.Errorf("unknown analyzer: exit = %d, want 2", code)
-	}
-}
-
-func TestWorkersOutputIdentical(t *testing.T) {
-	dirs := []string{"testdata/multi/a", "testdata/multi/b", "testdata/multi/c"}
-	serial, serialErr := "", ""
-	for i, workers := range []string{"1", "4"} {
-		args := append([]string{"-workers=" + workers}, dirs...)
-		code, stdout, stderr := exec(t, args...)
-		if code != 1 {
-			t.Fatalf("workers=%s exit = %d, want 1; stderr=%q", workers, code, stderr)
-		}
-		if i == 0 {
-			serial, serialErr = stdout, stderr
-			if strings.Count(serial, "floatcmp") != 3 {
-				t.Fatalf("expected 3 findings across packages, got: %q", serial)
-			}
-			continue
-		}
-		if stdout != serial {
-			t.Errorf("stdout differs between -workers=1 and -workers=%s:\n%q\nvs\n%q", workers, serial, stdout)
-		}
-		if stderr != serialErr {
-			t.Errorf("stderr differs between -workers=1 and -workers=%s:\n%q\nvs\n%q", workers, serialErr, stderr)
-		}
-	}
-}
-
-func TestConcurrencyAnalyzersIntegration(t *testing.T) {
-	code, stdout, _ := exec(t, "testdata/concdirty")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1; stdout=%q", code, stdout)
-	}
-	for _, want := range []string{"goleak", "chanprotocol", "ctxflow", "lmmonitor interrupt-race shape"} {
-		if !strings.Contains(stdout, want) {
-			t.Errorf("output missing %q:\n%s", want, stdout)
-		}
-	}
-	// Disabling the three concurrency analyzers restores a clean exit.
-	code, stdout, stderr := exec(t, "-goleak=false", "-chanprotocol=false", "-ctxflow=false", "testdata/concdirty")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 with concurrency analyzers disabled; stdout=%q stderr=%q", code, stdout, stderr)
-	}
-}
-
-func TestWorkersIdenticalWithConcurrencyAnalyzers(t *testing.T) {
-	dirs := []string{"testdata/multi/a", "testdata/multi/b", "testdata/multi/c", "testdata/concdirty"}
-	serial, serialErr := "", ""
-	for i, workers := range []string{"1", "8"} {
-		args := append([]string{"-workers=" + workers}, dirs...)
-		code, stdout, stderr := exec(t, args...)
-		if code != 1 {
-			t.Fatalf("workers=%s exit = %d, want 1; stderr=%q", workers, code, stderr)
-		}
-		if i == 0 {
-			serial, serialErr = stdout, stderr
-			if !strings.Contains(serial, "goleak") || !strings.Contains(serial, "floatcmp") {
-				t.Fatalf("expected module-wide and per-package findings together, got: %q", serial)
-			}
-			continue
-		}
-		if stdout != serial {
-			t.Errorf("stdout differs between -workers=1 and -workers=%s:\n%q\nvs\n%q", workers, serial, stdout)
-		}
-		if stderr != serialErr {
-			t.Errorf("stderr differs between -workers=1 and -workers=%s:\n%q\nvs\n%q", workers, serialErr, stderr)
-		}
-	}
-}
-
 func TestSARIFUnwritablePathExitsTwo(t *testing.T) {
 	blocker := filepath.Join(t.TempDir(), "blocker")
 	if err := os.WriteFile(blocker, []byte("a plain file, not a directory"), 0o644); err != nil {
@@ -417,26 +198,15 @@ func TestSARIFUnwritablePathExitsTwo(t *testing.T) {
 	}
 }
 
-func TestWriteBaselineUnwritablePathExitsTwo(t *testing.T) {
-	blocker := filepath.Join(t.TempDir(), "blocker")
-	if err := os.WriteFile(blocker, []byte("a plain file, not a directory"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := exec(t, "-baseline", filepath.Join(blocker, "lmvet.baseline"), "-write-baseline", "testdata/dirty")
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2; stderr=%q", code, stderr)
-	}
-}
-
 func TestUnknownAnalyzerFlagExitsTwo(t *testing.T) {
-	// Analyzer switches are generated from the registry; a flag for an
-	// analyzer that does not exist must fail flag parsing, not be
-	// silently accepted.
-	code, _, stderr := exec(t, "-nosuchanalyzer=false", "testdata/clean")
+	// Every analyzer always runs: there is no per-analyzer switch, so
+	// one written as a flag fails flag parsing rather than silently
+	// disabling nothing.
+	code, _, stderr := exec(t, "-errclose=false", "testdata/dirty")
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2; stderr=%q", code, stderr)
 	}
-	if !strings.Contains(stderr, "nosuchanalyzer") {
+	if !strings.Contains(stderr, "errclose") {
 		t.Errorf("stderr does not name the unknown flag: %q", stderr)
 	}
 }

@@ -1,9 +1,14 @@
-// Package dirty is an lmvet CLI test fixture with exactly one floatcmp
-// finding, used to exercise exit code 1, the -json shape, and the
-// per-checker disable flags.
+// Package dirty is an lmvet CLI test fixture with exactly one errclose
+// finding, used to exercise exit code 1 and the SARIF report.
 package dirty
 
-// Equal compares floats with ==, which floatcmp flags.
-func Equal(a, b float64) bool {
-	return a == b
+// File stands in for a written file.
+type File struct{}
+
+// Close reports the write error a full disk surfaces at close.
+func (File) Close() error { return nil }
+
+// Save drops the error of Close, which errclose flags.
+func Save(f File) {
+	f.Close()
 }

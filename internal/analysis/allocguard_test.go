@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -19,15 +18,8 @@ func allocGuardFixtureDirs(t *testing.T) (*Loader, []string) {
 	return l, []string{root, filepath.Join(root, "dep")}
 }
 
-// allocGuardOnly enables just the allocguard analyzer.
-func allocGuardOnly() Config {
-	cfg := DefaultConfig()
-	cfg.Enabled = make(map[string]bool)
-	for _, a := range All() {
-		cfg.Enabled[a.Name] = a.Name == "allocguard"
-	}
-	return cfg
-}
+// allocGuardOnly is the suite with just the allocguard analyzer.
+var allocGuardOnly = []*Analyzer{AllocGuardAnalyzer}
 
 // TestAllocGuardGolden drives the hot-set reachability and every
 // allocation class over the fixture: call edges, reference edges,
@@ -35,9 +27,9 @@ func allocGuardOnly() Config {
 // lattice's stack-vs-heap answer, and inline suppressions.
 func TestAllocGuardGolden(t *testing.T) {
 	l, dirs := allocGuardFixtureDirs(t)
-	diags, err := RunSuite(l, dirs, allocGuardOnly())
+	diags, err := runAnalyzers(l, dirs, DefaultConfig(), allocGuardOnly)
 	if err != nil {
-		t.Fatalf("RunSuite: %v", err)
+		t.Fatalf("runAnalyzers: %v", err)
 	}
 	checkWants(t, l.Loaded(), diags)
 }
@@ -46,9 +38,9 @@ func TestAllocGuardGolden(t *testing.T) {
 // witness message: chain order, allocation description, and advice.
 func TestAllocGuardWitnessDetail(t *testing.T) {
 	l, dirs := allocGuardFixtureDirs(t)
-	diags, err := RunSuite(l, dirs, allocGuardOnly())
+	diags, err := runAnalyzers(l, dirs, DefaultConfig(), allocGuardOnly)
 	if err != nil {
-		t.Fatalf("RunSuite: %v", err)
+		t.Fatalf("runAnalyzers: %v", err)
 	}
 	var msg string
 	for _, d := range diags {
@@ -63,60 +55,5 @@ func TestAllocGuardWitnessDetail(t *testing.T) {
 		"boxes int into any; store a pointer or keep the variable concrete"
 	if msg != want {
 		t.Errorf("witness message:\n got %q\nwant %q", msg, want)
-	}
-}
-
-// TestAllocGuardSeverityStamped checks the default error severity and
-// the per-run override.
-func TestAllocGuardSeverityStamped(t *testing.T) {
-	l, dirs := allocGuardFixtureDirs(t)
-	diags, err := RunSuite(l, dirs, allocGuardOnly())
-	if err != nil {
-		t.Fatalf("RunSuite: %v", err)
-	}
-	if len(diags) == 0 {
-		t.Fatal("no diagnostics")
-	}
-	for _, d := range diags {
-		if d.Severity != string(SeverityError) {
-			t.Errorf("%s: severity = %q, want error", d, d.Severity)
-		}
-	}
-
-	l2, dirs2 := allocGuardFixtureDirs(t)
-	cfg := allocGuardOnly()
-	cfg.Severity = map[string]Severity{"allocguard": SeverityWarn}
-	diags2, err := RunSuite(l2, dirs2, cfg)
-	if err != nil {
-		t.Fatalf("RunSuite: %v", err)
-	}
-	for _, d := range diags2 {
-		if d.Severity != string(SeverityWarn) {
-			t.Errorf("%s: severity = %q, want warn override", d, d.Severity)
-		}
-	}
-}
-
-// TestAllocGuardWorkerEquivalence pins determinism of the module-wide
-// analyzer under the parallel driver: identical diagnostics at any
-// worker count.
-func TestAllocGuardWorkerEquivalence(t *testing.T) {
-	run := func(workers int) []Diagnostic {
-		l, dirs := allocGuardFixtureDirs(t)
-		cfg := DefaultConfig() // every analyzer
-		cfg.Workers = workers
-		diags, err := RunSuite(l, dirs, cfg)
-		if err != nil {
-			t.Fatalf("RunSuite(workers=%d): %v", workers, err)
-		}
-		return diags
-	}
-	serial := run(1)
-	parallelRun := run(8)
-	if !reflect.DeepEqual(serial, parallelRun) {
-		t.Errorf("parallel diagnostics differ from serial:\nserial:   %v\nparallel: %v", serial, parallelRun)
-	}
-	if len(serial) == 0 {
-		t.Error("fixture produced no diagnostics; equivalence check is vacuous")
 	}
 }

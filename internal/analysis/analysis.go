@@ -3,24 +3,17 @@
 // standard library's go/ast, go/parser, and go/types packages — no
 // external analysis framework — so the module stays dependency-free.
 //
-// The defect classes it targets are the ones that corrupt a
-// millisecond-scale congestion classifier without failing any test:
-// NaN-unsafe float comparisons (floatcmp), NaN propagation through sorts
-// and min/max reductions (nanguard), nondeterminism in the simulation
-// packages that must reproduce EXPERIMENTS.md bit-for-bit (detguard),
-// lock misuse in the concurrent streaming monitor (locksafe),
-// goroutine fan-out that bypasses the worker-pool index discipline
-// (poolsafe), dropped Close/Flush/Write errors on the
-// ingest/report paths (errclose), and telemetry misuse that would put
-// registry lookups on hot paths or fork atomic metric state
-// (metricsafe), hidden allocations on //lmvet:hotpath-annotated ingest
-// paths (allocguard), lock-acquisition-order cycles or unsampled
-// telemetry under hot locks (lockorder), and — over the goflow
-// concurrency-lifecycle summaries — goroutines that can outlive their
-// spawner (goleak), channel ownership-protocol violations like close by
-// a non-sender or a default-polled completion signal (chanprotocol), and
-// context.Context parameters never threaded into blocking work
-// (ctxflow).
+// The defect classes it targets are the ones that change output or
+// allocate on the ingest hot path without failing any test:
+// nondeterminism reaching the simulation entry points that must
+// reproduce EXPERIMENTS.md bit-for-bit (dettaint), dropped
+// Close/Flush/Sync/Write errors on the ingest/report paths (errclose),
+// hidden allocations on //lmvet:hotpath-annotated ingest paths
+// (allocguard), and lock-acquisition-order cycles or unsampled telemetry
+// under hot locks (lockorder). Each analyzer is kept because a seeded
+// bug that changes output or breaks 0 allocs/op escapes go vet, the
+// -race test run and the zero-alloc benchmark gates but not the analyzer
+// (DESIGN.md §8).
 package analysis
 
 import (
@@ -37,8 +30,6 @@ type Pass struct {
 	Fset *token.FileSet
 	// Files are the package's parsed non-test files.
 	Files []*ast.File
-	// Pkg is the type-checked package.
-	Pkg *types.Package
 	// Info holds the type-checker's fact tables for Files.
 	Info *types.Info
 
@@ -86,39 +77,13 @@ func (p *ModulePass) requested(pkg *Package) bool {
 	return p.requestedPkgs[pkg.Path]
 }
 
-// TypeOf returns the type of expression e, or nil if unknown.
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if tv, ok := p.Info.Types[e]; ok {
-		return tv.Type
-	}
-	if id, ok := e.(*ast.Ident); ok {
-		if obj := p.Info.ObjectOf(id); obj != nil {
-			return obj.Type()
-		}
-	}
-	return nil
-}
-
-// Severity ranks a finding for exit-code purposes: errors fail the run,
-// warnings are reported but do not.
-type Severity string
-
-const (
-	// SeverityError findings fail the lmvet run (exit code 1).
-	SeverityError Severity = "error"
-	// SeverityWarn findings are printed but do not affect the exit code.
-	SeverityWarn Severity = "warn"
-)
-
 // Analyzer is one named check over a package or over the whole module.
 type Analyzer struct {
-	// Name is the flag-friendly identifier (e.g. "floatcmp").
+	// Name is the identifier findings and lmvet:ignore directives use
+	// (e.g. "errclose").
 	Name string
-	// Doc is a one-line description shown by lmvet -help.
+	// Doc is a one-line description, the rule text of the SARIF report.
 	Doc string
-	// Severity is the default severity of this analyzer's findings; the
-	// zero value means SeverityError. Config.Severity overrides per run.
-	Severity Severity
 	// Run inspects one package and reports findings via pass.Reportf.
 	// Exactly one of Run and RunModule is set.
 	Run func(pass *Pass) error
@@ -127,12 +92,12 @@ type Analyzer struct {
 	RunModule func(pass *ModulePass) error
 }
 
-// Diagnostic is one finding, resolved to a file position.
+// Diagnostic is one finding, resolved to a file position. Every finding
+// is an error: it fails the lmvet run.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	Severity string         `json:"severity"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 // String formats the diagnostic in the canonical file:line:col style.
@@ -143,32 +108,13 @@ func (d Diagnostic) String() string {
 // All returns every analyzer in the suite, sorted by name.
 func All() []*Analyzer {
 	as := []*Analyzer{
-		FloatCmpAnalyzer,
-		NaNGuardAnalyzer,
-		DetGuardAnalyzer,
 		DetTaintAnalyzer,
-		LockSafeAnalyzer,
 		ErrCloseAnalyzer,
-		PoolSafeAnalyzer,
-		MetricSafeAnalyzer,
 		AllocGuardAnalyzer,
 		LockOrderAnalyzer,
-		GoLeakAnalyzer,
-		ChanProtocolAnalyzer,
-		CtxFlowAnalyzer,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
 	return as
-}
-
-// Lookup returns the analyzer with the given name, or nil.
-func Lookup(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // RunAnalyzer applies one per-package analyzer to one loaded package and
@@ -182,7 +128,6 @@ func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	pass := &Pass{
 		Fset:     pkg.Fset,
 		Files:    pkg.Files,
-		Pkg:      pkg.Types,
 		Info:     pkg.Info,
 		analyzer: a,
 		diags:    &diags,

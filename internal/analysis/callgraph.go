@@ -28,9 +28,6 @@ type Program struct {
 	Funcs map[*types.Func]*FuncNode
 
 	nodes []*FuncNode
-	// conc is the lazily built concurrency summary layer (goflow.go),
-	// shared by the goleak/chanprotocol/ctxflow analyzers.
-	conc *concInfo
 }
 
 // FuncNode is one function or method declaration in the call graph.

@@ -66,7 +66,7 @@ func Hot() {}
 
 // Cold mentions lmvet:hotpath in prose but carries no directive line,
 // and an ignore directive is not a hotpath one.
-//lmvet:ignore floatcmp not a hotpath marker
+//lmvet:ignore errclose not a hotpath marker
 func Cold() {}
 `
 	_, _, hot := checkFlowSrc(t, src, "Hot")

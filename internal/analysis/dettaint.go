@@ -10,11 +10,11 @@ import (
 
 // DetTaintAnalyzer propagates nondeterminism taint interprocedurally over
 // the module call graph and reports every exported entry point of the
-// deterministic pipeline packages that can reach a nondeterminism source.
-// detguard catches a time.Now written directly inside internal/netsim;
-// dettaint catches the same call hidden two helpers deep in an unscoped
-// utility package, because what must hold is a property of the whole call
-// chain feeding the EXPERIMENTS.md artifacts, not of one file.
+// deterministic pipeline packages that can reach a nondeterminism source:
+// a time.Now written directly inside internal/netsim and the same call
+// hidden two helpers deep in a utility package alike, because what must
+// hold is a property of the whole call chain feeding the EXPERIMENTS.md
+// artifacts, not of one file.
 //
 // Taint kinds and their sources:
 //
@@ -266,4 +266,69 @@ func recvTypeName(t types.Type) string {
 		return n.Obj().Name()
 	}
 	return ""
+}
+
+// globalRandFuncs are the math/rand package-level functions backed by the
+// shared, globally seeded source.
+var globalRandFuncs = map[string]bool{
+	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
+	"Float32": true, "Float64": true, "ExpFloat64": true,
+	"NormFloat64": true, "Perm": true, "Shuffle": true, "Seed": true,
+	"Read": true, "N": true,
+}
+
+// funcCallsSort reports whether fd calls into package sort or slices'
+// sort helpers, or any function whose name starts with "Sort" or ends
+// with "Sorted" — evidence the author canonicalises iteration order.
+func funcCallsSort(fd *ast.FuncDecl) bool {
+	found := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		name := calleeName(call)
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			if id, ok := sel.X.(*ast.Ident); ok && (id.Name == "sort" || id.Name == "slices") {
+				found = true
+				return false
+			}
+		}
+		if len(name) >= 4 && (name[:4] == "Sort" || name[:4] == "sort") {
+			found = true
+			return false
+		}
+		if len(name) >= 6 && name[len(name)-6:] == "Sorted" {
+			found = true
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+// mapRangeAppends reports whether rng iterates a map while appending to a
+// slice — the accumulation pattern whose element order differs run to run.
+func mapRangeAppends(info *types.Info, rng *ast.RangeStmt) bool {
+	t := typeOf(info, rng.X)
+	if t == nil {
+		return false
+	}
+	if _, ok := t.Underlying().(*types.Map); !ok {
+		return false
+	}
+	appends := false
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
+				if _, isBuiltin := info.ObjectOf(id).(*types.Builtin); isBuiltin {
+					appends = true
+					return false
+				}
+			}
+		}
+		return true
+	})
+	return appends
 }

@@ -2,13 +2,12 @@ package analysis
 
 import (
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
 
 // detTaintFixtureDirs are the package directories of the multi-package
-// dettaint golden fixture, in the order RunSuite receives them.
+// dettaint golden fixture, in the order the suite receives them.
 func detTaintFixtureDirs(t *testing.T) (*Loader, []string) {
 	t.Helper()
 	root := filepath.Join("testdata", "src", "dettaint")
@@ -25,16 +24,9 @@ func detTaintFixtureDirs(t *testing.T) (*Loader, []string) {
 	return l, dirs
 }
 
-// detTaintOnly enables just the dettaint analyzer with the repo's default
-// sink selection.
-func detTaintOnly() Config {
-	cfg := DefaultConfig()
-	cfg.Enabled = make(map[string]bool)
-	for _, a := range All() {
-		cfg.Enabled[a.Name] = a.Name == "dettaint"
-	}
-	return cfg
-}
+// detTaintOnly is the suite with just the dettaint analyzer; it runs
+// with the repo's default sink selection.
+var detTaintOnly = []*Analyzer{DetTaintAnalyzer}
 
 // TestDetTaintGolden drives the taint engine over the multi-package
 // fixture and asserts the witness-chain diagnostics via // want comments:
@@ -44,9 +36,9 @@ func detTaintOnly() Config {
 // unexported functions) stay silent.
 func TestDetTaintGolden(t *testing.T) {
 	l, dirs := detTaintFixtureDirs(t)
-	diags, err := RunSuite(l, dirs, detTaintOnly())
+	diags, err := runAnalyzers(l, dirs, DefaultConfig(), detTaintOnly)
 	if err != nil {
-		t.Fatalf("RunSuite: %v", err)
+		t.Fatalf("runAnalyzers: %v", err)
 	}
 	checkWants(t, l.Loaded(), diags)
 }
@@ -55,9 +47,9 @@ func TestDetTaintGolden(t *testing.T) {
 // chain order, source position, and advice.
 func TestDetTaintWitnessDetail(t *testing.T) {
 	l, dirs := detTaintFixtureDirs(t)
-	diags, err := RunSuite(l, dirs, detTaintOnly())
+	diags, err := runAnalyzers(l, dirs, DefaultConfig(), detTaintOnly)
 	if err != nil {
-		t.Fatalf("RunSuite: %v", err)
+		t.Fatalf("runAnalyzers: %v", err)
 	}
 	var msg string
 	for _, d := range diags {
@@ -73,60 +65,5 @@ func TestDetTaintWitnessDetail(t *testing.T) {
 		"thread a clock or timestamp parameter in explicitly"
 	if msg != want {
 		t.Errorf("witness message:\n got %q\nwant %q", msg, want)
-	}
-}
-
-// TestDetTaintSeverityStamped checks findings carry the error severity by
-// default and honour per-run overrides.
-func TestDetTaintSeverityStamped(t *testing.T) {
-	l, dirs := detTaintFixtureDirs(t)
-	diags, err := RunSuite(l, dirs, detTaintOnly())
-	if err != nil {
-		t.Fatalf("RunSuite: %v", err)
-	}
-	if len(diags) == 0 {
-		t.Fatal("no diagnostics")
-	}
-	for _, d := range diags {
-		if d.Severity != string(SeverityError) {
-			t.Errorf("%s: severity = %q, want error", d, d.Severity)
-		}
-	}
-
-	l2, dirs2 := detTaintFixtureDirs(t)
-	cfg := detTaintOnly()
-	cfg.Severity = map[string]Severity{"dettaint": SeverityWarn}
-	diags2, err := RunSuite(l2, dirs2, cfg)
-	if err != nil {
-		t.Fatalf("RunSuite: %v", err)
-	}
-	for _, d := range diags2 {
-		if d.Severity != string(SeverityWarn) {
-			t.Errorf("%s: severity = %q, want warn override", d, d.Severity)
-		}
-	}
-}
-
-// TestRunSuiteWorkerEquivalence pins the determinism contract of the
-// parallel driver: the diagnostic stream at Workers=8 is identical to the
-// serial run, package by package, message by message.
-func TestRunSuiteWorkerEquivalence(t *testing.T) {
-	run := func(workers int) []Diagnostic {
-		l, dirs := detTaintFixtureDirs(t)
-		cfg := DefaultConfig() // every analyzer, scopes included
-		cfg.Workers = workers
-		diags, err := RunSuite(l, dirs, cfg)
-		if err != nil {
-			t.Fatalf("RunSuite(workers=%d): %v", workers, err)
-		}
-		return diags
-	}
-	serial := run(1)
-	parallelRun := run(8)
-	if !reflect.DeepEqual(serial, parallelRun) {
-		t.Errorf("parallel diagnostics differ from serial:\nserial:   %v\nparallel: %v", serial, parallelRun)
-	}
-	if len(serial) == 0 {
-		t.Error("fixture produced no diagnostics; equivalence check is vacuous")
 	}
 }

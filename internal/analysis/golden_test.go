@@ -88,10 +88,4 @@ func checkWants(t *testing.T, pkgs []*Package, diags []Diagnostic) {
 	}
 }
 
-func TestFloatCmpGolden(t *testing.T)   { testGolden(t, FloatCmpAnalyzer, "floatcmp") }
-func TestNaNGuardGolden(t *testing.T)   { testGolden(t, NaNGuardAnalyzer, "nanguard") }
-func TestDetGuardGolden(t *testing.T)   { testGolden(t, DetGuardAnalyzer, "detguard") }
-func TestLockSafeGolden(t *testing.T)   { testGolden(t, LockSafeAnalyzer, "locksafe") }
-func TestErrCloseGolden(t *testing.T)   { testGolden(t, ErrCloseAnalyzer, "errclose") }
-func TestPoolSafeGolden(t *testing.T)   { testGolden(t, PoolSafeAnalyzer, "poolsafe") }
-func TestMetricSafeGolden(t *testing.T) { testGolden(t, MetricSafeAnalyzer, "metricsafe") }
+func TestErrCloseGolden(t *testing.T) { testGolden(t, ErrCloseAnalyzer, "errclose") }

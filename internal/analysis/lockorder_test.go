@@ -20,14 +20,10 @@ func lockOrderFixtureDirs(t *testing.T) (*Loader, []string) {
 	return l, []string{root, filepath.Join(root, "telemetry")}
 }
 
-// lockOrderOnly enables just the lockorder analyzer, with the fixture's
-// shard lock as the hot class.
-func lockOrderOnly() Config {
+// lockOrderConfig is the default policy with the fixture's shard lock as
+// the hot class.
+func lockOrderConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Enabled = make(map[string]bool)
-	for _, a := range All() {
-		cfg.Enabled[a.Name] = a.Name == "lockorder"
-	}
 	cfg.HotPathLocks = []string{"locks.shard.mu"}
 	return cfg
 }
@@ -39,9 +35,9 @@ func lockOrderOnly() Config {
 // and inline suppressions.
 func TestLockOrderGolden(t *testing.T) {
 	l, dirs := lockOrderFixtureDirs(t)
-	diags, err := RunSuite(l, dirs, lockOrderOnly())
+	diags, err := runAnalyzers(l, dirs, lockOrderConfig(), []*Analyzer{LockOrderAnalyzer})
 	if err != nil {
-		t.Fatalf("RunSuite: %v", err)
+		t.Fatalf("runAnalyzers: %v", err)
 	}
 	checkWants(t, l.Loaded(), diags)
 }
@@ -50,9 +46,9 @@ func TestLockOrderGolden(t *testing.T) {
 // both opposing edges with their witness sites, and the advice.
 func TestLockOrderCycleDetail(t *testing.T) {
 	l, dirs := lockOrderFixtureDirs(t)
-	diags, err := RunSuite(l, dirs, lockOrderOnly())
+	diags, err := runAnalyzers(l, dirs, lockOrderConfig(), []*Analyzer{LockOrderAnalyzer})
 	if err != nil {
-		t.Fatalf("RunSuite: %v", err)
+		t.Fatalf("runAnalyzers: %v", err)
 	}
 	var msg string
 	for _, d := range diags {

@@ -1,31 +1,15 @@
 package analysis
 
-import (
-	"context"
-	"strings"
+import "strings"
 
-	"github.com/last-mile-congestion/lastmile/internal/parallel"
-)
-
-// Config selects which analyzers run, where their findings apply, and how
-// the suite executes.
+// Config says where the analyzers' findings apply.
 type Config struct {
-	// Enabled maps analyzer name -> on/off. A nil map enables every
-	// analyzer; a present-but-false entry disables one.
-	Enabled map[string]bool
 	// Scope maps analyzer name -> import-path substrings the analyzer is
 	// confined to. Analyzers without an entry apply everywhere. Scope
 	// applies to per-package analyzers; module-wide analyzers see the
 	// whole program and confine their reporting themselves (see
 	// TaintSinks).
 	Scope map[string][]string
-	// Severity overrides an analyzer's default finding severity by name.
-	Severity map[string]Severity
-	// Workers bounds how many packages are analyzed concurrently;
-	// <= 1 analyzes serially. Results are merged in deterministic order
-	// either way (the worker pool returns input-order results), so
-	// parallel and serial runs emit byte-identical output.
-	Workers int
 	// TaintSinks are the import-path substrings whose exported entry
 	// points the dettaint analyzer treats as sinks.
 	TaintSinks []string
@@ -36,23 +20,18 @@ type Config struct {
 	HotPathLocks []string
 }
 
-// DefaultConfig returns the repo's lmvet policy: every analyzer on,
-// detguard confined to the deterministic simulation packages, errclose
-// confined to the ingest/report paths and the binaries, and dettaint
-// guarding the exported surface of every package that feeds the
-// EXPERIMENTS.md artifacts.
+// DefaultConfig returns the repo's lmvet policy: errclose confined to
+// the ingest/report paths, the experiment artifact writers and the
+// binaries, and dettaint guarding the exported surface of every package
+// that feeds the EXPERIMENTS.md artifacts.
 func DefaultConfig() Config {
 	return Config{
 		Scope: map[string][]string{
-			"detguard": {
-				"internal/netsim",
-				"internal/scenario",
-				"internal/dsp",
-			},
 			"errclose": {
 				"internal/ioutil",
 				"internal/traceroute",
 				"internal/report",
+				"internal/experiments",
 				"/cmd/",
 			},
 		},
@@ -66,15 +45,6 @@ func DefaultConfig() Config {
 			"engine.shard.mu",
 		},
 	}
-}
-
-// enabled reports whether the named analyzer should run at all.
-func (c Config) enabled(name string) bool {
-	if c.Enabled == nil {
-		return true
-	}
-	on, ok := c.Enabled[name]
-	return !ok || on
 }
 
 // inScope reports whether the analyzer applies to the package path.
@@ -91,29 +61,19 @@ func (c Config) inScope(name, pkgPath string) bool {
 	return false
 }
 
-// severityOf resolves the effective severity for an analyzer name:
-// the configured override, else the analyzer's default, else error.
-func (c Config) severityOf(name string) Severity {
-	if s, ok := c.Severity[name]; ok {
-		return s
-	}
-	if a := Lookup(name); a != nil && a.Severity != "" {
-		return a.Severity
-	}
-	return SeverityError
+// RunSuite loads every package directory and applies every analyzer
+// under the repo's policy (DefaultConfig), returning all findings sorted
+// by position. Load and type-check failures abort the run.
+func RunSuite(l *Loader, dirs []string) ([]Diagnostic, error) {
+	return runAnalyzers(l, dirs, DefaultConfig(), All())
 }
 
-// RunSuite loads every package directory and applies the configured
-// analyzers, returning all findings sorted by position. Load and
-// type-check failures abort the run.
-//
-// Execution: loading and type-checking are serial (the loader's caches
-// are shared), then the per-package analyzers fan out over packages on
-// cfg.Workers goroutines via the internal/parallel pool, whose
-// input-order result delivery keeps output deterministic. Module-wide
-// analyzers (dettaint) then run once over the full loaded program.
-// Finally lmvet:ignore suppressions are applied and severities stamped.
-func RunSuite(l *Loader, dirs []string, cfg Config) ([]Diagnostic, error) {
+// runAnalyzers is RunSuite over the given analyzers: the per-package
+// ones run on each package in scope, the module-wide ones (dettaint,
+// allocguard, lockorder) once over the call graph of everything loaded.
+// Finally lmvet:ignore suppressions are applied; a malformed or unknown
+// directive is itself a finding.
+func runAnalyzers(l *Loader, dirs []string, cfg Config, analyzers []*Analyzer) ([]Diagnostic, error) {
 	pkgs := make([]*Package, len(dirs))
 	for i, dir := range dirs {
 		pkg, err := l.Load(dir)
@@ -123,43 +83,23 @@ func RunSuite(l *Loader, dirs []string, cfg Config) ([]Diagnostic, error) {
 		pkgs[i] = pkg
 	}
 
-	var perPkg, moduleWide []*Analyzer
-	for _, a := range All() {
-		if !cfg.enabled(a.Name) {
-			continue
-		}
+	var all []Diagnostic
+	var moduleWide []*Analyzer
+	for _, a := range analyzers {
 		if a.RunModule != nil {
 			moduleWide = append(moduleWide, a)
-		} else {
-			perPkg = append(perPkg, a)
+			continue
 		}
-	}
-
-	// Analyzer passes are read-only over the type-checked packages and
-	// the shared (internally locked) FileSet, so packages analyze
-	// concurrently; parallel.Map returns per-package results in input
-	// order, which the final position sort then makes order-independent.
-	perPkgDiags, err := parallel.Map(context.Background(), cfg.Workers, len(pkgs),
-		func(i int) ([]Diagnostic, error) {
-			var out []Diagnostic
-			for _, a := range perPkg {
-				if !cfg.inScope(a.Name, pkgs[i].Path) {
-					continue
-				}
-				diags, err := RunAnalyzer(a, pkgs[i])
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, diags...)
+		for _, pkg := range pkgs {
+			if !cfg.inScope(a.Name, pkg.Path) {
+				continue
 			}
-			return out, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	var all []Diagnostic
-	for _, ds := range perPkgDiags {
-		all = append(all, ds...)
+			diags, err := RunAnalyzer(a, pkg)
+			if err != nil {
+				return nil, err
+			}
+			all = append(all, diags...)
+		}
 	}
 
 	known := make(map[string]bool)
@@ -176,28 +116,21 @@ func RunSuite(l *Loader, dirs []string, cfg Config) ([]Diagnostic, error) {
 			requested[p.Path] = true
 		}
 		for _, a := range moduleWide {
-			var diags []Diagnostic
 			mp := &ModulePass{
 				Prog:          prog,
 				Cfg:           cfg,
 				analyzer:      a,
-				diags:         &diags,
+				diags:         &all,
 				requestedPkgs: requested,
 				ignores:       ignores,
 			}
 			if err := a.RunModule(mp); err != nil {
 				return nil, err
 			}
-			all = append(all, diags...)
 		}
 	}
 
 	all = ignores.filter(all)
-	for i := range all {
-		if all[i].Severity == "" {
-			all[i].Severity = string(cfg.severityOf(all[i].Analyzer))
-		}
-	}
 	all = append(all, malformed...)
 	sortDiagnostics(all)
 	return all, nil

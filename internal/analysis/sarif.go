@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"path/filepath"
+	"strings"
 )
 
 // SARIF 2.1.0 output, the interchange format CI annotation surfaces
@@ -95,14 +96,10 @@ func WriteSARIF(w io.Writer, diags []Diagnostic, moduleDir string) error {
 
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
-		level := "error"
-		if d.Severity == string(SeverityWarn) {
-			level = "warning"
-		}
 		results = append(results, sarifResult{
 			RuleID:    d.Analyzer,
 			RuleIndex: ruleIndex[d.Analyzer],
-			Level:     level,
+			Level:     "error",
 			Message:   sarifMessage{Text: d.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysicalLocation{
@@ -135,4 +132,15 @@ func WriteSARIF(w io.Writer, diags []Diagnostic, moduleDir string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
+}
+
+// relPath renders file relative to moduleDir with forward slashes, or
+// the file as given when it lies outside the module.
+func relPath(moduleDir, file string) string {
+	if moduleDir != "" {
+		if rel, err := filepath.Rel(moduleDir, file); err == nil && !strings.HasPrefix(rel, "..") {
+			return filepath.ToSlash(rel)
+		}
+	}
+	return filepath.ToSlash(file)
 }

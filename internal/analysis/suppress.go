@@ -10,7 +10,7 @@ import (
 // "lmvet:ignore" (written as a //-comment with no space before the
 // marker, like other machine directives) accepts one finding:
 //
-//	sum := a == b //lmvet:ignore floatcmp bitwise identity is intended here
+//	f.Close() //lmvet:ignore errclose read-only file, nothing to lose
 //
 // The directive names the analyzer being silenced and must carry a
 // non-empty reason; a directive with a missing reason or an unknown
@@ -56,7 +56,6 @@ func buildIgnoreIndex(pkgs []*Package, known map[string]bool) (*ignoreIndex, []D
 						malformed = append(malformed, Diagnostic{
 							Analyzer: "lmvet",
 							Pos:      pos,
-							Severity: string(SeverityError),
 							Message:  "malformed " + ignoreMarker + " directive; use //" + ignoreMarker + " <analyzer> <reason>",
 						})
 						continue

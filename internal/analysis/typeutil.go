@@ -5,85 +5,10 @@ import (
 	"go/types"
 )
 
-// isFloat reports whether t's core type is a floating-point kind.
-func isFloat(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
-// containsFloat reports whether t is a comparable composite (struct or
-// array) that transitively contains a floating-point field or element.
-// Plain float types return false — they are handled directly.
-func containsFloat(t types.Type) bool {
-	return containsFloatRec(t, make(map[types.Type]bool), false)
-}
-
-func containsFloatRec(t types.Type, seen map[types.Type]bool, inside bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch u := t.Underlying().(type) {
-	case *types.Basic:
-		return inside && u.Info()&types.IsFloat != 0
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsFloatRec(u.Field(i).Type(), seen, true) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsFloatRec(u.Elem(), seen, true)
-	}
-	return false
-}
-
-// containsLock reports whether t (not behind a pointer) transitively
-// contains a sync primitive that must not be copied.
-func containsLock(t types.Type) bool {
-	return containsLockRec(t, make(map[types.Type]bool))
-}
-
-func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-				return true
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockRec(u.Elem(), seen)
-	}
-	return false
-}
-
-// pkgFunc resolves a call to a package-level function and returns the
-// defining package path and function name (e.g. "sort", "Float64s").
-// It returns ok=false for method calls, local closures, conversions,
-// and builtins.
-func pkgFunc(pass *Pass, call *ast.CallExpr) (pkgPath, name string, ok bool) {
-	return resolvePkgFunc(pass.Info, call)
-}
-
-// resolvePkgFunc is pkgFunc over a bare *types.Info, for analyses (the
-// call-graph taint engine) that walk packages outside a per-package Pass.
+// resolvePkgFunc resolves a call to a package-level function and returns
+// the defining package path and function name (e.g. "time", "Now"). It
+// returns ok=false for method calls, local closures, conversions, and
+// builtins.
 func resolvePkgFunc(info *types.Info, call *ast.CallExpr) (pkgPath, name string, ok bool) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
@@ -134,18 +59,4 @@ func calleeName(call *ast.CallExpr) string {
 		return fun.Name
 	}
 	return ""
-}
-
-// funcDecls yields every function or method declaration with a body in
-// the pass's files.
-func funcDecls(pass *Pass) []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				out = append(out, fd)
-			}
-		}
-	}
-	return out
 }

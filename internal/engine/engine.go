@@ -144,7 +144,7 @@ func (c *cell) sort() {
 	if len(c.samples) <= maxInsertionSort {
 		insertionSort(c.samples)
 	} else {
-		slices.Sort(c.samples) //lmvet:ignore nanguard samples are finite: the estimator drops non-finite RTTs and the snapshot decoder rejects them
+		slices.Sort(c.samples) // samples are finite: the estimator drops non-finite RTTs and the snapshot decoder rejects them
 	}
 	c.med = sortedMedian(c.samples)
 }
@@ -312,8 +312,8 @@ func New(opts Options) *Engine {
 		e.shards[i] = &shard{
 			ases:     make(map[bgp.ASN]*asWindow),
 			swept:    -1 << 62,
-			ingested: reg.Counter(fmt.Sprintf(`engine_ingest_total{shard="%d"}`, i)),                                  //lmvet:ignore metricsafe once-per-engine shard registration, not a hot path
-			latency:  reg.Histogram(fmt.Sprintf(`engine_ingest_seconds{shard="%d"}`, i), telemetry.DefLatencyBuckets), //lmvet:ignore metricsafe once-per-engine shard registration, not a hot path
+			ingested: reg.Counter(fmt.Sprintf(`engine_ingest_total{shard="%d"}`, i)),
+			latency:  reg.Histogram(fmt.Sprintf(`engine_ingest_seconds{shard="%d"}`, i), telemetry.DefLatencyBuckets),
 		}
 	}
 	// Resident-state levels are derived from shard maps at scrape time

@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"github.com/last-mile-congestion/lastmile/internal/apnic"
 	"github.com/last-mile-congestion/lastmile/internal/core"
+	"github.com/last-mile-congestion/lastmile/internal/ioutil"
 	"github.com/last-mile-congestion/lastmile/internal/report"
 	"github.com/last-mile-congestion/lastmile/internal/timeseries"
 )
@@ -24,14 +27,27 @@ func csvFile(dir, name string) (*os.File, error) {
 	return os.Create(filepath.Join(dir, name+".csv"))
 }
 
-// writeSeries dumps one series under the given file name.
-func writeSeries(dir, name, column string, s *timeseries.Series) error {
+// writeCSV creates dir/name.csv and has fill write its rows through a
+// buffered writer. It returns the first write error, which the buffered
+// writer keeps and reports at Flush, else the close error — so fill can
+// ignore the errors of its individual writes and a full disk still fails
+// the export.
+func writeCSV(dir, name string, fill func(w io.Writer)) (err error) {
 	f, err := csvFile(dir, name)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return report.WriteSeriesCSV(f, column, s)
+	defer ioutil.CloseJoin(f, &err)
+	bw := bufio.NewWriter(f)
+	fill(bw)
+	return bw.Flush()
+}
+
+// writeSeries dumps one series under the given file name.
+func writeSeries(dir, name, column string, s *timeseries.Series) error {
+	return writeCSV(dir, name, func(w io.Writer) {
+		_ = report.WriteSeriesCSV(w, column, s) // its only errors are w's, which writeCSV returns
+	})
 }
 
 // safe turns a label into a file-name fragment.
@@ -67,15 +83,13 @@ func (r *Fig1Result) WriteCSV(dir string) error {
 func (r *Fig2Result) WriteCSV(dir string) error {
 	write := func(name string, views []PeriodogramView) error {
 		for _, v := range views {
-			f, err := csvFile(dir, fmt.Sprintf("fig2_%s_%s", name, safe(v.Period)))
+			err := writeCSV(dir, fmt.Sprintf("fig2_%s_%s", name, safe(v.Period)), func(w io.Writer) {
+				fmt.Fprintln(w, "freq_cph,p2p_ms")
+				for i := range v.Freqs {
+					fmt.Fprintf(w, "%.6f,%.6f\n", v.Freqs[i], v.P2P[i])
+				}
+			})
 			if err != nil {
-				return err
-			}
-			fmt.Fprintln(f, "freq_cph,p2p_ms")
-			for i := range v.Freqs {
-				fmt.Fprintf(f, "%.6f,%.6f\n", v.Freqs[i], v.P2P[i])
-			}
-			if err := f.Close(); err != nil {
 				return err
 			}
 		}
@@ -90,27 +104,19 @@ func (r *Fig2Result) WriteCSV(dir string) error {
 // WriteCSV dumps the Fig. 3 distributions: per period, sorted prominent
 // frequencies and daily amplitudes (CDF x-values).
 func (r *Fig3Result) WriteCSV(dir string) error {
+	column := func(header string, values []float64) func(w io.Writer) {
+		return func(w io.Writer) {
+			fmt.Fprintln(w, header)
+			for _, v := range values {
+				fmt.Fprintf(w, "%.6f\n", v)
+			}
+		}
+	}
 	for i, period := range r.Periods {
-		f, err := csvFile(dir, "fig3_freqs_"+safe(period))
-		if err != nil {
+		if err := writeCSV(dir, "fig3_freqs_"+safe(period), column("peak_freq_cph", r.PeakFreqs[i])); err != nil {
 			return err
 		}
-		fmt.Fprintln(f, "peak_freq_cph")
-		for _, v := range r.PeakFreqs[i] {
-			fmt.Fprintf(f, "%.6f\n", v)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		f, err = csvFile(dir, "fig3_amps_"+safe(period))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(f, "daily_amp_ms")
-		for _, v := range r.DailyAmps[i] {
-			fmt.Fprintf(f, "%.6f\n", v)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeCSV(dir, "fig3_amps_"+safe(period), column("daily_amp_ms", r.DailyAmps[i])); err != nil {
 			return err
 		}
 	}
@@ -119,21 +125,17 @@ func (r *Fig3Result) WriteCSV(dir string) error {
 
 // WriteCSV dumps the Fig. 4 bucket breakdown.
 func (r *Fig4Result) WriteCSV(dir string) error {
-	f, err := csvFile(dir, "fig4_breakdown")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "period,bucket,ases,severe_pct,mild_pct,low_pct,none_pct")
-	for _, bb := range []*core.BucketBreakdown{r.Sep2019, r.Apr2020} {
-		for b := apnic.Bucket1to10; b < apnic.NumBuckets; b++ {
-			fmt.Fprintf(f, "%s,%s,%d,%.2f,%.2f,%.2f,%.2f\n",
-				bb.Period, b, bb.Totals[b],
-				bb.Percent(b, core.Severe), bb.Percent(b, core.Mild),
-				bb.Percent(b, core.Low), bb.Percent(b, core.None))
+	return writeCSV(dir, "fig4_breakdown", func(w io.Writer) {
+		fmt.Fprintln(w, "period,bucket,ases,severe_pct,mild_pct,low_pct,none_pct")
+		for _, bb := range []*core.BucketBreakdown{r.Sep2019, r.Apr2020} {
+			for b := apnic.Bucket1to10; b < apnic.NumBuckets; b++ {
+				fmt.Fprintf(w, "%s,%s,%d,%.2f,%.2f,%.2f,%.2f\n",
+					bb.Period, b, bb.Totals[b],
+					bb.Percent(b, core.Severe), bb.Percent(b, core.Mild),
+					bb.Percent(b, core.Low), bb.Percent(b, core.None))
+			}
 		}
-	}
-	return nil
+	})
 }
 
 // WriteCSV dumps the Fig. 5 delay series, one file per ISP.
@@ -170,15 +172,13 @@ func (r *Fig7Result) WriteCSV(dir string) error {
 		name   string
 		points [][2]float64
 	}{{"ISP_A", r.PointsA}, {"ISP_C", r.PointsC}} {
-		f, err := csvFile(dir, "fig7_"+row.name)
+		err := writeCSV(dir, "fig7_"+row.name, func(w io.Writer) {
+			fmt.Fprintln(w, "agg_queuing_delay_ms,median_throughput_mbps")
+			for _, p := range row.points {
+				fmt.Fprintf(w, "%.4f,%.4f\n", p[0], p[1])
+			}
+		})
 		if err != nil {
-			return err
-		}
-		fmt.Fprintln(f, "agg_queuing_delay_ms,median_throughput_mbps")
-		for _, p := range row.points {
-			fmt.Fprintf(f, "%.4f,%.4f\n", p[0], p[1])
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 	}
@@ -188,15 +188,13 @@ func (r *Fig7Result) WriteCSV(dir string) error {
 // WriteCSV dumps the Fig. 8 weekly folds.
 func (r *Fig8Result) WriteCSV(dir string) error {
 	for i, period := range r.Periods {
-		f, err := csvFile(dir, "fig8_"+safe(period))
+		err := writeCSV(dir, "fig8_"+safe(period), func(w io.Writer) {
+			fmt.Fprintln(w, "week_slot,probes_delay_ms,anchor_delay_ms")
+			for slot := range r.ProbeWeekly[i] {
+				fmt.Fprintf(w, "%d,%.4f,%.4f\n", slot, r.ProbeWeekly[i][slot], r.AnchorWeekly[i][slot])
+			}
+		})
 		if err != nil {
-			return err
-		}
-		fmt.Fprintln(f, "week_slot,probes_delay_ms,anchor_delay_ms")
-		for slot := range r.ProbeWeekly[i] {
-			fmt.Fprintf(f, "%d,%.4f,%.4f\n", slot, r.ProbeWeekly[i][slot], r.AnchorWeekly[i][slot])
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 	}

@@ -68,11 +68,13 @@ func sameSurvey(t *testing.T, label string, a, b *core.Survey) {
 }
 
 // equivOpts is reduced further than smallOpts: both tests here run their
-// whole experiment twice.
+// whole experiment twice. 77 ASes is the smallest world scenario.Build
+// accepts (the reported archetypes plus ten), and 3 traceroutes per bin
+// the lowest cadence it keeps.
 func equivOpts(workers int) Options {
 	return Options{
 		Seed:              2020,
-		WorldASes:         100,
+		WorldASes:         77,
 		FleetSize:         24,
 		CDNClients:        100,
 		TraceroutesPerBin: 3,

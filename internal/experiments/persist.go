@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"github.com/last-mile-congestion/lastmile/internal/core"
+	"github.com/last-mile-congestion/lastmile/internal/ioutil"
 	"github.com/last-mile-congestion/lastmile/internal/scenario"
 )
 
@@ -30,7 +31,7 @@ func SaveSurveys(set *SurveySet, dir string) error {
 			return err
 		}
 		if err := s.WriteJSON(f); err != nil {
-			f.Close()
+			_ = f.Close() // the write error is the one returned
 			return fmt.Errorf("experiments: save %s: %w", s.Period, err)
 		}
 		if err := f.Close(); err != nil {
@@ -57,7 +58,7 @@ func LoadSurveys(o Options, dir string) (*SurveySet, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
+		defer ioutil.CloseQuiet(f)
 		return core.ReadSurveyJSON(f)
 	}
 	for _, p := range scenario.LongitudinalPeriods() {

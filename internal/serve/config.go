@@ -96,7 +96,7 @@ type Config struct {
 	Workers int `json:"workers,omitempty"`
 	// MaxConcurrent bounds how many targets may be inside the engine's
 	// ingest path at once (default 4); see the scaling note in
-	// DESIGN.md §17 — steady-state ingest capacity is
+	// DESIGN.md §16 — steady-state ingest capacity is
 	// MaxConcurrent / cost(Observe), independent of target count.
 	MaxConcurrent int `json:"max_concurrent,omitempty"`
 	// StartupJitter spreads target starts deterministically over

@@ -3,12 +3,15 @@ package serve
 // Daemon unit tests: deterministic startup jitter, the reload rejection
 // paths (bad JSON, frozen engine-semantic fields, reload-while-draining,
 // a daemon built from a Config value with no file), and the invariant that a rejected reload leaves the running config,
-// generation, and target set untouched.
+// generation, and target set untouched; a drain during startup jitter,
+// generation reads during reloads, and the ops listener's shutdown.
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -239,4 +242,127 @@ func TestNewFromConfig(t *testing.T) {
 	if err := <-run; err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+}
+
+// TestCancelDuringStartupJitter pins that a drain does not wait out the
+// startup jitter: cancelled while both runners still wait on their jitter
+// timers, with the clock never advanced, Run returns and no source opens.
+func TestCancelDuringStartupJitter(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "cfg.json")
+	writeFile(t, cfgPath, `{
+  "window": "48h", "bin_width": "30m", "startup_jitter": "1h",
+  "targets": [
+    {"name": "alpha", "asn": 64500, "source": "src-alpha"},
+    {"name": "beta", "asn": 64501, "source": "src-beta"}
+  ]
+}`)
+	h := &soakHarness{clock: NewFakeClock(soakT0)}
+	h.setTimelines(map[string][]soakObs{"src-alpha": nil, "src-beta": nil})
+	var opens atomic.Int64
+	open := func(tgt Target) (Source, error) {
+		opens.Add(1)
+		return h.opener(tgt)
+	}
+	d, err := New(cfgPath, Options{Clock: h.clock, Open: open, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, kill := context.WithCancel(context.Background())
+	run := make(chan error, 1)
+	go func() { run <- d.Run(ctx, nil) }()
+	h.clock.BlockUntil(3) // two jitter timers and the maintenance tick
+	kill()
+	select {
+	case err := <-run:
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return: a runner still waits out its startup jitter")
+	}
+	if n := opens.Load(); n != 0 {
+		t.Fatalf("%d source(s) opened by a drained daemon", n)
+	}
+}
+
+// TestGenerationReadDuringReloads pins that an applied reload publishes
+// its generation under the daemon mutex: Generation reads run
+// concurrently with reloads, which the race detector flags otherwise,
+// and never go backwards. Each reload changes the one target, so it
+// waits for the cancelled runner outside the lock while the reads go on.
+func TestGenerationReadDuringReloads(t *testing.T) {
+	d, _ := newAPIDaemon(t)
+	v1, err := LoadConfig(d.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := *v1
+	v2.Targets = []Target{{Name: "alpha", ASN: 64501, Source: "src-alpha"}}
+	ctx, kill := context.WithCancel(context.Background())
+	defer func() {
+		kill()
+		d.wg.Wait()
+	}()
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var last int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			g := d.Generation()
+			if g < last {
+				t.Errorf("generation went from %d back to %d", last, g)
+				return
+			}
+			last = g
+		}
+	}()
+	const reloads = 400
+	for i := 0; i < reloads; i++ {
+		next := v1
+		if i%2 == 0 {
+			next = &v2
+		}
+		if err := d.applyConfig(ctx, next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+	if g := d.Generation(); g != reloads {
+		t.Fatalf("generation = %d after %d reloads", g, reloads)
+	}
+}
+
+// TestListenHTTPStopJoinsServer pins that the stop ListenHTTP returns
+// leaves no serving goroutine behind.
+func TestListenHTTPStopJoinsServer(t *testing.T) {
+	h := &soakHarness{clock: NewFakeClock(soakT0)}
+	h.setTimelines(map[string][]soakObs{"src-alpha": nil})
+	d, err := NewFromConfig(Config{
+		HTTPAddr: "127.0.0.1:0",
+		Targets:  []Target{{Name: "alpha", ASN: 64500, Source: "src-alpha"}},
+	}, Options{Clock: h.clock, Open: h.opener, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := func() int {
+		buf := make([]byte, 1<<20)
+		return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("(*Daemon).ListenHTTP in goroutine"))
+	}
+	before := servers()
+	stop, err := d.ListenHTTP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	spinUntil(t, "the server goroutine to exit", func() bool { return servers() <= before })
 }

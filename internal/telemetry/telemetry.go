@@ -15,8 +15,7 @@
 // collection with deterministic snapshot ordering, exposed as Prometheus
 // text and JSON by expose.go. Registration is get-or-create by name, so
 // components that share a registry share the metric; registration is
-// expected once per component at construction time, never on a hot path
-// (the lmvet metricsafe checker enforces this).
+// expected once per component at construction time, never on a hot path.
 //
 // The contract that makes telemetry safe to wire through the
 // deterministic pipeline is that it is observation-only: nothing read
@@ -37,8 +36,8 @@ import (
 
 // Counter is a monotonically increasing count. All methods are lock-free
 // and safe for concurrent use. Counters must be shared by pointer: the
-// zero value works, but a copy would fork the count (metricsafe flags
-// by-value transport).
+// zero value works, but a copy would fork the count (go vet's copylocks
+// check flags by-value transport).
 type Counter struct {
 	v atomic.Int64
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # check.sh — the pre-PR gate. Chains the build, go vet, a gofmt check
 # of every tracked Go file outside testdata/, the repo's own lmvet
-# static-analysis suite, the full test run under the race detector, a
-# focused race-stress pass over the parallel execution paths, a
+# static-analysis suite, one uncached run of every test under the race
+# detector, repeated runs of the daemon soak, fuzz smokes, a
 # one-iteration benchmark smoke run, the zero-alloc gates, and the
 # bench/ module's vet and self-test. Every -run and -fuzz pattern must
 # select at least one test in each package it names. Any stage failing
@@ -101,63 +101,28 @@ fi
 
 stage "lmvet ./..."
 mkdir -p artifacts
-go run ./cmd/lmvet -baseline lmvet.baseline -sarif artifacts/lmvet.sarif ./...
+go run ./cmd/lmvet -sarif artifacts/lmvet.sarif ./...
 
-stage "go test -race ./..."
-go test -race ./...
+# Every test once, uncached and under the race detector: scheduling
+# differs run to run, so fresh executions are what surface ordering
+# bugs. This run holds the equivalence suites (batch = stream = sharded
+# = snapshot/resume = daemon, serial = parallel), the registry stress
+# and the daemon's lifecycle tests.
+stage "go test -race -count=1 ./..."
+go test -race -count=1 ./...
 
-# The worker pool and the multi-worker survey/Tokyo paths get a second,
-# dedicated -race pass with caching disabled: scheduling differs run to
-# run, so fresh executions are what surface ordering bugs.
-stage "go test -race -count=1 (parallel paths)"
-go test -race -count=1 ./internal/parallel/
-race_run 'TestRunSurveyParallelMatchesSerial' ./internal/scenario/
-race_run 'WorkerEquivalence' ./internal/experiments/
-
-# The unified engine's determinism contract: batch surveys are a replay
-# of the streaming engine, bit for bit, at every shard and worker count,
-# and out-of-order ingestion within MaxLateness changes nothing.
-stage "go test -race -count=1 (engine equivalence)"
-go test -race -count=1 ./internal/engine/
-race_run 'ReplayEquivalence' ./internal/experiments/
-race_run 'Equivalence|OutOfOrder' ./internal/core/ ./internal/stream/
-
-# The serializable-state contract: a snapshot/restore/continue monitor
-# reproduces the uninterrupted monitor's verdicts bit for bit, and every
-# checkpoint — base or appended segment — restores to the state it was
-# taken at, under the race detector and uncached.
-stage "go test -race -count=1 (snapshot and checkpoint equivalence)"
-race_run 'SnapshotRestore' ./internal/experiments/
-race_run 'Checkpoint|RestoreMonitor' ./internal/stream/
-go test -race -count=1 ./cmd/lmsurvey/
-
-# Telemetry registry: a dedicated uncached -race stress pass — eight
-# goroutines hammer one registry while snapshots render concurrently,
-# and snapshots must be byte-identical at every worker count.
-stage "go test -race -count=1 (telemetry stress)"
-go test -race -count=1 ./internal/telemetry/
-
-# Daemon soak: the deterministic soak drives simulated days through the
-# daemon lifecycle — reloads mid-window, target churn, a SIGHUP storm,
-# kill-and-resume — and pins the final verdicts bit-identical to a batch
-# replay of the same observations. Uncached and under -race: goroutine
-# scheduling is the variable under test. It runs once in short mode and
-# five times at its full sampling cadence, which otherwise runs under
-# -race only inside the cached `go test -race ./...` above. The API
-# suite rides along for the same reason, with the one-window test, which
-# refreshes while a backlog ingest crosses bins and requires every
-# snapshot's verdicts to share the snapshot's window. The consistent-cut
+# Daemon soak, repeated: the deterministic soak drives simulated days
+# through the daemon lifecycle — reloads mid-window, target churn, a
+# SIGHUP storm, kill-and-resume — and pins the final verdicts
+# bit-identical to a batch replay of the same observations. Goroutine
+# scheduling is the variable under test, so it runs again in short mode
+# and five more times at its full sampling cadence. The consistent-cut
 # test runs ten times: it checkpoints while targets ingest, so each run
-# samples different interleavings. Both commands run on the daemon, so
-# their whole suites run here too: lmmonitor's golden reports,
-# kill-and-resume, interrupt drain and decode-error checkpoint, and
-# lmserved's end-to-end run.
+# samples different interleavings.
 stage "serve-soak (deterministic daemon soak under -race)"
 race_run -short 'TestServeSoakEquivalence' ./internal/serve/
 race_run -count=5 'TestServeSoakEquivalence' ./internal/serve/
 race_run -count=10 'TestDaemonCheckpointConsistentCut' ./internal/serve/
-race_run 'TestAPIConcurrentReadsDuringIngest|TestRefreshPublishesOneWindow' ./internal/serve/
-go test -race -count=1 ./cmd/lmmonitor/ ./cmd/lmserved/
 
 # Fuzz smoke: short coverage-guided runs over the two ingest decoders —
 # the Atlas JSON parser (which also differential-tests the zero-alloc
@@ -177,31 +142,8 @@ fuzz_smoke 'FuzzEngineRestore' ./internal/engine/
 stage "go test -bench (smoke, 1 iteration)"
 go test -run '^$' -bench . -benchtime 1x .
 
-# Hot-path gate, static half: the dataflow analyzers alone, promoted to
-# error severity, so an allocation or lock-order regression on an
-# annotated path fails the gate even if some future default demotes
-# either analyzer to warn.
-stage "lmvet hot-path gate (allocguard+lockorder at error severity)"
-go run ./cmd/lmvet \
-  -floatcmp=false -nanguard=false -detguard=false -dettaint=false \
-  -locksafe=false -errclose=false -poolsafe=false -metricsafe=false \
-  -goleak=false -chanprotocol=false -ctxflow=false \
-  -severity allocguard=error,lockorder=error \
-  -baseline lmvet.baseline ./...
-
-# Concurrency-lifecycle gate: the goflow analyzers alone, promoted to
-# error severity — a goroutine leak, a channel-protocol violation, or an
-# unthreaded Context anywhere in the module fails the gate.
-stage "lmvet concurrency gate (goleak+chanprotocol+ctxflow at error severity)"
-go run ./cmd/lmvet \
-  -floatcmp=false -nanguard=false -detguard=false -dettaint=false \
-  -locksafe=false -errclose=false -poolsafe=false -metricsafe=false \
-  -allocguard=false -lockorder=false \
-  -severity goleak=error,chanprotocol=error,ctxflow=error \
-  -baseline lmvet.baseline ./...
-
-# Hot-path gate, dynamic half: the ingest benchmarks must report exactly
-# 0 allocs/op at every shard width. 200000 uncached iterations amortise
+# Hot-path gate: the ingest benchmarks must report exactly 0 allocs/op
+# at every shard width; lmvet's allocguard is the static half. 200000 uncached iterations amortise
 # pool warm-up and the growth of bin storage to steady state. For
 # whole-pipeline numbers, record runs with `bash bench/run.sh --record`
 # and judge them with `bash bench/run.sh compare`.
