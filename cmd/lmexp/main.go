@@ -8,12 +8,12 @@
 //	lmexp -table headline   # reproduce the §3 survey numbers
 //	lmexp -all              # everything (slow: full 646-AS surveys)
 //	lmexp -all -ases 160 -fleet 60   # reduced-scale smoke run
-//	lmexp -fig 3 -workers 8          # explicit fan-out width
+//	GOMAXPROCS=1 lmexp -all          # the fully serial run
 //
-// Surveys, figure simulations, and ablations fan out over -workers
-// goroutines (default GOMAXPROCS). The deterministic keyed-RNG design
-// makes the output byte-identical at any worker count; -workers 1
-// reproduces the fully serial run.
+// Surveys, figure simulations, and ablations fan out over GOMAXPROCS
+// goroutines. The deterministic keyed-RNG design makes the output
+// byte-identical at any GOMAXPROCS; GOMAXPROCS=1 reproduces the fully
+// serial run.
 package main
 
 import (
@@ -39,7 +39,6 @@ func main() {
 		saveDir = flag.String("save", "", "directory to persist survey JSON after running them")
 		loadDir = flag.String("load", "", "directory to load persisted survey JSON from (skips the measurement step)")
 		csvDir  = flag.String("csv", "", "directory to dump the selected figure's data series as CSV")
-		workers = flag.Int("workers", 0, "worker goroutines for the survey/simulation fan-out (0 = GOMAXPROCS, 1 = serial; output is identical at any count)")
 		metrics = flag.String("metrics", "", "write an end-of-run telemetry snapshot (Prometheus text) to this file (- for stdout)")
 	)
 	flag.Parse()
@@ -50,7 +49,6 @@ func main() {
 		FleetSize:         *fleet,
 		CDNClients:        *clients,
 		TraceroutesPerBin: *perBin,
-		Workers:           *workers,
 	}
 	err := run(o, *fig, *table, *all, *saveDir, *loadDir, *csvDir)
 	if *metrics != "" {

@@ -23,7 +23,10 @@
 // Usage:
 //
 //	atlasgen -isp A -days 8 | lmmonitor -every 48h
-//	lmmonitor -in traces.jsonl -rib rib.txt -window 120h -shards 8 -http :9090
+//	lmmonitor -in traces.jsonl -rib rib.txt -window 120h -http :9090
+//
+// Engine lock stripes and classification fan-out follow GOMAXPROCS; the
+// output is identical at any setting.
 package main
 
 import (
@@ -52,8 +55,6 @@ func main() {
 		window   = flag.Duration("window", 15*24*time.Hour, "sliding analysis window")
 		every    = flag.Duration("every", 24*time.Hour, "stream-time interval between classification reports")
 		sortIn   = flag.Bool("sort", true, "sort input by timestamp before feeding the monitor (file dumps are grouped by measurement, not time; disable for genuinely ordered streams)")
-		shards   = flag.Int("shards", 0, "engine lock stripes for concurrent ingestion (0 = GOMAXPROCS; verdicts are identical at any count)")
-		workers  = flag.Int("workers", 0, "worker goroutines for classification reports (0 = GOMAXPROCS; output is identical at any count)")
 		httpAddr = flag.String("http", "", "ops endpoint address (e.g. :9090) serving /metrics, /metrics.json, /debug/pprof and the read API: /api/verdicts, /api/series/{asn}, /api/health")
 		metrics  = flag.String("metrics", "", "write a Prometheus-text metrics snapshot to this file at exit (- for stdout)")
 		state    = flag.String("state", "", "engine checkpoint file: resume from it at startup if present; checkpoint to it when a maintenance tick (every half bin of wall time) finds the stream in a new bin, and write a full snapshot at exit (atomic rename, zero data loss on SIGTERM)")
@@ -89,8 +90,6 @@ func main() {
 		window:   *window,
 		every:    *every,
 		sortIn:   *sortIn,
-		shards:   *shards,
-		workers:  *workers,
 		metrics:  reg,
 		state:    *state,
 		httpAddr: *httpAddr,
@@ -123,11 +122,10 @@ func loadRIB(path string) (*lastmile.RIB, error) {
 
 // config carries run's knobs; main fills it from flags, tests directly.
 type config struct {
-	rib             *lastmile.RIB
-	window, every   time.Duration
-	sortIn          bool
-	shards, workers int
-	metrics         *telemetry.Registry
+	rib           *lastmile.RIB
+	window, every time.Duration
+	sortIn        bool
+	metrics       *telemetry.Registry
 	// state is the checkpoint file path; empty disables checkpointing.
 	state string
 	// httpAddr is the ops endpoint address; empty serves none.
@@ -136,8 +134,10 @@ type config struct {
 
 // run monitors the results read from r on a one-target daemon, prints
 // the scheduled reports to out as the stream passes each -every
-// boundary, and the final report once the daemon has drained. Daemon
-// log lines go to errw.
+// boundary, and the final report once the daemon has drained. The
+// scheduled reports reach out through a printer, so an out nobody reads
+// holds up neither ingest nor the drain's checkpoint. Daemon log lines
+// go to errw.
 func run(ctx context.Context, cfg config, r io.Reader, out, errw io.Writer) error {
 	if cfg.every <= 0 {
 		return fmt.Errorf("-every must be positive, got %v", cfg.every)
@@ -147,20 +147,18 @@ func run(ctx context.Context, cfg config, r io.Reader, out, errw io.Writer) erro
 	runCtx, endRun := context.WithCancel(ctx)
 	defer endRun()
 	var (
-		d   *serve.Daemon
-		src *source
+		d       *serve.Daemon
+		src     *source
+		reports *printer
 	)
 	d, err := serve.NewFromConfig(serve.Config{
-		HTTPAddr:      cfg.httpAddr,
-		StatePath:     cfg.state,
-		Window:        serve.Duration(cfg.window),
-		Shards:        cfg.shards,
-		Workers:       cfg.workers,
-		MaxConcurrent: 1,
-		Targets:       []serve.Target{{Name: "input"}},
+		HTTPAddr:  cfg.httpAddr,
+		StatePath: cfg.state,
+		Window:    serve.Duration(cfg.window),
+		Targets:   []serve.Target{{Name: "input"}},
 	}, serve.Options{
 		Open: func(serve.Target) (serve.Source, error) {
-			src = newSource(r, cfg, d.Monitor(), out, endRun)
+			src = newSource(r, cfg, d.Monitor(), reports, endRun)
 			return src, nil
 		},
 		Metrics: cfg.metrics,
@@ -175,11 +173,16 @@ func run(ctx context.Context, cfg config, r io.Reader, out, errw io.Writer) erro
 	if err != nil {
 		return err
 	}
+	reports = newPrinter(out)
 	runErr := d.Run(runCtx, nil)
 	stopHTTP()
 
-	// Run has joined the target runner, so src is set, and only this
-	// goroutine writes to out from here on.
+	// Run has joined the target runner, so src is set and nothing is
+	// queued on reports any more. The queued reports go out before the
+	// final one, and only this goroutine writes to out from here on.
+	if err := reports.close(); err != nil {
+		return err
+	}
 	header := "end of stream"
 	switch {
 	case ctx.Err() != nil:
@@ -218,7 +221,7 @@ type arrival struct {
 // source is the daemon's target over lmmonitor's input. A scanner
 // goroutine reads the input into results, so a read blocked on an idle
 // stdin never blocks the drain: Next selects on the drain's context
-// instead. Next also prints the scheduled reports.
+// instead. Next also queues the scheduled reports on a printer.
 type source struct {
 	results <-chan arrival
 	// scanErr is the scanner's error, set before results is closed.
@@ -367,4 +370,75 @@ func (s *source) Close() error {
 	close(s.stop)
 	s.endRun()
 	return nil
+}
+
+// printer is an io.Writer that never waits for the writer behind it: a
+// Write queues its bytes, and a goroutine of the printer's own copies
+// them to out in order. The daemon's target runner prints the scheduled
+// reports through it, so a stdout nobody reads stalls neither ingest
+// nor the drain and its checkpoint. The queue is unbounded, but reports
+// come one per -every of stream time.
+type printer struct {
+	mu      sync.Mutex
+	pending []byte
+	// failed is the first error out returned; nothing is queued after it.
+	failed error
+	// wake is signalled when pending grows and closed by close.
+	wake chan struct{}
+	done chan struct{}
+}
+
+// newPrinter starts a printer writing to out.
+func newPrinter(out io.Writer) *printer {
+	p := &printer{wake: make(chan struct{}, 1), done: make(chan struct{})}
+	go p.copy(out)
+	return p
+}
+
+// Write queues b, or returns the error out has failed with.
+func (p *printer) Write(b []byte) (int, error) {
+	p.mu.Lock()
+	if err := p.failed; err != nil {
+		p.mu.Unlock()
+		return 0, err
+	}
+	p.pending = append(p.pending, b...)
+	p.mu.Unlock()
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+	return len(b), nil
+}
+
+// copy writes whatever is pending to out each time Write wakes it, and
+// once more when close closes wake.
+func (p *printer) copy(out io.Writer) {
+	defer close(p.done)
+	for open := true; open; {
+		_, open = <-p.wake
+		p.mu.Lock()
+		b := p.pending
+		p.pending = nil
+		p.mu.Unlock()
+		if len(b) == 0 {
+			continue
+		}
+		if _, err := out.Write(b); err != nil {
+			p.mu.Lock()
+			p.failed = err
+			p.mu.Unlock()
+			return
+		}
+	}
+}
+
+// close waits until everything queued is written and returns the error
+// out failed with, if any. Nothing may be written after close.
+func (p *printer) close() error {
+	close(p.wake)
+	<-p.done
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.failed
 }

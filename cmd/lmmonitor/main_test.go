@@ -199,6 +199,82 @@ func TestRunResumeAfterInterrupt(t *testing.T) {
 	}
 }
 
+// stalledWriter is a stdout nobody reads: every Write waits until
+// release is closed.
+type stalledWriter struct {
+	release chan struct{}
+	buf     bytes.Buffer
+}
+
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	<-w.release
+	return w.buf.Write(p)
+}
+
+// TestRunStalledStdoutCheckpoints pins that the drain never waits for
+// stdout. Nobody reads the reports, and an interrupt lands once every
+// record is handed out: the drain must still write a state file holding
+// every record, and once stdout moves, run prints what a run with a
+// live stdout prints.
+func TestRunStalledStdoutCheckpoints(t *testing.T) {
+	input := syntheticJSONL(t, 3, 6)
+	records := int64(bytes.Count(input, []byte("\n")))
+	statePath := filepath.Join(t.TempDir(), "state.lmw")
+	mkCfg := func(state string) config {
+		return config{
+			window:  10 * 24 * time.Hour,
+			every:   24 * time.Hour,
+			sortIn:  false,
+			metrics: telemetry.NewRegistry(),
+			state:   state,
+		}
+	}
+	ingested := func() int64 {
+		res, err := stream.Open(statePath, stream.Options{})
+		if err != nil || !res.Resumed {
+			return -1
+		}
+		return res.Monitor.Stats().Ingested
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &stalledWriter{release: make(chan struct{})}
+	released := false
+	defer func() {
+		if !released {
+			close(out.release)
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, mkCfg(statePath), &cancelAtEOFReader{data: input, cancel: cancel}, out, io.Discard)
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for ingested() != records {
+		if time.Now().After(deadline) {
+			t.Fatalf("no state file holding all %d records while stdout stalls", records)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(out.release)
+	released = true
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	// Control: the same interrupted run with a live stdout.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	var want bytes.Buffer
+	if err := run(ctx2, mkCfg(""), &cancelAtEOFReader{data: input, cancel: cancel2}, &want, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.buf.Bytes(), want.Bytes()) {
+		t.Fatalf("stdout after the stall differs:\n--- got\n%s\n--- want\n%s", out.buf.Bytes(), want.Bytes())
+	}
+}
+
 // cancelAfterReader passes reads through and fires cancel once n bytes
 // have been read: a SIGINT landing mid-stream, with no wall-clock sleep
 // deciding when.
@@ -335,8 +411,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"every 0", func(c *config) { c.every = 0 }},
 		{"every -1h", func(c *config) { c.every = -time.Hour }},
 		{"window -1h", func(c *config) { c.window = -time.Hour }},
-		{"shards -1", func(c *config) { c.shards = -1 }},
-		{"workers -1", func(c *config) { c.workers = -1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			statePath := filepath.Join(t.TempDir(), "state.lmw")

@@ -18,12 +18,11 @@
 //
 //	atlasgen -isp A -days 8 | lmsurvey
 //	lmsurvey -in traces.jsonl -rib rib.txt -csv signals/
-//	lmsurvey -in traces.jsonl -workers 8
 //	lmsurvey -in archive.lmw
 //
-// The feed is serial, into one engine. -workers fans the per-AS
-// classification out (default GOMAXPROCS); the report is byte-identical
-// at any worker count.
+// The feed is serial, into one engine. The per-AS classification fans
+// out over GOMAXPROCS workers; the report is byte-identical at any
+// GOMAXPROCS.
 package main
 
 import (
@@ -48,17 +47,16 @@ func main() {
 		ribIn    = flag.String("rib", "", "optional RIB file ('prefix origin' lines) for probe->AS mapping")
 		probesIn = flag.String("probes", "", "optional probe metadata file (Atlas probe-archive JSON) for probe->AS mapping and anchor exclusion")
 		csvDir   = flag.String("csv", "", "optional directory for per-AS signal CSV dumps")
-		workers  = flag.Int("workers", 0, "worker goroutines for the per-AS classification (0 = GOMAXPROCS, 1 = serial; output is identical at any count)")
 		metrics  = flag.String("metrics", "", "write an end-of-run telemetry snapshot (Prometheus text) to this file (- for stdout)")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *in, *ribIn, *probesIn, *csvDir, *metrics, *workers); err != nil {
+	if err := run(os.Stdout, *in, *ribIn, *probesIn, *csvDir, *metrics); err != nil {
 		fmt.Fprintln(os.Stderr, "lmsurvey:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out io.Writer, in, ribIn, probesIn, csvDir, metricsOut string, workers int) error {
+func run(out io.Writer, in, ribIn, probesIn, csvDir, metricsOut string) error {
 	var r io.Reader = os.Stdin
 	if in != "-" {
 		f, err := os.Open(in)
@@ -100,10 +98,7 @@ func run(out io.Writer, in, ribIn, probesIn, csvDir, metricsOut string, workers 
 	// traceroute into the survey feed, which keeps nothing of it, so the
 	// scanner's reused Result goes straight in.
 	reg := lastmile.DefaultMetrics()
-	feed := lastmile.NewSurveyFeed(lastmile.SurveyOptions{
-		Workers: workers,
-		Metrics: reg,
-	})
+	feed := lastmile.NewSurveyFeed(lastmile.SurveyOptions{Metrics: reg})
 	probeASN := map[int]lastmile.ASN{}
 	asProbes := map[lastmile.ASN]map[int]bool{}
 	sc := lastmile.NewResultScanner(r)

@@ -118,9 +118,9 @@ func writeCampaign(t *testing.T) campaign {
 	return c
 }
 
-func runReport(in, rib, probes string, workers int) (string, error) {
+func runReport(in, rib, probes string) (string, error) {
 	var out bytes.Buffer
-	err := run(&out, in, rib, probes, "", "", workers)
+	err := run(&out, in, rib, probes, "", "")
 	return out.String(), err
 }
 
@@ -137,11 +137,10 @@ func rows(out string) map[string][]string {
 }
 
 // TestRunReportIdentical: the wire archive and the JSONL archive
-// attributed by -probes print byte-identical reports at every worker
-// count.
+// attributed by -probes print byte-identical reports.
 func TestRunReportIdentical(t *testing.T) {
 	c := writeCampaign(t)
-	want, err := runReport(c.wire, "", "", 1)
+	want, err := runReport(c.wire, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,16 +148,12 @@ func TestRunReportIdentical(t *testing.T) {
 	if len(r) != 3 || r["AS64500"][1] == "None" || r["AS64501"][1] != "None" || !strings.Contains(want, "(no usable data)") {
 		t.Fatalf("campaign does not discriminate:\n%s", want)
 	}
-	for _, workers := range []int{1, 8} {
-		for _, enc := range []struct{ name, in, probes string }{{"wire", c.wire, ""}, {"json", c.jsonl, c.probes}} {
-			got, err := runReport(enc.in, "", enc.probes, workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", enc.name, workers, err)
-			}
-			if got != want {
-				t.Fatalf("%s workers=%d: report differs\ngot:\n%s\nwant:\n%s", enc.name, workers, got, want)
-			}
-		}
+	got, err := runReport(c.jsonl, "", c.probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("json report differs from wire\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -172,7 +167,7 @@ func TestRunTruncatedWireArchive(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "truncated.wire")
 	writeFile(t, path, data[:len(data)-1])
-	out, err := runReport(path, "", "", 1)
+	out, err := runReport(path, "", "")
 	var ce *wire.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want a *wire.CorruptError", err)
@@ -197,7 +192,7 @@ func TestRunTruncatedJSONLArchive(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "truncated.jsonl")
 	writeFile(t, path, data[:cut])
-	out, err := runReport(path, "", c.probes, 1)
+	out, err := runReport(path, "", c.probes)
 	var se *traceroute.SyntaxError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want a *traceroute.SyntaxError", err)
@@ -216,7 +211,7 @@ func TestRunAnchorsOnly(t *testing.T) {
 	c := writeCampaign(t)
 	anchors := filepath.Join(t.TempDir(), "anchors.json")
 	writeProbes(t, anchors, true)
-	out, err := runReport(c.jsonl, "", anchors, 1)
+	out, err := runReport(c.jsonl, "", anchors)
 	if err == nil || out != "" {
 		t.Fatalf("err = %v, output %q; want an error and no output", err, out)
 	}
@@ -229,7 +224,7 @@ func TestRunRIBMissFallsThroughToInBand(t *testing.T) {
 	c := writeCampaign(t)
 	rib := filepath.Join(t.TempDir(), "rib.txt")
 	writeFile(t, rib, []byte("198.51.100.1/32 64999\n"))
-	out, err := runReport(c.wire, rib, "", 1)
+	out, err := runReport(c.wire, rib, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,9 @@ import (
 // The TryLock-then-Lock contention idiom (`if !mu.TryLock() { ...;
 // mu.Lock() }`) is recognised: the failed TryLock does not hold the
 // lock inside the if body, so the contention counter there is not "under
-// the lock".
+// the lock". A branch that ends in `return` never falls through, so the
+// locks held after it are those held before it: an early-return
+// `mu.Unlock(); return` releases mu inside its branch only.
 var LockOrderAnalyzer = &Analyzer{
 	Name:      "lockorder",
 	Doc:       "builds the lock-acquisition-order graph (shard stripes, registry, daemon) and reports cycles and unsampled telemetry under hot locks",
@@ -48,7 +50,7 @@ var LockOrderAnalyzer = &Analyzer{
 // lockEvent is one position-ordered occurrence inside a function body.
 type lockEvent struct {
 	pos  token.Pos
-	kind int // evAcquire, evRelease, evCall, evTelemetry
+	kind int // evAcquire, evRelease, evCall, evTelemetry, evBranch, evBranchEnd
 	// class is the lock class for acquire/release.
 	class string
 	// callee is the static callee for evCall.
@@ -66,6 +68,10 @@ const (
 	evRelease
 	evCall
 	evTelemetry
+	// evBranch and evBranchEnd bracket a branch that ends in return:
+	// the held set at evBranchEnd reverts to the one at evBranch.
+	evBranch
+	evBranchEnd
 )
 
 // lockedge is one order edge with its witness position.
@@ -122,6 +128,8 @@ func (lo *lockOrder) scanFunction(mp *ModulePass, node *FuncNode) {
 		return
 	}
 	var held []string
+	// before stacks the held sets at the open evBranch events.
+	var before [][]string
 	holding := func(c string) bool {
 		for _, h := range held {
 			if h == c {
@@ -147,6 +155,11 @@ func (lo *lockOrder) scanFunction(mp *ModulePass, node *FuncNode) {
 					break
 				}
 			}
+		case evBranch:
+			before = append(before, append([]string(nil), held...))
+		case evBranchEnd:
+			held = before[len(before)-1]
+			before = before[:len(before)-1]
 		case evCall:
 			if len(held) > 0 && ev.callee != nil {
 				for c := range lo.funcAcquires(ev.callee) {
@@ -344,10 +357,31 @@ func (lo *lockOrder) collectEventsIn(node *FuncNode, body ast.Node, includeLits 
 		return true
 	})
 
+	// branch brackets stmts, a branch spanning [from, to), when it ends
+	// in return. The body itself is not a branch: nothing follows it.
+	branch := func(from, to token.Pos, stmts []ast.Stmt) {
+		if len(stmts) == 0 {
+			return
+		}
+		if _, ok := stmts[len(stmts)-1].(*ast.ReturnStmt); ok {
+			events = append(events,
+				lockEvent{pos: from, kind: evBranch},
+				lockEvent{pos: to, kind: evBranchEnd})
+		}
+	}
+
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return includeLits
+		case *ast.BlockStmt:
+			if n != body {
+				branch(n.Lbrace, n.End(), n.List)
+			}
+		case *ast.CaseClause:
+			branch(n.Colon, n.End(), n.Body)
+		case *ast.CommClause:
+			branch(n.Colon, n.End(), n.Body)
 		case *ast.CallExpr:
 			if class, name, ok := lockMethod(info, n); ok {
 				switch name {

@@ -30,7 +30,8 @@ func lockOrderConfig() Config {
 
 // TestLockOrderGolden drives the order-graph construction over the
 // fixture: the direct alpha/beta cycle, the delta/epsilon cycle closed
-// through a callback run under a lock, acyclic interprocedural edges
+// through a callback run under a lock, the daemon/registry cycle closed
+// by a call after an early-return unlock, acyclic interprocedural edges
 // staying silent, the TryLock contention idiom, the sampled-tick guard,
 // and inline suppressions.
 func TestLockOrderGolden(t *testing.T) {
@@ -72,9 +73,11 @@ func TestLockOrderCycleDetail(t *testing.T) {
 // modelling exists for: the registry mutex orders before the engine
 // shard lock and before the daemon mutex, because Snapshot evaluates
 // GaugeFunc closures under the registry lock and the engine's and the
-// daemon's closures take those locks. It also pins that the repo graph
-// stays cycle-free. The other callback shape, a lock held across a
-// caller-supplied function, is pinned by the withDelta fixture.
+// daemon's closures take those locks. It pins the daemon's cut, the
+// read-write lock each Observe holds for reading and a checkpoint for
+// writing, ordered before the engine shard lock. It also pins that the
+// repo graph stays cycle-free. The other callback shape, a lock held
+// across a caller-supplied function, is pinned by the withDelta fixture.
 func TestLockOrderRepoEdges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module; skipped in -short")
@@ -119,6 +122,7 @@ func TestLockOrderRepoEdges(t *testing.T) {
 	wantEdges := [][2]string{
 		{"telemetry.Registry.mu", "engine.shard.mu"},
 		{"telemetry.Registry.mu", "serve.Daemon.mu"},
+		{"serve.Daemon.cut", "engine.shard.mu"},
 	}
 	for _, w := range wantEdges {
 		if _, ok := lo.edges[w]; !ok {

@@ -2,11 +2,13 @@
 // classes are keyed structurally (locks.alpha.mu, locks.shard.mu), so
 // every instance of a type's mutex is one graph node. The fixture pins
 // one direct cycle, one cycle closed through a callback run under a
-// lock, the TryLock contention idiom, and the sampled-tick telemetry
+// lock, one closed by a call made after an early-return branch that
+// unlocks, the TryLock contention idiom, and the sampled-tick telemetry
 // contract on the hot shard lock.
 package locks
 
 import (
+	"errors"
 	"sync"
 
 	"github.com/last-mile-congestion/lastmile/internal/analysis/testdata/src/lockorder/telemetry"
@@ -145,4 +147,105 @@ func observeSuppressed(v float64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.lat.Observe(v) //lmvet:ignore lockorder fixture demonstration of an accepted amortised timing
+}
+
+// registry mirrors the telemetry registry: get-or-create takes its
+// mutex, and a gauge callback is registered, and later evaluated, under
+// it.
+type registry struct {
+	mu     sync.Mutex
+	gauges []func() float64
+}
+
+func (r *registry) counter() *telemetry.Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return &telemetry.Counter{}
+}
+
+func (r *registry) gaugeFunc(fn func() float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gauges = append(r.gauges, fn)
+}
+
+var errDraining = errors.New("draining")
+
+// daemon mirrors the serve daemon: its gauge callback takes daemon.mu,
+// which orders registry.mu before daemon.mu.
+type daemon struct {
+	mu       sync.Mutex
+	draining bool
+	gen      int
+	reg      *registry
+}
+
+func newDaemon(r *registry) *daemon {
+	d := &daemon{reg: r}
+	r.gaugeFunc(func() float64 {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return float64(d.gen)
+	})
+	return d
+}
+
+// apply mirrors the daemon's applyConfig: daemon.mu is released only
+// inside its early-return branches (an if body, a case clause and a
+// select clause), so the get-or-create after them still runs under
+// daemon.mu and closes the daemon/registry cycle.
+func (d *daemon) apply(stop <-chan struct{}) error {
+	d.mu.Lock()
+	if d.draining {
+		d.mu.Unlock()
+		return errDraining
+	}
+	switch {
+	case d.gen < 0:
+		d.mu.Unlock()
+		return errDraining
+	}
+	select {
+	case <-stop:
+		d.mu.Unlock()
+		return errDraining
+	default:
+	}
+	d.gen++
+	d.reg.counter().Inc() // want "lock order cycle between locks.daemon.mu, locks.registry.mu"
+	d.mu.Unlock()
+	return nil
+}
+
+// quietDaemon has the same gauge callback but counts only after its
+// unlocks: inside its early-return branch and after the last unlock. No
+// quietDaemon.mu → registry.mu edge, so no cycle.
+type quietDaemon struct {
+	mu       sync.Mutex
+	draining bool
+	gen      int
+	reg      *registry
+}
+
+func newQuietDaemon(r *registry) *quietDaemon {
+	d := &quietDaemon{reg: r}
+	r.gaugeFunc(func() float64 {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return float64(d.gen)
+	})
+	return d
+}
+
+func (d *quietDaemon) apply() error {
+	d.mu.Lock()
+	if d.draining {
+		d.mu.Unlock()
+		d.reg.counter().Inc()
+		return errDraining
+	}
+	d.gen++
+	d.mu.Unlock()
+	d.reg.counter().Inc()
+	return nil
 }

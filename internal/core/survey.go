@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sort"
 
 	"github.com/last-mile-congestion/lastmile/internal/apnic"
@@ -197,19 +196,4 @@ func ReportedAtLeast(surveys []*Survey, k int) int {
 		}
 	}
 	return n
-}
-
-// ErrNoSurveys is returned by aggregations over empty survey sets.
-var ErrNoSurveys = errors.New("core: no surveys")
-
-// AverageReported returns the mean number of reported ASes per survey.
-func AverageReported(surveys []*Survey) (float64, error) {
-	if len(surveys) == 0 {
-		return 0, ErrNoSurveys
-	}
-	total := 0
-	for _, s := range surveys {
-		total += len(s.ReportedASes())
-	}
-	return float64(total) / float64(len(surveys)), nil
 }

@@ -151,18 +151,3 @@ func TestChurn(t *testing.T) {
 		t.Fatalf("reported >= 1: %d", got)
 	}
 }
-
-func TestAverageReported(t *testing.T) {
-	s1 := mkSurvey("a", map[bgp.ASN]Class{1: Severe, 2: Mild})
-	s2 := mkSurvey("b", map[bgp.ASN]Class{1: Low})
-	avg, err := AverageReported([]*Survey{s1, s2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg != 1.5 {
-		t.Fatalf("avg = %v", avg)
-	}
-	if _, err := AverageReported(nil); err != ErrNoSurveys {
-		t.Fatalf("err = %v", err)
-	}
-}

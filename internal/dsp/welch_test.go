@@ -260,18 +260,6 @@ func TestWindowPeriodicHann(t *testing.T) {
 	}
 }
 
-func TestCoherentGain(t *testing.T) {
-	if g := CoherentGain(Boxcar.Coefficients(128)); math.Abs(g-1) > 1e-12 {
-		t.Fatalf("boxcar CG = %v", g)
-	}
-	if g := CoherentGain(Hann.Coefficients(128)); math.Abs(g-0.5) > 1e-9 {
-		t.Fatalf("hann CG = %v, want 0.5", g)
-	}
-	if g := CoherentGain(nil); g != 0 {
-		t.Fatalf("empty CG = %v", g)
-	}
-}
-
 func TestWindowString(t *testing.T) {
 	names := map[Window]string{Boxcar: "boxcar", Hann: "hann", Hamming: "hamming", Blackman: "blackman", Window(99): "unknown"}
 	for w, want := range names {

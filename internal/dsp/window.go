@@ -92,18 +92,3 @@ func (w Window) cachedCoefficients(n int) []float64 {
 	v, _ := coeffCache.LoadOrStore(key, w.Coefficients(n))
 	return v.([]float64)
 }
-
-// CoherentGain returns the mean of the window coefficients. A sinusoid at
-// an exact bin frequency appears in the windowed DFT with magnitude
-// amplitude * n * CG / 2, so CG is what converts raw magnitudes into
-// amplitudes.
-func CoherentGain(coeffs []float64) float64 {
-	if len(coeffs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range coeffs {
-		sum += v
-	}
-	return sum / float64(len(coeffs))
-}

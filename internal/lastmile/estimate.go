@@ -73,25 +73,16 @@ func FindSegment(r *traceroute.Result) (Segment, bool) {
 	return Segment{}, false
 }
 
-// PairwiseSamples returns the pairwise RTT differences (public − private)
-// between every usable reply pair of the segment's two hops — up to 9
-// samples per traceroute when both hops answered all three probes (§2.1).
-// Negative differences (reply reordering, noise) are kept; the per-bin
-// median downstream is the paper's noise filter.
-func PairwiseSamples(r *traceroute.Result, seg Segment) []float64 {
-	out := PairwiseSamplesInto(nil, r, seg)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// PairwiseSamplesInto is PairwiseSamples appending into dst (pass a
-// reused scratch as dst[:0]), filtering replies in place rather than
-// materialising the per-hop RTT slices — the streaming monitor's
-// per-observation path runs through here and must not allocate. When the
-// segment has no usable reply pair on either side, dst is returned
-// unchanged.
+// PairwiseSamplesInto appends to dst the pairwise RTT differences
+// (public − private) between every usable reply pair of the segment's
+// two hops — up to 9 samples per traceroute when both hops answered all
+// three probes (§2.1). Negative differences (reply reordering, noise)
+// are kept; the per-bin median downstream is the paper's noise filter.
+// Pass a reused scratch as dst[:0]: replies are filtered in place rather
+// than materialising the per-hop RTT slices, since the streaming
+// monitor's per-observation path runs through here and must not
+// allocate. When the segment has no usable reply pair on either side,
+// dst is returned unchanged.
 //
 //lmvet:hotpath
 func PairwiseSamplesInto(dst []float64, r *traceroute.Result, seg Segment) []float64 {
@@ -128,7 +119,7 @@ func usableRTT(rep traceroute.Reply, addr netip.Addr) bool {
 
 // PairwiseFromRTTs returns the pairwise differences (public − private)
 // between two sets of raw RTT observations — the same arithmetic as
-// PairwiseSamples, exposed for simulation fast paths that draw hop RTTs
+// PairwiseSamplesInto, exposed for simulation fast paths that draw hop RTTs
 // without materialising a full traceroute result.
 func PairwiseFromRTTs(privRTTs, pubRTTs []float64) []float64 {
 	return PairwiseFromRTTsInto(nil, privRTTs, pubRTTs)

@@ -109,7 +109,7 @@ func TestPairwiseSamplesNineSamples(t *testing.T) {
 	if !ok {
 		t.Fatal("no segment")
 	}
-	samples := PairwiseSamples(r, seg)
+	samples := PairwiseSamplesInto(nil, r, seg)
 	if len(samples) != 9 {
 		t.Fatalf("samples = %d, want 9", len(samples))
 	}
@@ -124,7 +124,7 @@ func TestPairwiseSamplesNineSamples(t *testing.T) {
 func TestPairwiseSamplesPartialReplies(t *testing.T) {
 	r := makeTrace(1, t0, []float64{0.5, 0.6}, []float64{2.5})
 	seg, _ := FindSegment(r)
-	samples := PairwiseSamples(r, seg)
+	samples := PairwiseSamplesInto(nil, r, seg)
 	if len(samples) != 2 {
 		t.Fatalf("samples = %d, want 2", len(samples))
 	}
@@ -138,7 +138,7 @@ func TestPairwiseSamplesIgnoreOtherResponders(t *testing.T) {
 		From: netip.MustParseAddr("198.51.100.9"), RTT: 50, TTL: 200,
 	})
 	seg, _ := FindSegment(r)
-	samples := PairwiseSamples(r, seg)
+	samples := PairwiseSamplesInto(nil, r, seg)
 	if len(samples) != 1 {
 		t.Fatalf("samples = %v, want 1 from chosen responder", samples)
 	}

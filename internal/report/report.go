@@ -149,13 +149,6 @@ func Sparkline(values []float64, maxVal float64) string {
 	return sb.String()
 }
 
-// SeriesSparkline renders a series as a labelled sparkline, downsampling
-// to at most width points by averaging.
-func SeriesSparkline(label string, s *timeseries.Series, width int, maxVal float64) string {
-	vals := Downsample(s.Values, width)
-	return fmt.Sprintf("%-14s %s", label, Sparkline(vals, maxVal))
-}
-
 // Downsample reduces values to at most n points by block averaging,
 // skipping NaNs; blocks that are entirely NaN stay NaN.
 func Downsample(values []float64, n int) []float64 {

@@ -112,18 +112,3 @@ func TestDownsample(t *testing.T) {
 		t.Fatalf("nan downsample = %v", nan)
 	}
 }
-
-func TestSeriesSparkline(t *testing.T) {
-	start := time.Date(2019, 9, 19, 0, 0, 0, 0, time.UTC)
-	s, _ := timeseries.NewSeries(start, time.Hour, 48)
-	for i := range s.Values {
-		s.Values[i] = float64(i % 24)
-	}
-	out := SeriesSparkline("ISP_A", s, 24, 0)
-	if !strings.HasPrefix(out, "ISP_A") {
-		t.Fatalf("label missing: %q", out)
-	}
-	if len([]rune(out)) < 24 {
-		t.Fatalf("too short: %q", out)
-	}
-}

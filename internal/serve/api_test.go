@@ -35,7 +35,6 @@ func newAPIDaemon(t *testing.T) (*Daemon, *soakHarness) {
 	cfgPath := filepath.Join(dir, "cfg.json")
 	writeFile(t, cfgPath, `{
   "window": "48h", "bin_width": "30m", "min_traceroutes": 3, "max_lateness": "2h",
-  "shards": 2, "workers": 2, "max_concurrent": 2,
   "targets": [{"name": "alpha", "asn": 64500, "source": "src-alpha"}]
 }`)
 	h := &soakHarness{clock: NewFakeClock(soakT0)}
@@ -295,7 +294,6 @@ func TestRefreshPublishesOneWindow(t *testing.T) {
 	d, err := NewFromConfig(Config{
 		Window: Duration(24 * time.Hour), BinWidth: Duration(binWidth),
 		MinTraceroutes: 3, MaxLateness: Duration(2 * time.Hour),
-		Shards: 4, Workers: 2,
 		Targets: []Target{{Name: "backlog", ASN: 64500, Source: "unused"}},
 	}, Options{
 		Clock: NewFakeClock(soakT0),

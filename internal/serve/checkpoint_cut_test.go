@@ -69,7 +69,6 @@ func TestDaemonCheckpointConsistentCut(t *testing.T) {
 	writeFile(t, cfgPath, fmt.Sprintf(`{
   "state_path": %q,
   "window": "240h", "bin_width": "30m", "min_traceroutes": 3, "max_lateness": "240h",
-  "shards": 2, "workers": 1, "max_concurrent": 2,
   "targets": [%s]
 }`, statePath, targets))
 	h := &soakHarness{clock: NewFakeClock(soakT0)}

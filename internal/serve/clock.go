@@ -1,10 +1,10 @@
 // Package serve implements lmserved, the long-running monitoring
 // daemon: a declarative config file describing monitored targets, hot
 // reload on SIGHUP or a poll interval with diff-based target
-// start/drain, per-target ingest goroutines with deterministic startup
-// jitter and bounded concurrency, periodic engine checkpoints, and a
-// read API (/api/verdicts, /api/series/{asn}, /api/health) served from
-// immutable snapshots so reads never touch the ingest hot path.
+// start/drain, per-target ingest goroutines, periodic engine
+// checkpoints at a consistent cut, and a read API (/api/verdicts,
+// /api/series/{asn}, /api/health) served from immutable snapshots so
+// reads never touch the ingest hot path.
 //
 // Every time-dependent behaviour goes through the Clock seam, so the
 // soak harness can drive days of simulated time deterministically
@@ -18,9 +18,9 @@ import (
 )
 
 // Clock is the daemon's time source. Production code uses SystemClock;
-// tests inject a FakeClock and advance it explicitly, so jitter waits,
-// reload polls, and watchdog graces become deterministic instead of
-// wall-clock races.
+// tests inject a FakeClock and advance it explicitly, so reload polls
+// and maintenance ticks become deterministic instead of wall-clock
+// races.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time

@@ -67,9 +67,9 @@ type Target struct {
 // fields (Window, BinWidth, MinTraceroutes, MaxLateness, Thresholds)
 // cannot change across a reload — they define the meaning of the
 // in-flight window state — and neither can the fields bound once at
-// startup (HTTPAddr, StatePath, Shards, Workers, MaxConcurrent); a
-// reload that tries is rejected whole, keeping the running config.
-// Targets, StartupJitter and PollInterval reload freely.
+// startup (HTTPAddr, StatePath); a reload that tries is rejected whole,
+// keeping the running config. Targets and PollInterval reload freely.
+// Engine lock stripes and classification fan-out follow GOMAXPROCS.
 type Config struct {
 	// HTTPAddr is the ops/API listen address; empty disables HTTP.
 	HTTPAddr string `json:"http_addr,omitempty"`
@@ -90,19 +90,6 @@ type Config struct {
 	// ms; the zero value selects the paper's defaults.
 	Thresholds ThresholdsConfig `json:"thresholds,omitempty"`
 
-	// Shards is the engine lock-stripe count (default GOMAXPROCS).
-	Shards int `json:"shards,omitempty"`
-	// Workers bounds classification fan-out (default GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
-	// MaxConcurrent bounds how many targets may be inside the engine's
-	// ingest path at once (default 4); see the scaling note in
-	// DESIGN.md §16 — steady-state ingest capacity is
-	// MaxConcurrent / cost(Observe), independent of target count.
-	MaxConcurrent int `json:"max_concurrent,omitempty"`
-	// StartupJitter spreads target starts deterministically over
-	// [0, StartupJitter) by target-name hash, so a restart never
-	// thunders every source at once (default 0: start immediately).
-	StartupJitter Duration `json:"startup_jitter,omitempty"`
 	// PollInterval re-reads the config file this often; zero means
 	// reload on SIGHUP only.
 	PollInterval Duration `json:"poll_interval,omitempty"`
@@ -111,18 +98,9 @@ type Config struct {
 	Targets []Target `json:"targets"`
 }
 
-// withDefaults fills zero operational fields. Engine-semantic zeros are
-// left alone — stream.Options applies the paper defaults, and a zero
-// must stay zero for checkpoint resume to adopt the snapshot's values.
-func (c *Config) withDefaults() {
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 4
-	}
-}
-
 // Validate rejects configs that cannot run: no targets, duplicate or
-// unnamed targets, negative durations, or a bin width that is not a
-// whole number of seconds.
+// unnamed targets, negative durations or min_traceroutes, or a bin
+// width that is not a whole number of seconds.
 func (c *Config) Validate() error {
 	if len(c.Targets) == 0 {
 		return errors.New("serve: config has no targets")
@@ -139,7 +117,7 @@ func (c *Config) Validate() error {
 	}
 	for name, d := range map[string]Duration{
 		"window": c.Window, "bin_width": c.BinWidth, "max_lateness": c.MaxLateness,
-		"startup_jitter": c.StartupJitter, "poll_interval": c.PollInterval,
+		"poll_interval": c.PollInterval,
 	} {
 		if d < 0 {
 			return fmt.Errorf("serve: negative %s", name)
@@ -149,15 +127,17 @@ func (c *Config) Validate() error {
 	if time.Duration(c.BinWidth)%time.Second != 0 {
 		return fmt.Errorf("serve: bin_width %v is not a whole number of seconds", time.Duration(c.BinWidth))
 	}
-	if c.MinTraceroutes < 0 || c.Shards < 0 || c.Workers < 0 || c.MaxConcurrent < 0 {
-		return errors.New("serve: negative count option")
+	if c.MinTraceroutes < 0 {
+		return errors.New("serve: negative min_traceroutes")
 	}
 	return nil
 }
 
 // ParseConfig parses and validates a JSON config document. Unknown
 // fields are rejected so a typo'd key fails loudly instead of silently
-// running with a default.
+// running with a default. Zero fields stay zero: stream.Options applies
+// the paper defaults, and a zero must stay zero for checkpoint resume
+// to adopt the snapshot's values.
 func ParseConfig(data []byte) (*Config, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -168,7 +148,6 @@ func ParseConfig(data []byte) (*Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.withDefaults()
 	return cfg, nil
 }
 
@@ -203,20 +182,13 @@ func (c *Config) ReloadableFrom(old *Config) error {
 		return errors.New("serve: reload cannot change thresholds (restart required)")
 	case c.StatePath != old.StatePath:
 		return errors.New("serve: reload cannot change state_path (restart required)")
-	case c.Shards != old.Shards:
-		return errors.New("serve: reload cannot change shards (restart required)")
-	case c.Workers != old.Workers:
-		// The monitor fixes its classification fan-out when it is built.
-		return errors.New("serve: reload cannot change workers (restart required)")
-	case c.MaxConcurrent != old.MaxConcurrent:
-		return errors.New("serve: reload cannot change max_concurrent (restart required)")
 	}
 	return nil
 }
 
 // TargetDiff is the outcome of diffing two target lists by Name.
 type TargetDiff struct {
-	// Added targets start (with jitter) on reload.
+	// Added targets start on reload.
 	Added []Target
 	// Removed targets are drained on reload.
 	Removed []Target

@@ -16,10 +16,6 @@ func TestParseConfigFull(t *testing.T) {
 		"min_traceroutes": 3,
 		"max_lateness": 7200000000000,
 		"thresholds": {"low": 0.5, "mild": 1, "severe": 3},
-		"shards": 4,
-		"workers": 2,
-		"max_concurrent": 8,
-		"startup_jitter": "5m",
 		"poll_interval": "1h",
 		"targets": [
 			{"name": "alpha", "asn": 64500, "source": "/data/alpha.jsonl"},
@@ -36,8 +32,8 @@ func TestParseConfigFull(t *testing.T) {
 	if time.Duration(cfg.Window) != 96*time.Hour || time.Duration(cfg.MaxLateness) != 2*time.Hour {
 		t.Fatalf("window/lateness = %v/%v", cfg.Window, cfg.MaxLateness)
 	}
-	if cfg.MaxConcurrent != 8 || time.Duration(cfg.StartupJitter) != 5*time.Minute {
-		t.Fatalf("concurrency/jitter = %d/%v", cfg.MaxConcurrent, cfg.StartupJitter)
+	if time.Duration(cfg.PollInterval) != time.Hour {
+		t.Fatalf("poll interval = %v", cfg.PollInterval)
 	}
 	if len(cfg.Targets) != 2 || cfg.Targets[1].ASN != 64501 {
 		t.Fatalf("targets = %+v", cfg.Targets)
@@ -53,7 +49,14 @@ func TestParseConfigRejections(t *testing.T) {
 		{"unnamed target", `{"targets": [{"asn": 1, "source": "x"}]}`, "has no name"},
 		{"duplicate target", `{"targets": [{"name": "a"}, {"name": "a"}]}`, "duplicate target"},
 		{"negative duration", `{"window": "-1h", "targets": [{"name": "a"}]}`, "negative window"},
-		{"negative count", `{"shards": -1, "targets": [{"name": "a"}]}`, "negative count"},
+		{"negative count", `{"min_traceroutes": -1, "targets": [{"name": "a"}]}`, "negative min_traceroutes"},
+		// The tuning keys of earlier versions are gone: stripes and
+		// fan-out follow GOMAXPROCS, and a config still setting one
+		// fails loudly rather than running without it.
+		{"removed shards", `{"shards": 4, "targets": [{"name": "a"}]}`, `unknown field "shards"`},
+		{"removed workers", `{"workers": 2, "targets": [{"name": "a"}]}`, `unknown field "workers"`},
+		{"removed max_concurrent", `{"max_concurrent": 8, "targets": [{"name": "a"}]}`, `unknown field "max_concurrent"`},
+		{"removed startup_jitter", `{"startup_jitter": "5m", "targets": [{"name": "a"}]}`, `unknown field "startup_jitter"`},
 		{"sub-second bin width", `{"bin_width": "500ms", "targets": [{"name": "a"}]}`, "whole number of seconds"},
 		{"fractional bin width", `{"bin_width": "90.5s", "targets": [{"name": "a"}]}`, "whole number of seconds"},
 		{"bad duration", `{"window": "fortnight", "targets": [{"name": "a"}]}`, "bad duration"},
@@ -74,9 +77,6 @@ func TestConfigDefaultsPreserveEngineZeros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.MaxConcurrent != 4 {
-		t.Fatalf("MaxConcurrent = %d, want default 4", cfg.MaxConcurrent)
-	}
 	// Engine-semantic zeros must survive parsing untouched: checkpoint
 	// resume relies on zero meaning "adopt the snapshot's value".
 	if cfg.Window != 0 || cfg.BinWidth != 0 || cfg.MinTraceroutes != 0 || cfg.MaxLateness != 0 {
@@ -89,7 +89,7 @@ func TestReloadableFromFreezesEngineSemantics(t *testing.T) {
 		cfg, err := ParseConfig([]byte(`{
 			"http_addr": "127.0.0.1:0", "state_path": "s", "window": "96h",
 			"bin_width": "30m", "min_traceroutes": 3, "max_lateness": "2h",
-			"thresholds": {"low": 0.5}, "shards": 2, "max_concurrent": 4,
+			"thresholds": {"low": 0.5},
 			"targets": [{"name": "a", "asn": 1, "source": "x"}]}`))
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +104,6 @@ func TestReloadableFromFreezesEngineSemantics(t *testing.T) {
 
 	// Operational fields reload freely.
 	free := base()
-	free.StartupJitter = Duration(time.Minute)
 	free.PollInterval = Duration(time.Hour)
 	free.Targets = append(free.Targets, Target{Name: "b", ASN: 2, Source: "y"})
 	if err := free.ReloadableFrom(old); err != nil {
@@ -123,9 +122,6 @@ func TestReloadableFromFreezesEngineSemantics(t *testing.T) {
 		{"max_lateness", func(c *Config) { c.MaxLateness = Duration(time.Hour) }},
 		{"thresholds", func(c *Config) { c.Thresholds.Severe = 10 }},
 		{"state_path", func(c *Config) { c.StatePath = "other" }},
-		{"shards", func(c *Config) { c.Shards = 16 }},
-		{"workers", func(c *Config) { c.Workers = 8 }},
-		{"max_concurrent", func(c *Config) { c.MaxConcurrent = 1 }},
 	}
 	for _, tc := range frozen {
 		t.Run(tc.field, func(t *testing.T) {

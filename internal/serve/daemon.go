@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -44,9 +43,9 @@ type SourceOpener func(t Target) (Source, error)
 
 // Options configures a Daemon beyond its Config.
 type Options struct {
-	// Clock is the daemon's time source (nil = SystemClock). Jitter
-	// waits, reload polls, and snapshot-refresh ticks all go through
-	// it, so a FakeClock makes the whole daemon simulation-time driven.
+	// Clock is the daemon's time source (nil = SystemClock). Reload
+	// polls and maintenance ticks go through it, so a FakeClock makes
+	// the whole daemon simulation-time driven.
 	Clock Clock
 	// Open opens target sources; required.
 	Open SourceOpener
@@ -61,7 +60,7 @@ type Options struct {
 type targetState int32
 
 const (
-	// targetPending: spawned, waiting out its startup jitter.
+	// targetPending: spawned, opening its source.
 	targetPending targetState = iota
 	// targetIngesting: consuming its source.
 	targetIngesting
@@ -129,11 +128,9 @@ type Daemon struct {
 	monitor *stream.Monitor
 	ckpt    *stream.Checkpointer
 
-	// sem bounds how many targets are inside the engine ingest path at
-	// once: acquire = send, release = receive. Capacity is
-	// MaxConcurrent, fixed at construction (a reload cannot change it).
-	// A checkpoint takes every token, which makes it a consistent cut.
-	sem chan struct{}
+	// cut is read-locked across each Observe and write-locked across a
+	// checkpoint, which makes the checkpoint a consistent cut.
+	cut sync.RWMutex
 
 	// tick is the maintenance cadence (half the effective bin width):
 	// each tick checks for a crossed bin boundary (snapshot refresh +
@@ -180,8 +177,8 @@ func New(path string, opts Options) (*Daemon, error) {
 	return d, nil
 }
 
-// NewFromConfig builds a daemon from cfg, validated and defaulted
-// exactly like a parsed config file. A checkpoint at the config's
+// NewFromConfig builds a daemon from cfg, validated exactly like a
+// parsed config file. A checkpoint at the config's
 // state_path is resumed when present and usable; a corrupt one is
 // logged and cold-started (stream.Open's contract). The daemon has no
 // config file, so a reload request fails to load and is rejected. The
@@ -190,7 +187,6 @@ func NewFromConfig(cfg Config, opts Options) (*Daemon, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.withDefaults()
 	if opts.Open == nil {
 		return nil, errors.New("serve: Options.Open is required")
 	}
@@ -215,8 +211,6 @@ func NewFromConfig(cfg Config, opts Options) (*Daemon, error) {
 		MinTraceroutes: cfg.MinTraceroutes,
 		MaxLateness:    time.Duration(cfg.MaxLateness),
 		Classifier:     cfg.classifier(),
-		Shards:         cfg.Shards,
-		Workers:        cfg.Workers,
 		Metrics:        reg,
 	})
 	if err != nil {
@@ -238,7 +232,6 @@ func NewFromConfig(cfg Config, opts Options) (*Daemon, error) {
 		logf:    logf,
 		reg:     reg,
 		monitor: opened.Monitor,
-		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		tick:    effBin / 2,
 		cfg:     &cfg,
 		targets: make(map[string]*targetRunner),
@@ -328,19 +321,12 @@ func (d *Daemon) onBinBoundary() {
 }
 
 // checkpointAtCut runs MaybeCheckpoint at a consistent cut. It holds
-// every max_concurrent ingest token for the whole call: the Observe
-// calls in flight finish first and no new one starts until the
-// checkpoint is written, so its counters and its bins describe the same
-// instant.
+// the cut's write lock for the whole call: the Observe calls in flight
+// finish first and no new one starts until the checkpoint is written,
+// so its counters and its bins describe the same instant.
 func (d *Daemon) checkpointAtCut() (bool, error) {
-	for i := 0; i < cap(d.sem); i++ {
-		d.sem <- struct{}{}
-	}
-	defer func() {
-		for i := 0; i < cap(d.sem); i++ {
-			<-d.sem
-		}
-	}()
+	d.cut.Lock()
+	defer d.cut.Unlock()
 	return d.ckpt.MaybeCheckpoint()
 }
 
@@ -388,9 +374,9 @@ func (d *Daemon) reloadFromFile(ctx context.Context, why string) {
 }
 
 // applyConfig diffs next against the running config and applies it:
-// removed targets drain, added ones start (with jitter), changed ones
-// drain and restart under their new definition, and kept targets — and
-// their in-flight windows — are never touched.
+// removed targets drain, added ones start, changed ones drain and
+// restart under their new definition, and kept targets — and their
+// in-flight windows — are never touched.
 func (d *Daemon) applyConfig(ctx context.Context, next *Config) error {
 	d.mu.Lock()
 	if d.draining {
@@ -442,36 +428,11 @@ func (d *Daemon) startTargetLocked(ctx context.Context, t Target) {
 	go d.runTarget(tctx, r)
 }
 
-// jitterFor spreads target starts deterministically over
-// [0, StartupJitter) keyed by an FNV-1a hash of the target name: a
-// daemon restart re-staggers its sources identically every time, with
-// no shared-seed randomness and no thundering herd.
-func (d *Daemon) jitterFor(name string) time.Duration {
-	d.mu.Lock()
-	j := time.Duration(d.cfg.StartupJitter)
-	d.mu.Unlock()
-	if j <= 0 {
-		return 0
-	}
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, name)
-	return time.Duration(h.Sum64() % uint64(j))
-}
-
-// runTarget is one target's ingest loop: jitter, open, then pull
-// results and deliver them to the engine under the concurrency bound.
+// runTarget is one target's ingest loop: open, then pull results and
+// deliver them to the engine.
 func (d *Daemon) runTarget(ctx context.Context, r *targetRunner) {
 	defer d.wg.Done()
 	defer close(r.done)
-	if j := d.jitterFor(r.target.Name); j > 0 {
-		select {
-		case <-d.clock.After(j):
-		case <-ctx.Done():
-			r.state.set(targetDrained)
-			d.drained.Inc()
-			return
-		}
-	}
 	src, err := d.open(r.target)
 	if err != nil {
 		r.state.set(targetFailed)
@@ -502,14 +463,13 @@ func (d *Daemon) runTarget(ctx context.Context, r *targetRunner) {
 		if asn == 0 {
 			asn = r.target.ASN
 		}
-		// Bounded concurrency: hold one token across the engine
-		// delivery (acquire = send, release = receive). The token is
-		// acquired unconditionally: a result Next handed out is always
+		// The read lock keeps a checkpoint out of the delivery. It is
+		// taken unconditionally: a result Next handed out is always
 		// delivered, even when the drain lands here, so the Source
 		// contract — returned means consumed — holds.
-		d.sem <- struct{}{}
+		d.cut.RLock()
 		oerr := d.monitor.Observe(asn, res)
-		<-d.sem
+		d.cut.RUnlock()
 		if oerr != nil {
 			r.state.set(targetFailed)
 			d.failures.Inc()

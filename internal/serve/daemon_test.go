@@ -1,9 +1,9 @@
 package serve
 
-// Daemon unit tests: deterministic startup jitter, the reload rejection
-// paths (bad JSON, frozen engine-semantic fields, reload-while-draining,
-// a daemon built from a Config value with no file), and the invariant that a rejected reload leaves the running config,
-// generation, and target set untouched; a drain during startup jitter,
+// Daemon unit tests: the reload rejection paths (bad JSON, frozen
+// engine-semantic fields, reload-while-draining, a daemon built from a
+// Config value with no file), and the invariant that a rejected reload
+// leaves the running config, generation, and target set untouched;
 // generation reads during reloads, and the ops listener's shutdown.
 
 import (
@@ -14,105 +14,9 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestJitterForDeterministicAndBounded(t *testing.T) {
-	dir := t.TempDir()
-	cfgPath := filepath.Join(dir, "cfg.json")
-	writeFile(t, cfgPath, `{
-  "window": "48h", "bin_width": "30m", "startup_jitter": "1h",
-  "targets": [{"name": "alpha", "asn": 64500, "source": "src-alpha"}]
-}`)
-	h := &soakHarness{clock: NewFakeClock(soakT0)}
-	h.setTimelines(map[string][]soakObs{"src-alpha": nil})
-	d, err := New(cfgPath, Options{Clock: h.clock, Open: h.opener, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	jitter := time.Duration(d.cfg.StartupJitter)
-	seen := map[time.Duration]bool{}
-	for _, name := range []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"} {
-		j1, j2 := d.jitterFor(name), d.jitterFor(name)
-		if j1 != j2 {
-			t.Fatalf("jitterFor(%q) not deterministic: %v vs %v", name, j1, j2)
-		}
-		if j1 < 0 || j1 >= jitter {
-			t.Fatalf("jitterFor(%q) = %v, want in [0, %v)", name, j1, jitter)
-		}
-		seen[j1] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("all names hashed to the same jitter %v: no spread", seen)
-	}
-
-	// Zero configured jitter disables the stagger entirely.
-	d.mu.Lock()
-	d.cfg.StartupJitter = 0
-	d.mu.Unlock()
-	if j := d.jitterFor("alpha"); j != 0 {
-		t.Fatalf("jitterFor with zero jitter = %v, want 0", j)
-	}
-}
-
-func TestStartupJitterDelaysSourceOpen(t *testing.T) {
-	dir := t.TempDir()
-	cfgPath := filepath.Join(dir, "cfg.json")
-	writeFile(t, cfgPath, `{
-  "window": "48h", "bin_width": "30m", "min_traceroutes": 3, "max_lateness": "2h",
-  "startup_jitter": "1h",
-  "targets": [
-    {"name": "alpha", "asn": 64500, "source": "src-alpha"},
-    {"name": "beta", "asn": 64501, "source": "src-beta"}
-  ]
-}`)
-	h := &soakHarness{clock: NewFakeClock(soakT0)}
-	h.setTimelines(map[string][]soakObs{
-		"src-alpha": diurnalTimeline(64500, 1, soakT0.Add(-time.Hour), soakT0, 10*time.Minute, 8),
-		"src-beta":  diurnalTimeline(64501, 4, soakT0.Add(-time.Hour), soakT0, 10*time.Minute, 8),
-	})
-	var opens atomic.Int64
-	open := func(tgt Target) (Source, error) {
-		opens.Add(1)
-		return h.opener(tgt)
-	}
-	d, err := New(cfgPath, Options{Clock: h.clock, Open: open, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"alpha", "beta"} {
-		if d.jitterFor(name) <= 0 {
-			t.Fatalf("precondition: jitterFor(%q) = %v, want > 0", name, d.jitterFor(name))
-		}
-	}
-
-	ctx, kill := context.WithCancel(context.Background())
-	run := make(chan error, 1)
-	go func() { run <- d.Run(ctx, nil) }()
-
-	// Both runners park on their jitter timers and the maintenance loop
-	// parks on its tick before time moves: no source may open yet.
-	h.clock.BlockUntil(3)
-	if n := opens.Load(); n != 0 {
-		t.Fatalf("%d source(s) opened before the jitter elapsed", n)
-	}
-
-	// Advancing past the jitter bound releases both runners; the data is
-	// all older than now, so ingest runs straight to EOF.
-	h.clock.Advance(time.Hour)
-	want := int64(len(h.timelines["src-alpha"]) + len(h.timelines["src-beta"]))
-	spinUntil(t, "jittered ingest", func() bool { return d.Monitor().Stats().Ingested == want })
-	if n := opens.Load(); n != 2 {
-		t.Fatalf("opens = %d after jitter, want 2", n)
-	}
-	kill()
-	if err := <-run; err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
 
 // targetNames reads the live target set the way the health handler does.
 func targetNames(d *Daemon) []string {
@@ -209,7 +113,7 @@ func TestApplyConfigRejectedWhileDraining(t *testing.T) {
 }
 
 // TestNewFromConfig pins the constructor from a Config value: it
-// validates and defaults like a parsed file, and a daemon built this way
+// validates like a parsed file, and a daemon built this way
 // has no file to reload from, so a reload request is rejected and
 // counted while the running config stays in force.
 func TestNewFromConfig(t *testing.T) {
@@ -225,9 +129,6 @@ func TestNewFromConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.cfg.MaxConcurrent != 4 {
-		t.Fatalf("MaxConcurrent = %d, want default 4", d.cfg.MaxConcurrent)
-	}
 
 	ctx, kill := context.WithCancel(context.Background())
 	hup := make(chan os.Signal, 1)
@@ -241,49 +142,6 @@ func TestNewFromConfig(t *testing.T) {
 	kill()
 	if err := <-run; err != nil {
 		t.Fatalf("Run: %v", err)
-	}
-}
-
-// TestCancelDuringStartupJitter pins that a drain does not wait out the
-// startup jitter: cancelled while both runners still wait on their jitter
-// timers, with the clock never advanced, Run returns and no source opens.
-func TestCancelDuringStartupJitter(t *testing.T) {
-	dir := t.TempDir()
-	cfgPath := filepath.Join(dir, "cfg.json")
-	writeFile(t, cfgPath, `{
-  "window": "48h", "bin_width": "30m", "startup_jitter": "1h",
-  "targets": [
-    {"name": "alpha", "asn": 64500, "source": "src-alpha"},
-    {"name": "beta", "asn": 64501, "source": "src-beta"}
-  ]
-}`)
-	h := &soakHarness{clock: NewFakeClock(soakT0)}
-	h.setTimelines(map[string][]soakObs{"src-alpha": nil, "src-beta": nil})
-	var opens atomic.Int64
-	open := func(tgt Target) (Source, error) {
-		opens.Add(1)
-		return h.opener(tgt)
-	}
-	d, err := New(cfgPath, Options{Clock: h.clock, Open: open, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, kill := context.WithCancel(context.Background())
-	run := make(chan error, 1)
-	go func() { run <- d.Run(ctx, nil) }()
-	h.clock.BlockUntil(3) // two jitter timers and the maintenance tick
-	kill()
-	select {
-	case err := <-run:
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return: a runner still waits out its startup jitter")
-	}
-	if n := opens.Load(); n != 0 {
-		t.Fatalf("%d source(s) opened by a drained daemon", n)
 	}
 }
 

@@ -224,7 +224,6 @@ func soakConfig(statePath, poll string, targets ...Target) string {
 	doc := `{
   "state_path": %q,
   "window": "72h", "bin_width": "30m", "min_traceroutes": 3, "max_lateness": "2h",
-  "shards": 4, "workers": 2, "max_concurrent": 2,
   "poll_interval": %q,
   "targets": [`
 	out := fmt.Sprintf(doc, statePath, poll)

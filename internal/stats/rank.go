@@ -96,64 +96,3 @@ func Spearman(xs, ys []float64) (float64, error) {
 	}
 	return Pearson(Ranks(cx), Ranks(cy))
 }
-
-// ECDF is an empirical cumulative distribution function built from a
-// sample. The zero value is unusable; construct with NewECDF.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs, ignoring NaN values. It returns an error
-// if no usable value exists.
-func NewECDF(xs []float64) (*ECDF, error) {
-	clean := make([]float64, 0, len(xs))
-	for _, v := range xs {
-		if !math.IsNaN(v) {
-			clean = append(clean, v)
-		}
-	}
-	if len(clean) == 0 {
-		return nil, ErrEmpty
-	}
-	sort.Float64s(clean)
-	return &ECDF{sorted: clean}, nil
-}
-
-// At returns the fraction of the sample that is <= x.
-func (e *ECDF) At(x float64) float64 {
-	// sort.SearchFloat64s returns the first index with sorted[i] >= x, so
-	// we search for the first index strictly greater than x.
-	i := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
-	return float64(i) / float64(len(e.sorted))
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Points returns the ECDF as (x, F(x)) step points, one per distinct sample
-// value, suitable for plotting the paper's CDF figures.
-func (e *ECDF) Points() (xs, fs []float64) {
-	n := len(e.sorted)
-	for i := 0; i < n; {
-		j := i
-		// The slice is ascending, so "not greater" means equal to i.
-		for j+1 < n && e.sorted[j+1] <= e.sorted[i] {
-			j++
-		}
-		xs = append(xs, e.sorted[i])
-		fs = append(fs, float64(j+1)/float64(n))
-		i = j + 1
-	}
-	return xs, fs
-}
-
-// Quantile returns the type-7 interpolated q-quantile of the ECDF's sample.
-func (e *ECDF) Quantile(q float64) float64 {
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	return quantileSorted(e.sorted, q)
-}

@@ -156,32 +156,6 @@ func MeanIgnoringNaN(xs []float64) float64 {
 	return sum / float64(n)
 }
 
-// Min returns the minimum of xs. If xs contains a NaN the result is NaN,
-// regardless of its position; use MinIgnoringNaN to skip gap values.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, v := range xs[1:] {
-		m = min(m, v)
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs. If xs contains a NaN the result is NaN,
-// regardless of its position; use MaxIgnoringNaN to skip gap values.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, v := range xs[1:] {
-		m = max(m, v)
-	}
-	return m, nil
-}
-
 // MinIgnoringNaN returns the smallest non-NaN value of xs, or NaN if there
 // is none.
 func MinIgnoringNaN(xs []float64) float64 {
@@ -212,24 +186,9 @@ func MaxIgnoringNaN(xs []float64) float64 {
 	return m
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (type-7 estimator, the numpy and R
-// default). It does not modify xs.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, errors.New("stats: quantile out of range [0,1]")
-	}
-	tmp := make([]float64, len(xs))
-	copy(tmp, xs)
-	sort.Float64s(tmp)
-	return quantileSorted(tmp, q), nil
-}
-
-// quantileSorted computes the type-7 quantile of an ascending-sorted,
-// non-empty slice.
+// quantileSorted computes the q-quantile (0 <= q <= 1) of an
+// ascending-sorted, non-empty slice by linear interpolation between
+// order statistics (type-7 estimator, the numpy and R default).
 func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 1 {
@@ -243,20 +202,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	}
 	frac := h - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// StdDev returns the sample standard deviation (n-1 denominator) of xs.
-func StdDev(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	mean, _ := Mean(xs)
-	ss := 0.0
-	for _, v := range xs {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1)), nil
 }
 
 // Summary holds descriptive statistics for one sample.

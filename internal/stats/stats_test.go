@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -119,9 +120,7 @@ func TestMedianPropertyBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lo, _ := Min(xs)
-		hi, _ := Max(xs)
-		return m >= lo && m <= hi
+		return m >= slices.Min(xs) && m <= slices.Max(xs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -141,34 +140,16 @@ func TestMedianIgnoringNaN(t *testing.T) {
 	}
 }
 
-func TestMeanAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	mean, err := Mean(xs)
+func TestMean(t *testing.T) {
+	mean, err := Mean([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mean != 5 {
 		t.Fatalf("mean = %v, want 5", mean)
 	}
-	sd, err := StdDev(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sample std dev with n-1: sqrt(32/7).
-	if !almostEqual(sd, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Fatalf("stddev = %v", sd)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5}
-	lo, err := Min(xs)
-	if err != nil || lo != -1 {
-		t.Fatalf("min = %v err=%v", lo, err)
-	}
-	hi, err := Max(xs)
-	if err != nil || hi != 5 {
-		t.Fatalf("max = %v err=%v", hi, err)
+	if _, err := Mean(nil); err != ErrEmpty {
+		t.Fatalf("err = %v, want ErrEmpty", err)
 	}
 }
 
@@ -185,6 +166,7 @@ func TestMinMaxIgnoringNaN(t *testing.T) {
 	}
 }
 
+// TestQuantile pins the type-7 interpolation Summarize's percentiles use.
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	cases := []struct {
@@ -194,25 +176,12 @@ func TestQuantile(t *testing.T) {
 		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75}, {0.75, 3.25},
 	}
 	for _, c := range cases {
-		got, err := Quantile(xs, c.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		if got := quantileSorted(xs, c.q); !almostEqual(got, c.want, 1e-12) {
+			t.Errorf("quantileSorted(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
-}
-
-func TestQuantileErrors(t *testing.T) {
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Fatal("want error for empty input")
-	}
-	if _, err := Quantile([]float64{1}, -0.1); err == nil {
-		t.Fatal("want error for q<0")
-	}
-	if _, err := Quantile([]float64{1}, 1.1); err == nil {
-		t.Fatal("want error for q>1")
+	if got := quantileSorted([]float64{7}, 0.9); got != 7 {
+		t.Errorf("quantileSorted of one value = %v, want 7", got)
 	}
 }
 
@@ -386,88 +355,6 @@ func TestSpearmanRangeInvariant(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {3, 0.75}, {4, 1}, {9, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if e.N() != 4 {
-		t.Fatalf("N = %d", e.N())
-	}
-}
-
-func TestECDFPoints(t *testing.T) {
-	e, err := NewECDF([]float64{3, 1, 3, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs, fs := e.Points()
-	wantX := []float64{1, 2, 3}
-	wantF := []float64{0.25, 0.5, 1}
-	if len(xs) != 3 {
-		t.Fatalf("points = %v %v", xs, fs)
-	}
-	for i := range xs {
-		if xs[i] != wantX[i] || !almostEqual(fs[i], wantF[i], 1e-12) {
-			t.Fatalf("points = %v %v", xs, fs)
-		}
-	}
-}
-
-func TestECDFMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		e, err := NewECDF(xs)
-		if err != nil {
-			return false
-		}
-		prev := -1.0
-		for _, x := range []float64{-1e9, -1, 0, 1, 1e9} {
-			v := e.At(x)
-			if v < prev || v < 0 || v > 1 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestECDFQuantile(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Quantile(0) != 1 || e.Quantile(1) != 5 || e.Quantile(0.5) != 3 {
-		t.Fatalf("quantiles: %v %v %v", e.Quantile(0), e.Quantile(0.5), e.Quantile(1))
-	}
-}
-
-func TestECDFEmpty(t *testing.T) {
-	if _, err := NewECDF([]float64{math.NaN()}); err != ErrEmpty {
-		t.Fatalf("err = %v, want ErrEmpty", err)
-	}
-}
-
 func BenchmarkMedian1000(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 1000)
@@ -496,28 +383,6 @@ func BenchmarkSpearman1000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Spearman(xs, ys); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// TestMinMaxNaNPropagation pins the documented NaN contract: a NaN
-// anywhere in the input makes Min and Max return NaN, independent of its
-// position. The previous comparison-loop implementation returned NaN
-// only when the NaN happened to sit at index 0.
-func TestMinMaxNaNPropagation(t *testing.T) {
-	inputs := [][]float64{
-		{math.NaN(), 1, 2},
-		{1, math.NaN(), 2},
-		{1, 2, math.NaN()},
-	}
-	for _, xs := range inputs {
-		mn, err := Min(xs)
-		if err != nil || !math.IsNaN(mn) {
-			t.Errorf("Min(%v) = %v, %v; want NaN, nil", xs, mn, err)
-		}
-		mx, err := Max(xs)
-		if err != nil || !math.IsNaN(mx) {
-			t.Errorf("Max(%v) = %v, %v; want NaN, nil", xs, mx, err)
 		}
 	}
 }

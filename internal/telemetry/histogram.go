@@ -180,29 +180,3 @@ var DefLatencyBuckets = []float64{
 	0.1, 0.25, 0.5,
 	1, 2.5, 5, 10,
 }
-
-// LinearBuckets returns n boundaries start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n <= 0 || width <= 0 {
-		panic("telemetry: LinearBuckets needs n > 0 and width > 0")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// ExponentialBuckets returns n boundaries start, start*factor, ...
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if n <= 0 || start <= 0 || factor <= 1 {
-		panic("telemetry: ExponentialBuckets needs n > 0, start > 0, factor > 1")
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}

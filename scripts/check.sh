@@ -147,10 +147,15 @@ go test -run '^$' -bench . -benchtime 1x .
 # pool warm-up and the growth of bin storage to steady state. For
 # whole-pipeline numbers, record runs with `bash bench/run.sh --record`
 # and judge them with `bash bench/run.sh compare`.
+#
+# Each gate captures go test's output once, prints it, and parses the
+# same text. Piping through `tee /dev/stderr` instead would reopen the
+# log at offset 0 under `check.sh > log 2>&1` and overwrite every
+# earlier stage's output.
 stage "zero-alloc ingest gate (BenchmarkMonitorObserve, BenchmarkSurveyFeed, 0 allocs/op)"
-go test -run '^$' -bench 'BenchmarkMonitorObserve|BenchmarkSurveyFeed' -benchmem -benchtime 200000x -count=1 . \
-  | tee /dev/stderr \
-  | awk '
+out=$(go test -run '^$' -bench 'BenchmarkMonitorObserve|BenchmarkSurveyFeed' -benchmem -benchtime 200000x -count=1 .)
+printf '%s\n' "${out}"
+awk '
       /^Benchmark/ && /allocs\/op/ {
         rows++
         for (i = 2; i <= NF; i++) if ($i == "allocs/op" && $(i-1) != "0") bad++
@@ -158,7 +163,7 @@ go test -run '^$' -bench 'BenchmarkMonitorObserve|BenchmarkSurveyFeed' -benchmem
       END {
         if (rows == 0) { print "zero-alloc gate: no benchmark rows parsed" > "/dev/stderr"; exit 1 }
         if (bad > 0)   { print "zero-alloc gate: " bad " row(s) allocate on the hot path" > "/dev/stderr"; exit 1 }
-      }'
+      }' <<<"${out}"
 
 # Codec hot-path gate: the three steady-state codec benches — the
 # zero-alloc JSON parser, the binary wire decoder and the Atlas JSON
@@ -168,10 +173,10 @@ go test -run '^$' -bench 'BenchmarkMonitorObserve|BenchmarkSurveyFeed' -benchmem
 # scratch growth to steady state. BenchmarkIngestDecodeJSONStdlib is the
 # encoding/json baseline and is deliberately excluded.
 stage "zero-alloc codec gate (BenchmarkIngest{DecodeJSON,DecodeWire,EncodeJSON}, 0 allocs/op)"
-go test -run '^$' -bench 'BenchmarkIngestDecodeJSON$|BenchmarkIngestDecodeWire$|BenchmarkIngestEncodeJSON$' \
-  -benchmem -benchtime 200x -count=1 . \
-  | tee /dev/stderr \
-  | awk '
+out=$(go test -run '^$' -bench 'BenchmarkIngestDecodeJSON$|BenchmarkIngestDecodeWire$|BenchmarkIngestEncodeJSON$' \
+  -benchmem -benchtime 200x -count=1 .)
+printf '%s\n' "${out}"
+awk '
       /^Benchmark/ && /allocs\/op/ {
         rows++
         for (i = 2; i <= NF; i++) if ($i == "allocs/op" && $(i-1) != "0") bad++
@@ -179,7 +184,7 @@ go test -run '^$' -bench 'BenchmarkIngestDecodeJSON$|BenchmarkIngestDecodeWire$|
       END {
         if (rows != 3) { print "codec gate: expected 3 benchmark rows, parsed " rows > "/dev/stderr"; exit 1 }
         if (bad > 0)   { print "codec gate: " bad " row(s) allocate on the codec hot path" > "/dev/stderr"; exit 1 }
-      }'
+      }' <<<"${out}"
 
 # bench/ is a module of its own, so the go build, vet and test stages
 # above never compile it, though it drives the survey, daemon and codec
