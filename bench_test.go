@@ -567,6 +567,30 @@ func BenchmarkIngestReplayJSON(b *testing.B) {
 	}
 }
 
+// BenchmarkIngestScanAllJSON reads the same JSONL archive through
+// ScanResults, which decodes it on GOMAXPROCS goroutines and hands the
+// results over in archive order. Against BenchmarkIngestReplayJSON's
+// per-record scanner, it shows the wall time the parallel decode saves.
+func BenchmarkIngestScanAllJSON(b *testing.B) {
+	lines, jsonArchive, _, _ := ingestBenchData(b)
+	b.SetBytes(int64(len(jsonArchive)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		err := lastmile.ScanResults(bytes.NewReader(jsonArchive), func(*lastmile.Result, lastmile.ASN) error {
+			n++
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n != len(lines) {
+			b.Fatalf("replayed %d of %d results", n, len(lines))
+		}
+	}
+}
+
 // BenchmarkIngestReplayWire replays the same campaign from the binary
 // archive — the MB/s headroom over BenchmarkIngestReplayJSON is what the
 // wire format buys (note the archive is also ~5x smaller).

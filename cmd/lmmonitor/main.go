@@ -12,7 +12,8 @@
 // checkpoints to it, and serves -http. The run ends at the end of the
 // input, or on SIGINT or SIGTERM, which drain the daemon as they do
 // lmserved; lmmonitor then prints a final classification report and its
-// ingestion statistics. A decode error exits 1 without that report,
+// ingestion statistics. A second signal ends the process at once, as if
+// lmmonitor caught none. A decode error exits 1 without that report,
 // after the drain has checkpointed everything decoded before it.
 //
 // With -http the monitor serves the daemon's ops endpoint: /metrics
@@ -81,8 +82,13 @@ func main() {
 		rib = parsed
 	}
 
+	// The first SIGINT or SIGTERM drains; the next takes the default
+	// action, so a drain held up by a stdout nobody reads can still be
+	// ended. A base replaces the state file by rename and restore drops a
+	// torn segment, so that leaves the last complete checkpoint.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
+	context.AfterFunc(ctx, stopSignals)
 
 	reg := telemetry.Default()
 	cfg := config{
@@ -266,11 +272,14 @@ func newSource(r io.Reader, cfg config, m *stream.Monitor, out io.Writer, endRun
 }
 
 // scan feeds results until the input ends or Close stops it, then closes
-// results with any scan error left in scanErr. The sorting path clones,
-// since every result is live until the sort; the streaming path copies
-// into pooled results (one CopyFrom per result, no steady-state
-// allocation). A scanner blocked in a read no close can interrupt exits
-// when that read returns.
+// results with any scan error left in scanErr. The sorting path reads
+// the whole input before its first send, so it decodes through
+// ScanResults, on every core for JSONL, and clones, since every result
+// is live until the sort. The streaming path hands out each result as
+// it arrives, through the per-record scanner, and copies into pooled
+// results (one CopyFrom per result, no steady-state allocation). A
+// scanner blocked in a read no close can interrupt exits when that read
+// returns.
 func (s *source) scan(r io.Reader, sortIn bool, results chan<- arrival) {
 	defer close(results)
 	send := func(a arrival) bool {
@@ -281,13 +290,13 @@ func (s *source) scan(r io.Reader, sortIn bool, results chan<- arrival) {
 			return false
 		}
 	}
-	sc := lastmile.NewResultScanner(r)
 	if sortIn {
 		var buffered []arrival
-		for sc.Scan() {
-			buffered = append(buffered, arrival{sc.ASN(), sc.Result().Clone()})
-		}
-		if s.scanErr = sc.Err(); s.scanErr != nil {
+		s.scanErr = lastmile.ScanResults(r, func(res *lastmile.Result, asn lastmile.ASN) error {
+			buffered = append(buffered, arrival{asn, res.Clone()})
+			return nil
+		})
+		if s.scanErr != nil {
 			return
 		}
 		sort.SliceStable(buffered, func(i, j int) bool {
@@ -300,6 +309,7 @@ func (s *source) scan(r io.Reader, sortIn bool, results chan<- arrival) {
 		}
 		return
 	}
+	sc := lastmile.NewResultScanner(r)
 	for sc.Scan() {
 		res := s.pool.Get().(*lastmile.Result)
 		res.CopyFrom(sc.Result())

@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/netip"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -498,5 +500,102 @@ func TestRunDecodeErrorCheckpoints(t *testing.T) {
 	}
 	if got := reg.Counter("serve_target_failures_total").Value(); got != 1 {
 		t.Fatalf("serve_target_failures_total = %d, want 1", got)
+	}
+}
+
+// TestSecondInterruptEndsStalledRun pins that a second SIGINT ends an
+// lmmonitor process whose first one cannot finish. Its stdout is a pipe
+// nobody reads, so once the input ends the drain writes -state and the
+// run waits for the reports to reach stdout. The first SIGINT is caught
+// with nothing left to drain; a later one must take the default action
+// within 5 s and leave the state file restoring every record.
+func TestSecondInterruptEndsStalledRun(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("sends SIGINT")
+	}
+	gotool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool to build lmmonitor with")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "lmmonitor")
+	if out, err := exec.Command(gotool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	input := syntheticJSONL(t, 3, 6)
+	records := int64(bytes.Count(input, []byte("\n")))
+	inPath, statePath := filepath.Join(dir, "in.jsonl"), filepath.Join(dir, "state.lmw")
+	if err := os.WriteFile(inPath, input, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reports every 10 minutes of stream time, far more than the pipe
+	// holds, go to a pipe whose read end nobody reads.
+	cmd := exec.Command(bin, "-in", inPath, "-state", statePath, "-sort=false", "-every", "10m")
+	unread, stdout, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unread.Close()
+	cmd.Stdout = stdout
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Close()
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	waited := false
+	defer func() {
+		if !waited {
+			_ = cmd.Process.Kill()
+			<-exited
+		}
+	}()
+
+	ingested := func() int64 {
+		res, err := stream.Open(statePath, stream.Options{})
+		if err != nil || !res.Resumed {
+			return -1
+		}
+		return res.Monitor.Stats().Ingested
+	}
+	for deadline := time.Now().Add(30 * time.Second); ingested() != records; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no state file holding all %d records while stdout stalls", records)
+		}
+	}
+	select {
+	case err := <-exited:
+		waited = true
+		t.Fatalf("lmmonitor exited before any signal (%v): stdout did not stall", err)
+	default:
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	// The first SIGINT is handled on goroutines of lmmonitor's own, so
+	// the next is sent until one ends the process: a run that still
+	// catches them never ends.
+	tick := time.NewTicker(50 * time.Millisecond)
+	defer tick.Stop()
+	for deadline := time.After(5 * time.Second); ; {
+		select {
+		case err := <-exited:
+			waited = true
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.Sys().(syscall.WaitStatus).Signal() != syscall.SIGINT {
+				t.Fatalf("lmmonitor ended with %v, want death by SIGINT", err)
+			}
+			if got := ingested(); got != records {
+				t.Fatalf("the state file restores %d records after the kill, want %d", got, records)
+			}
+			return
+		case <-tick.C:
+			if err := cmd.Process.Signal(os.Interrupt); err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatal("lmmonitor still runs 5 s after a second SIGINT")
+		}
 	}
 }

@@ -10,7 +10,8 @@
 //
 // SIGHUP re-reads the config and applies the target diff; SIGINT or
 // SIGTERM drains every target, writes a final checkpoint, and prints
-// the final classification report to stdout.
+// the final classification report to stdout. A second SIGINT or SIGTERM
+// ends the process at once, as if lmserved caught none.
 package main
 
 import (
@@ -37,8 +38,13 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The first SIGINT or SIGTERM drains; the next takes the default
+	// action, so a drain or report held up by a stalled stdout can still
+	// be ended. A base replaces the state file by rename and restore
+	// drops a torn segment, so that leaves the last complete checkpoint.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	context.AfterFunc(ctx, stop)
 	hup := make(chan os.Signal, 4)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)

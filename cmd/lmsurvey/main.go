@@ -20,8 +20,11 @@
 //	lmsurvey -in traces.jsonl -rib rib.txt -csv signals/
 //	lmsurvey -in archive.lmw
 //
-// The feed is serial, into one engine. The per-AS classification fans
-// out over GOMAXPROCS workers; the report is byte-identical at any
+// A JSONL archive decodes on GOMAXPROCS goroutines
+// (lastmile.ScanResults), in batches of lines that reach the feed in
+// archive order; wire input decodes serially. The feed observes from
+// one goroutine into one engine, and the per-AS classification fans out
+// over GOMAXPROCS workers. The report is byte-identical at any
 // GOMAXPROCS.
 package main
 
@@ -95,41 +98,38 @@ func run(out io.Writer, in, ribIn, probesIn, csvDir, metricsOut string) error {
 
 	// One pass: resolve each probe's origin AS once (probe metadata,
 	// when given, also drives the §2 anchor exclusion) and stream every
-	// traceroute into the survey feed, which keeps nothing of it, so the
-	// scanner's reused Result goes straight in.
+	// traceroute into the survey feed in archive order. The feed keeps
+	// nothing of a record, so the decoder's reused Result goes straight
+	// in.
 	reg := lastmile.DefaultMetrics()
 	feed := lastmile.NewSurveyFeed(lastmile.SurveyOptions{Metrics: reg})
 	probeASN := map[int]lastmile.ASN{}
 	asProbes := map[lastmile.ASN]map[int]bool{}
-	sc := lastmile.NewResultScanner(r)
 	total, anchorsSkipped := 0, 0
-	for sc.Scan() {
-		res := sc.Result()
+	err := lastmile.ScanResults(r, func(res *lastmile.Result, inBand lastmile.ASN) error {
 		total++
 		var meta *lastmile.ProbeInfo
 		if registry != nil {
 			if info, ok := registry.ByID(res.ProbeID); ok {
 				if info.IsAnchor {
 					anchorsSkipped++
-					continue
+					return nil
 				}
 				meta = info
 			}
 		}
 		asn, seen := probeASN[res.ProbeID]
 		if !seen {
-			asn = attribute(meta, rib, res.FromAddr, sc.ASN())
+			asn = attribute(meta, rib, res.FromAddr, inBand)
 			probeASN[res.ProbeID] = asn
 		}
 		if asProbes[asn] == nil {
 			asProbes[asn] = map[int]bool{}
 		}
 		asProbes[asn][res.ProbeID] = true
-		if err := feed.Add(asn, res); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
+		return feed.Add(asn, res)
+	})
+	if err != nil {
 		return err
 	}
 	switch {

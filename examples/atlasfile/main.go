@@ -31,23 +31,20 @@ func main() {
 
 	// One pass: the feed estimates each traceroute's last-mile samples
 	// and bins them per probe as it is read, keeping nothing of the
-	// record, so the scanner's reused Result goes straight in. JSON
-	// archives carry no AS and land in AS0; wire archives carry theirs.
+	// record, so the decoder's reused Result goes straight in. JSON
+	// archives decode on every core, in archive order; they carry no AS
+	// and land in AS0, while wire archives carry theirs.
 	feed := lastmile.NewSurveyFeed(lastmile.SurveyOptions{})
 	traceroutes := map[int]int{}
 	noSegment := 0
-	sc := lastmile.NewResultScanner(f)
-	for sc.Scan() {
-		r := sc.Result()
+	err = lastmile.ScanResults(f, func(r *lastmile.Result, asn lastmile.ASN) error {
 		if _, ok := lastmile.FindSegment(r); !ok {
 			noSegment++
 		}
 		traceroutes[r.ProbeID]++
-		if err := feed.Add(sc.ASN(), r); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := sc.Err(); err != nil {
+		return feed.Add(asn, r)
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 	if len(traceroutes) == 0 {

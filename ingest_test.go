@@ -70,25 +70,33 @@ func buildCampaign(t *testing.T) *campaign {
 	return c
 }
 
-// collect streams an archive through the auto-detecting scanner into a
-// survey feed, attributing JSON results (which carry no in-band AS)
-// from the probe map, exactly as cmd/lmsurvey does.
-func collect(t *testing.T, c *campaign, archive []byte, opts lastmile.SurveyOptions) (*lastmile.Survey, []lastmile.SkippedAS) {
+// collect streams an archive into a survey feed, attributing JSON
+// results (which carry no in-band AS) from the probe map, exactly as
+// cmd/lmsurvey does: through the auto-detecting scanner, or, with whole
+// set, through ScanResults, as cmd/lmsurvey reads.
+func collect(t *testing.T, c *campaign, archive []byte, opts lastmile.SurveyOptions, whole bool) (*lastmile.Survey, []lastmile.SkippedAS) {
 	t.Helper()
 	feed := lastmile.NewSurveyFeed(opts)
-	sc := lastmile.NewResultScanner(bytes.NewReader(archive))
-	for sc.Scan() {
-		res := sc.Result()
-		asn := sc.ASN()
+	add := func(res *lastmile.Result, asn lastmile.ASN) error {
 		if asn == 0 {
 			asn = c.probeASN[res.ProbeID]
 		}
-		if err := feed.Add(asn, res); err != nil {
+		return feed.Add(asn, res)
+	}
+	if whole {
+		if err := lastmile.ScanResults(bytes.NewReader(archive), add); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	} else {
+		sc := lastmile.NewResultScanner(bytes.NewReader(archive))
+		for sc.Scan() {
+			if err := add(sc.Result(), sc.ASN()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s, skipped, err := feed.Survey("2019-09")
 	if err != nil {
@@ -110,35 +118,45 @@ func seriesIdentical(t *testing.T, label string, a, b *lastmile.Series) {
 	}
 }
 
-// TestIngestEquivalenceSurvey: RunSurvey over the JSON archive and the
-// wire archive produces bit-identical verdicts.
+// TestIngestEquivalenceSurvey: a survey of the JSON archive and of the
+// wire archive, read record by record or whole through ScanResults,
+// produces bit-identical verdicts.
 func TestIngestEquivalenceSurvey(t *testing.T) {
 	c := buildCampaign(t)
 	opts := lastmile.SurveyOptions{Start: c.start, End: c.end}
 
-	run := func(archive []byte) *lastmile.Survey {
-		s, skipped := collect(t, c, archive, opts)
+	run := func(archive []byte, whole bool) *lastmile.Survey {
+		s, skipped := collect(t, c, archive, opts, whole)
 		if len(skipped) != 0 {
 			t.Fatalf("skipped ASes: %v", skipped)
 		}
 		return s
 	}
-	js, ws := run(c.jsonArchive), run(c.wireArchive)
-
-	if js.Len() != ws.Len() || js.Len() != 2 {
-		t.Fatalf("AS counts differ: json %d, wire %d", js.Len(), ws.Len())
-	}
-	for _, asn := range js.ASNs() {
-		jr, wr := js.Results[asn], ws.Results[asn]
-		if wr == nil {
-			t.Fatalf("AS %s missing from the wire survey", asn)
+	js := run(c.jsonArchive, false)
+	for _, other := range []struct {
+		label string
+		s     *lastmile.Survey
+	}{
+		{"wire", run(c.wireArchive, false)},
+		{"json through ScanResults", run(c.jsonArchive, true)},
+		{"wire through ScanResults", run(c.wireArchive, true)},
+	} {
+		ws := other.s
+		if js.Len() != ws.Len() || js.Len() != 2 {
+			t.Fatalf("AS counts differ: json %d, %s %d", js.Len(), other.label, ws.Len())
 		}
-		if jr.Class != wr.Class || jr.Probes != wr.Probes ||
-			math.Float64bits(jr.DailyAmplitude) != math.Float64bits(wr.DailyAmplitude) ||
-			math.Float64bits(jr.Peak.Freq) != math.Float64bits(wr.Peak.Freq) {
-			t.Fatalf("AS %s verdicts differ:\njson: %+v\nwire: %+v", asn, jr, wr)
+		for _, asn := range js.ASNs() {
+			jr, wr := js.Results[asn], ws.Results[asn]
+			if wr == nil {
+				t.Fatalf("AS %s missing from the %s survey", asn, other.label)
+			}
+			if jr.Class != wr.Class || jr.Probes != wr.Probes ||
+				math.Float64bits(jr.DailyAmplitude) != math.Float64bits(wr.DailyAmplitude) ||
+				math.Float64bits(jr.Peak.Freq) != math.Float64bits(wr.Peak.Freq) {
+				t.Fatalf("AS %s verdicts differ:\njson: %+v\n%s: %+v", asn, jr, other.label, wr)
+			}
+			seriesIdentical(t, "AS "+asn.String()+" ("+other.label+")", jr.Signal, wr.Signal)
 		}
-		seriesIdentical(t, "AS "+asn.String(), jr.Signal, wr.Signal)
 	}
 	// The campaign must actually discriminate: the congested AS is
 	// classified above None, the flat one is not congested.

@@ -41,6 +41,12 @@ import (
 // the lock". A branch that ends in `return` never falls through, so the
 // locks held after it are those held before it: an early-return
 // `mu.Unlock(); return` releases mu inside its branch only.
+//
+// A `go` statement's call, a named function or a literal, runs on a new
+// goroutine, which holds none of the spawner's locks: what it acquires
+// adds no edge from them, and is not in the spawner's may-acquire set.
+// The statement's function value and arguments are evaluated by the
+// spawner, under its locks, so calls among them still count.
 var LockOrderAnalyzer = &Analyzer{
 	Name:      "lockorder",
 	Doc:       "builds the lock-acquisition-order graph (shard stripes, registry, daemon) and reports cycles and unsampled telemetry under hot locks",
@@ -57,6 +63,9 @@ type lockEvent struct {
 	callee *FuncNode
 	// callbacks are function-valued arguments at an evCall site.
 	callbacks []ast.Expr
+	// spawned marks an evCall that a go statement runs on a new
+	// goroutine.
+	spawned bool
 	// desc names the telemetry call for evTelemetry.
 	desc string
 	// guarded marks events inside an `if sampled { ... }` block.
@@ -161,7 +170,7 @@ func (lo *lockOrder) scanFunction(mp *ModulePass, node *FuncNode) {
 			held = before[len(before)-1]
 			before = before[:len(before)-1]
 		case evCall:
-			if len(held) > 0 && ev.callee != nil {
+			if len(held) > 0 && ev.callee != nil && !ev.spawned {
 				for c := range lo.funcAcquires(ev.callee) {
 					for _, h := range held {
 						lo.addEdge(h, c, ev.pos)
@@ -210,9 +219,10 @@ func hotLockClass(cfg Config, class string) bool {
 }
 
 // funcAcquires returns the transitive set of lock classes node may
-// acquire: direct acquires anywhere in its body (function literals
-// included — a closure may run with its creator's locks live) plus its
-// static callees'. Cycles in the call graph are cut by the visiting set.
+// acquire on the goroutine that calls it: direct acquires anywhere in
+// its body (function literals included — a closure may run with its
+// creator's locks live) plus its static callees', except what a go
+// statement runs. Cycles in the call graph are cut by the visiting set.
 func (lo *lockOrder) funcAcquires(node *FuncNode) map[string]bool {
 	if s, ok := lo.acquires[node]; ok {
 		return s
@@ -224,18 +234,24 @@ func (lo *lockOrder) funcAcquires(node *FuncNode) map[string]bool {
 	defer delete(lo.visiting, node)
 
 	out := make(map[string]bool)
-	for _, ev := range lo.collectLockEvents(node, true) {
-		if ev.kind == evAcquire {
-			out[ev.class] = true
-		}
-	}
-	for _, e := range node.Calls {
-		for c := range lo.funcAcquires(e.Callee) {
-			out[c] = true
-		}
-	}
+	lo.addAcquires(out, lo.collectLockEvents(node, true))
 	lo.acquires[node] = out
 	return out
+}
+
+// addAcquires adds to out the lock classes events acquire directly and
+// through the static callees of their calls, leaving out spawned calls.
+func (lo *lockOrder) addAcquires(out map[string]bool, events []lockEvent) {
+	for _, ev := range events {
+		switch {
+		case ev.kind == evAcquire:
+			out[ev.class] = true
+		case ev.kind == evCall && ev.callee != nil && !ev.spawned:
+			for c := range lo.funcAcquires(ev.callee) {
+				out[c] = true
+			}
+		}
+	}
 }
 
 // exprAcquires resolves the may-acquire set of a function-valued
@@ -246,23 +262,7 @@ func (lo *lockOrder) exprAcquires(node *FuncNode, e ast.Expr) map[string]bool {
 	out := make(map[string]bool)
 	switch e := ast.Unparen(e).(type) {
 	case *ast.FuncLit:
-		for _, ev := range lo.collectEventsIn(node, e.Body, true) {
-			if ev.kind == evAcquire {
-				out[ev.class] = true
-			}
-		}
-		ast.Inspect(e.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if fn := StaticCallee(info, call); fn != nil {
-					if callee, ok := lo.prog.Funcs[fn]; ok {
-						for c := range lo.funcAcquires(callee) {
-							out[c] = true
-						}
-					}
-				}
-			}
-			return true
-		})
+		lo.addAcquires(out, lo.collectEventsIn(node, e.Body, true))
 	default:
 		if fn := funcValueOf(info, e); fn != nil {
 			if callee, ok := lo.prog.Funcs[fn]; ok {
@@ -350,9 +350,19 @@ func (lo *lockOrder) collectEventsIn(node *FuncNode, body ast.Node, includeLits 
 	})
 
 	var deferred = make(map[*ast.CallExpr]bool)
+	// spawned holds the calls go statements run on new goroutines, and
+	// spawnedLits the literals among them, whose bodies run there too.
+	spawned := make(map[*ast.CallExpr]bool)
+	spawnedLits := make(map[*ast.FuncLit]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			deferred[d.Call] = true
+		switch n := n.(type) {
+		case *ast.DeferStmt:
+			deferred[n.Call] = true
+		case *ast.GoStmt:
+			spawned[n.Call] = true
+			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
+				spawnedLits[lit] = true
+			}
 		}
 		return true
 	})
@@ -373,7 +383,7 @@ func (lo *lockOrder) collectEventsIn(node *FuncNode, body ast.Node, includeLits 
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			return includeLits
+			return includeLits && !spawnedLits[n]
 		case *ast.BlockStmt:
 			if n != body {
 				branch(n.Lbrace, n.End(), n.List)
@@ -383,6 +393,15 @@ func (lo *lockOrder) collectEventsIn(node *FuncNode, body ast.Node, includeLits 
 		case *ast.CommClause:
 			branch(n.Colon, n.End(), n.Body)
 		case *ast.CallExpr:
+			if spawned[n] {
+				// Only the callback rule applies: a callee's locks order
+				// before its callbacks' on the new goroutine as well.
+				if ev := lo.callEvent(info, n); ev.callee != nil && len(ev.callbacks) > 0 {
+					ev.spawned = true
+					events = append(events, ev)
+				}
+				return true
+			}
 			if class, name, ok := lockMethod(info, n); ok {
 				switch name {
 				case "Lock", "RLock", "TryLock", "TryRLock":
@@ -401,18 +420,8 @@ func (lo *lockOrder) collectEventsIn(node *FuncNode, body ast.Node, includeLits 
 			if desc, ok := telemetryCall(info, n); ok {
 				events = append(events, lockEvent{pos: n.Pos(), kind: evTelemetry, desc: desc, guarded: guarded(n.Pos())})
 			}
-			var callee *FuncNode
-			if fn := StaticCallee(info, n); fn != nil {
-				callee = lo.prog.Funcs[fn]
-			}
-			var cbs []ast.Expr
-			for _, arg := range n.Args {
-				if isFuncValued(info, arg) {
-					cbs = append(cbs, arg)
-				}
-			}
-			if callee != nil || len(cbs) > 0 {
-				events = append(events, lockEvent{pos: n.Pos(), kind: evCall, callee: callee, callbacks: cbs})
+			if ev := lo.callEvent(info, n); ev.callee != nil || len(ev.callbacks) > 0 {
+				events = append(events, ev)
 			}
 		}
 		return true
@@ -420,6 +429,21 @@ func (lo *lockOrder) collectEventsIn(node *FuncNode, body ast.Node, includeLits 
 
 	sort.SliceStable(events, func(i, j int) bool { return events[i].pos < events[j].pos })
 	return events
+}
+
+// callEvent is the evCall event of call: its static callee, if the
+// program declares one, and its function-valued arguments.
+func (lo *lockOrder) callEvent(info *types.Info, call *ast.CallExpr) lockEvent {
+	ev := lockEvent{pos: call.Pos(), kind: evCall}
+	if fn := StaticCallee(info, call); fn != nil {
+		ev.callee = lo.prog.Funcs[fn]
+	}
+	for _, arg := range call.Args {
+		if isFuncValued(info, arg) {
+			ev.callbacks = append(ev.callbacks, arg)
+		}
+	}
+	return ev
 }
 
 // isFuncValued reports whether arg is a function literal, a method

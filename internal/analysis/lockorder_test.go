@@ -31,9 +31,11 @@ func lockOrderConfig() Config {
 // TestLockOrderGolden drives the order-graph construction over the
 // fixture: the direct alpha/beta cycle, the delta/epsilon cycle closed
 // through a callback run under a lock, the daemon/registry cycle closed
-// by a call after an early-return unlock, acyclic interprocedural edges
-// staying silent, the TryLock contention idiom, the sampled-tick guard,
-// and inline suppressions.
+// by a call after an early-return unlock, the kappa/lambda cycle closed
+// by a go statement's argument, acyclic interprocedural edges staying
+// silent, locks taken on spawned goroutines adding no edge from the
+// spawner's, the TryLock contention idiom, the sampled-tick guard, and
+// inline suppressions.
 func TestLockOrderGolden(t *testing.T) {
 	l, dirs := lockOrderFixtureDirs(t)
 	diags, err := runAnalyzers(l, dirs, lockOrderConfig(), []*Analyzer{LockOrderAnalyzer})
@@ -78,6 +80,11 @@ func TestLockOrderCycleDetail(t *testing.T) {
 // writing, ordered before the engine shard lock. It also pins that the
 // repo graph stays cycle-free. The other callback shape, a lock held
 // across a caller-supplied function, is pinned by the withDelta fixture.
+//
+// The daemon mutex orders before neither the cut nor the shard lock:
+// startTargetLocked holds it only while it starts a target's runner
+// with a go statement, and the runner takes those locks on its own
+// goroutine, never under the daemon mutex.
 func TestLockOrderRepoEdges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module; skipped in -short")
@@ -127,6 +134,15 @@ func TestLockOrderRepoEdges(t *testing.T) {
 	for _, w := range wantEdges {
 		if _, ok := lo.edges[w]; !ok {
 			t.Errorf("expected lock-order edge %s → %s not found; edges: %v", w[0], w[1], edgeKeys(lo))
+		}
+	}
+	spawnedEdges := [][2]string{
+		{"serve.Daemon.mu", "serve.Daemon.cut"},
+		{"serve.Daemon.mu", "engine.shard.mu"},
+	}
+	for _, e := range spawnedEdges {
+		if pos, ok := lo.edges[e]; ok {
+			t.Errorf("lock-order edge %s → %s at %s: the locks are taken on a goroutine the holder starts", e[0], e[1], prog.Fset.Position(pos))
 		}
 	}
 }

@@ -3,8 +3,10 @@
 // every instance of a type's mutex is one graph node. The fixture pins
 // one direct cycle, one cycle closed through a callback run under a
 // lock, one closed by a call made after an early-return branch that
-// unlocks, the TryLock contention idiom, and the sampled-tick telemetry
-// contract on the hot shard lock.
+// unlocks, one closed by a go statement's argument, the absence of one
+// that only goroutines started under a lock would close, the TryLock
+// contention idiom, and the sampled-tick telemetry contract on the hot
+// shard lock.
 package locks
 
 import (
@@ -248,4 +250,88 @@ func (d *quietDaemon) apply() error {
 	d.mu.Unlock()
 	d.reg.counter().Inc()
 	return nil
+}
+
+type spawner struct{ mu sync.Mutex }
+type worker struct{ mu sync.Mutex }
+
+var (
+	vs spawner
+	vw worker
+)
+
+// lockWorker takes worker.mu on whatever goroutine runs it.
+func lockWorker() {
+	vw.mu.Lock()
+	defer vw.mu.Unlock()
+}
+
+// spawnUnder starts a goroutine while it holds spawner.mu. It takes
+// worker.mu on its own goroutine, which holds nothing of the spawner's,
+// so there is no spawner → worker edge.
+func spawnUnder() {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	go lockWorker()
+}
+
+// startWorker is the daemon's startTargetLocked shape: a function that
+// only starts goroutines, a named call and a literal, does not acquire
+// what they do.
+func startWorker() {
+	go lockWorker()
+	go func() {
+		vw.mu.Lock()
+		vw.mu.Unlock()
+	}()
+}
+
+// startUnder calls startWorker with spawner.mu held: still no edge.
+func startUnder() {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	startWorker()
+}
+
+// workerThenSpawner takes worker.mu, then spawner.mu. Had the go
+// statements above been calls, this would close a false cycle.
+func workerThenSpawner() {
+	vw.mu.Lock()
+	vs.mu.Lock()
+	vs.mu.Unlock()
+	vw.mu.Unlock()
+}
+
+type kappa struct{ mu sync.Mutex }
+type lambda struct{ mu sync.Mutex }
+
+var (
+	vk kappa
+	vl lambda
+)
+
+// lambdaValue takes lambda.mu to compute a value.
+func lambdaValue() int {
+	vl.mu.Lock()
+	defer vl.mu.Unlock()
+	return 1
+}
+
+func consume(int) {}
+
+// spawnWithArg evaluates its go statement's argument under kappa.mu, on
+// its own goroutine: kappa → lambda is a real edge, and lockLK closes a
+// real cycle with it.
+func spawnWithArg() {
+	vk.mu.Lock()
+	defer vk.mu.Unlock()
+	go consume(lambdaValue()) // want "lock order cycle between locks.kappa.mu, locks.lambda.mu"
+}
+
+// lockLK is the opposing path of the kappa/lambda cycle.
+func lockLK() {
+	vl.mu.Lock()
+	vk.mu.Lock()
+	vk.mu.Unlock()
+	vl.mu.Unlock()
 }

@@ -322,14 +322,7 @@ func (s *Scanner) Scan() bool {
 	for s.sc.Scan() {
 		s.line++
 		line := s.sc.Bytes()
-		blank := true
-		for _, b := range line {
-			if b != ' ' && b != '\t' && b != '\r' {
-				blank = false
-				break
-			}
-		}
-		if blank {
+		if blank(line) {
 			continue
 		}
 		if err := s.p.parse(&s.res, line); err != nil {
@@ -340,6 +333,17 @@ func (s *Scanner) Scan() bool {
 	}
 	s.err = s.sc.Err()
 	return false
+}
+
+// blank reports whether line holds only spaces, tabs and carriage
+// returns, which Scan skips.
+func blank(line []byte) bool {
+	for _, b := range line {
+		if b != ' ' && b != '\t' && b != '\r' {
+			return false
+		}
+	}
+	return true
 }
 
 // Result returns the result decoded by the last successful Scan. The

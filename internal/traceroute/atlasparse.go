@@ -111,6 +111,19 @@ type atlasParser struct {
 	fromBuf  []byte     // holds a reply's "from" string across its object
 	lastFrom []byte     // the bytes lastAddr was parsed from
 	lastAddr netip.Addr // the last reply address parsed successfully
+	// arena, when set, stores the hops and replies of every result
+	// parsed, and each Result's Hops (and each hop's Replies) is a
+	// window onto it instead of storage of the Result's own.
+	arena *resultArena
+}
+
+// resultArena holds the hops and replies of many results back to back,
+// so a batch of results grows two slices, not two per result and hop.
+// An append that moves a slice leaves the windows taken before it on
+// the old array, which nothing writes again.
+type resultArena struct {
+	hops    []HopResult
+	replies []Reply
 }
 
 var atlasParserPool = sync.Pool{
@@ -162,6 +175,9 @@ func (p *atlasParser) skipSpace() {
 // literal null (a zero result, as encoding/json decodes it).
 func (p *atlasParser) parseResult(r *Result) error {
 	hops := r.Hops[:0]
+	if p.arena != nil {
+		hops = nil // a window onto storage another result may now hold
+	}
 	*r = Result{Timestamp: unixZero, Hops: hops}
 
 	p.skipSpace()
@@ -434,13 +450,28 @@ func (p *atlasParser) parseHops(r *Result) error {
 	if err != nil {
 		return err
 	}
+	a := p.arena
+	var first int
+	if a != nil {
+		first = len(a.hops)
+	}
 	for more {
-		if err := p.parseHop(r.AddHop()); err != nil {
+		var h *HopResult
+		if a == nil {
+			h = r.AddHop()
+		} else {
+			a.hops = append(a.hops, HopResult{}) //lmvet:ignore allocguard the arena grows to its largest batch, then every batch reuses it
+			h = &a.hops[len(a.hops)-1]
+		}
+		if err := p.parseHop(h); err != nil {
 			return err
 		}
 		if more, err = p.nextElem(); err != nil {
 			return err
 		}
+	}
+	if a != nil {
+		r.Hops = a.hops[first:len(a.hops):len(a.hops)]
 	}
 	return nil
 }
@@ -501,13 +532,28 @@ func (p *atlasParser) parseReplies(h *HopResult) error {
 	if err != nil {
 		return err
 	}
+	a := p.arena
+	var first int
+	if a != nil {
+		first = len(a.replies)
+	}
 	for more {
-		if err := p.parseReply(h.AddReply()); err != nil {
+		var rep *Reply
+		if a == nil {
+			rep = h.AddReply()
+		} else {
+			a.replies = append(a.replies, Reply{}) //lmvet:ignore allocguard the arena grows to its largest batch, then every batch reuses it
+			rep = &a.replies[len(a.replies)-1]
+		}
+		if err := p.parseReply(rep); err != nil {
 			return err
 		}
 		if more, err = p.nextElem(); err != nil {
 			return err
 		}
+	}
+	if a != nil {
+		h.Replies = a.replies[first:len(a.replies):len(a.replies)]
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/last-mile-congestion/lastmile/internal/atlas"
 	"github.com/last-mile-congestion/lastmile/internal/scenario"
@@ -19,41 +18,10 @@ import (
 // in shortest round-trip form of up to 17 digits, IPv4 and IPv6), with
 // both parsers, and requires bit-identical Results for every record.
 func TestParseAtlasIntoSimulatedDay(t *testing.T) {
-	world, err := scenario.Build(scenario.Config{Seed: 2020, ASes: 80, MaxProbesPerAS: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	period := scenario.COVIDPeriod()
-	msms := append(atlas.BuiltinMeasurements()[:4], atlas.BuiltinMeasurementsV6()[:2]...)
-	eng := &atlas.Engine{Seed: 2020, Measurements: msms}
-	var buf bytes.Buffer
-	w := traceroute.NewWriter(&buf)
-	probes := 0
-	for _, a := range world.ASes {
-		if probes >= 10 {
-			break
-		}
-		fleet, err := world.ProbesFor(a, period)
-		if err != nil {
-			t.Fatal(err)
-		}
-		probes += len(fleet)
-		for _, pr := range fleet {
-			if err := eng.Run(pr, period.Start, period.Start.Add(24*time.Hour), w.Write); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if probes < 8 {
-		t.Fatalf("simulated %d probes, want about 10", probes)
-	}
-
+	archive, probes := simulatedArchive(t, 1)
 	var into traceroute.Result
 	records, replies, long := 0, 0, 0 // long: RTTs of 16 or more significant digits
-	sc := bufio.NewScanner(&buf)
+	sc := bufio.NewScanner(bytes.NewReader(archive))
 	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -84,6 +52,44 @@ func TestParseAtlasIntoSimulatedDay(t *testing.T) {
 		t.Fatalf("%d records, %d replies, %d long RTTs: the day is not campaign-shaped", records, replies, long)
 	}
 	t.Logf("%d probes: %d records, %d replies, %d RTTs of 16+ digits", probes, records, replies, long)
+}
+
+// simulatedArchive returns days of built-in traceroutes of about 10
+// simulated probes as atlasgen writes them, and the probe count.
+func simulatedArchive(t testing.TB, days int) ([]byte, int) {
+	t.Helper()
+	world, err := scenario.Build(scenario.Config{Seed: 2020, ASes: 80, MaxProbesPerAS: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	period := scenario.COVIDPeriod()
+	msms := append(atlas.BuiltinMeasurements()[:4], atlas.BuiltinMeasurementsV6()[:2]...)
+	eng := &atlas.Engine{Seed: 2020, Measurements: msms}
+	var buf bytes.Buffer
+	w := traceroute.NewWriter(&buf)
+	probes := 0
+	for _, a := range world.ASes {
+		if probes >= 10 {
+			break
+		}
+		fleet, err := world.ProbesFor(a, period)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes += len(fleet)
+		for _, pr := range fleet {
+			if err := eng.Run(pr, period.Start, period.Start.AddDate(0, 0, days), w.Write); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if probes < 8 {
+		t.Fatalf("simulated %d probes, want about 10", probes)
+	}
+	return buf.Bytes(), probes
 }
 
 // TestParseAtlasIntoFallbacks: inputs that must leave a fast path (the

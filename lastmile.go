@@ -5,8 +5,10 @@
 //
 // The pipeline has four stages, each usable on its own:
 //
-//  1. Parse traceroutes — Atlas-format JSON via ParseAtlasResult /
-//     NewResultScanner, or construct Result values directly.
+//  1. Parse traceroutes — Atlas-format JSON via ParseAtlasResult,
+//     NewResultScanner (one record at a time) or ScanResults (a whole
+//     archive, JSONL decoded on every core), or construct Result values
+//     directly.
 //  2. Estimate last-mile RTT samples per traceroute (EstimateLastMile):
 //     the pairwise differences between the last private hop and the first
 //     public hop.
@@ -102,6 +104,28 @@ func NewResultScanner(r io.Reader) ResultScanner {
 		return wire.NewScanner(rd)
 	}
 	return jsonResultScanner{traceroute.NewScanner(rd)}
+}
+
+// ScanResults reads a whole archive, detecting its encoding as
+// NewResultScanner does, and calls fn on every result in archive order
+// with its in-band AS (0 for JSON). It returns what a NewResultScanner
+// loop that stops at fn's first error returns. JSONL decodes on
+// GOMAXPROCS goroutines (traceroute.ScanAll); wire input decodes on the
+// caller's goroutine. The *Result is valid only until fn returns.
+// Readers that must hand out each record as it arrives, such as a live
+// stream, keep NewResultScanner.
+func ScanResults(r io.Reader, fn func(*Result, ASN) error) error {
+	rd, isWire := sniffWire(r)
+	if !isWire {
+		return traceroute.ScanAll(rd, func(res *Result) error { return fn(res, 0) })
+	}
+	sc := wire.NewScanner(rd)
+	for sc.Scan() {
+		if err := fn(sc.Result(), sc.ASN()); err != nil {
+			return err
+		}
+	}
+	return sc.Err()
 }
 
 // jsonResultScanner adapts the JSONL scanner, which has no in-band AS

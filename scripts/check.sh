@@ -127,12 +127,16 @@ race_run -count=10 'TestDaemonCheckpointConsistentCut' ./internal/serve/
 # Fuzz smoke: short coverage-guided runs over the two ingest decoders —
 # the Atlas JSON parser (which also differential-tests the zero-alloc
 # parser against encoding/json) and the binary wire codec's round-trip
-# target — and over engine restore, which canonicalises every bin it
-# reads (Snapshot -> Restore -> Snapshot must be a fixed point). Seeds
+# target — over the parallel JSONL decode, which must hand fn what the
+# per-record Scanner loop hands it and return the loop's error, and
+# over engine restore, which canonicalises every bin it reads
+# (Snapshot -> Restore -> Snapshot must be a fixed point). Seeds
 # (testdata/fuzz + f.Add) always run under plain `go test`; these stages
 # give the mutator a few seconds to hunt for fresh panics.
 stage "go test -fuzz (Atlas JSON parser, 5s smoke)"
 fuzz_smoke 'FuzzParseAtlasJSON' ./internal/traceroute/
+stage "go test -fuzz (parallel JSONL decode against the Scanner, 5s smoke)"
+fuzz_smoke 'FuzzScanAllMatchesScanner' ./internal/traceroute/
 stage "go test -fuzz (wire codec, 5s smoke)"
 fuzz_smoke 'FuzzWireRoundTrip' ./internal/wire/
 stage "go test -fuzz (engine restore, 5s smoke)"
