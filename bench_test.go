@@ -2,15 +2,16 @@
 // ablation benches for the design choices DESIGN.md calls out. Each bench
 // regenerates its artefact end to end at a reduced-but-faithful scale (the
 // full 646-AS / 340-probe scale is a multi-minute batch job; run it via
-// cmd/lmexp). Use:
+// cmd/lmexp). Every fan-out and engine stripe count follows GOMAXPROCS,
+// so -cpu compares widths. Use:
 //
 //	go test -bench=. -benchmem
 //	go test -bench=BenchmarkFig5 -benchtime 3x
+//	go test -bench='BenchmarkSurveys|BenchmarkTokyo|BenchmarkMonitorObserve' -cpu 1,4
 package lastmile_test
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"math/rand"
 	"sync/atomic"
@@ -22,11 +23,6 @@ import (
 	"github.com/last-mile-congestion/lastmile/internal/traceroute"
 	"github.com/last-mile-congestion/lastmile/internal/wire"
 )
-
-// workerCounts are the fan-out widths the parallel benches compare: the
-// serial baseline against a modest pool. Output is bit-identical across
-// the two, so the delta is pure scheduling.
-var workerCounts = []int{1, 4}
 
 // benchOpts is the reduced scale shared by all benches.
 func benchOpts() experiments.Options {
@@ -88,20 +84,16 @@ func benchSurveySet(b *testing.B) *experiments.SurveySet {
 }
 
 // BenchmarkSurveys measures the end-to-end survey pipeline itself: the
-// world's ASes measured and classified for all seven periods, at the
-// serial baseline and on a 4-worker pool.
+// world's ASes measured and classified for all seven periods. -cpu 1
+// is the serial baseline; output is bit-identical at any width, so the
+// delta is pure scheduling.
 func BenchmarkSurveys(b *testing.B) {
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			o := benchOpts()
-			o.Workers = workers
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunSurveys(o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	o := benchOpts()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.RunSurveys(o); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -157,19 +149,14 @@ func benchTokyoSet(b *testing.B) *experiments.TokyoSet {
 
 // BenchmarkTokyo measures the end-to-end §4 case study: delays for 21
 // probes plus CDN log generation and throughput estimation for six
-// service arms, at the serial baseline and on a 4-worker pool.
+// service arms. -cpu 1 is the serial baseline.
 func BenchmarkTokyo(b *testing.B) {
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			o := benchOpts()
-			o.Workers = workers
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunTokyo(o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	o := benchOpts()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.RunTokyo(o); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -303,38 +290,34 @@ func BenchmarkAblationThresholds(b *testing.B) {
 }
 
 // BenchmarkMonitorObserve measures concurrent ingestion into the
-// streaming monitor's sharded engine. Every goroutine feeds its own AS
-// with advancing timestamps, so the shards=1 sub-benchmark serialises on
-// a single stripe while shards=8 spreads the same load — the delta is
-// the striping win. Verdicts are identical at any shard count; only
-// throughput changes.
+// streaming monitor's sharded engine, which has GOMAXPROCS stripes.
+// RunParallel starts GOMAXPROCS goroutines, each feeding its own AS
+// with advancing timestamps, so -cpu 1 is one goroutine on one stripe
+// while -cpu 8 spreads eight goroutines over eight stripes — the delta
+// is the striping win. Verdicts are identical at any stripe count; only throughput
+// changes.
 func BenchmarkMonitorObserve(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			m := lastmile.NewStreamMonitor(lastmile.StreamOptions{
-				Window:      6 * time.Hour,
-				MaxLateness: 24 * time.Hour,
-				Shards:      shards,
-			})
-			var gid atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				g := int(gid.Add(1))
-				asn := lastmile.ASN(64500 + g)
-				tmpl := buildTrace(g, t0, 2)
-				i := 0
-				for pb.Next() {
-					r := *tmpl
-					r.Timestamp = t0.Add(time.Duration(i) * time.Second)
-					i++
-					if err := m.Observe(asn, &r); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+	m := lastmile.NewStreamMonitor(lastmile.StreamOptions{
+		Window:      6 * time.Hour,
+		MaxLateness: 24 * time.Hour,
+	})
+	var gid atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		g := int(gid.Add(1))
+		asn := lastmile.ASN(64500 + g)
+		tmpl := buildTrace(g, t0, 2)
+		i := 0
+		for pb.Next() {
+			r := *tmpl
+			r.Timestamp = t0.Add(time.Duration(i) * time.Second)
+			i++
+			if err := m.Observe(asn, &r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkMonitorRefresh measures the daemon's per-bin refresh: a

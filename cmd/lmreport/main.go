@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/last-mile-congestion/lastmile/internal/core"
@@ -28,13 +29,16 @@ func main() {
 		ases   = flag.Int("ases", 0, "world size (default 646)")
 	)
 	flag.Parse()
-	if err := run(*asn, *period, *seed, *ases); err != nil {
+	if err := run(os.Stdout, *asn, *period, *seed, *ases); err != nil {
 		fmt.Fprintln(os.Stderr, "lmreport:", err)
 		os.Exit(1)
 	}
 }
 
-func run(asn uint64, periodLabel string, seed uint64, ases int) error {
+// run writes the report for one AS and period of the seeded world to w.
+// The AS's probes are measured on GOMAXPROCS goroutines; the report is
+// byte-identical at any GOMAXPROCS.
+func run(w io.Writer, asn uint64, periodLabel string, seed uint64, ases int) error {
 	cfg := scenario.DefaultConfig(seed)
 	if ases > 0 {
 		cfg.ASes = ases
@@ -87,7 +91,7 @@ func run(asn uint64, periodLabel string, seed uint64, ases int) error {
 		return err
 	}
 
-	fmt.Printf("Last-mile congestion report — %s, period %s\n\n", target.Network.Name, period.Label)
+	fmt.Fprintf(w, "Last-mile congestion report — %s, period %s\n\n", target.Network.Name, period.Label)
 	tb := report.NewTable("field", "value")
 	tb.AddRowf("country", target.Network.CC)
 	tb.AddRowf("access technology", target.Network.Tech.String())
@@ -103,13 +107,13 @@ func run(asn uint64, periodLabel string, seed uint64, ases int) error {
 	tb.AddRowf("prominent frequency (c/h)", fmt.Sprintf("%.4f", cls.Peak.Freq))
 	tb.AddRowf("prominent is daily", cls.IsDaily)
 	tb.AddRowf("bins to exclude from delay studies", fmt.Sprintf("%.0f%% (peak-hour guard, §6)", 100*core.MaskedFraction(mask)))
-	if err := tb.Render(os.Stdout); err != nil {
+	if err := tb.Render(w); err != nil {
 		return err
 	}
 
-	fmt.Printf("\nAggregated queuing delay (%d bins):\n%s\n", signal.Len(),
+	fmt.Fprintf(w, "\nAggregated queuing delay (%d bins):\n%s\n", signal.Len(),
 		report.Sparkline(report.Downsample(signal.Values, 96), 0))
-	fmt.Printf("\nPeriodogram (DC..Nyquist, peak-to-peak ms):\n%s\n",
+	fmt.Fprintf(w, "\nPeriodogram (DC..Nyquist, peak-to-peak ms):\n%s\n",
 		report.Sparkline(report.Downsample(cls.Periodogram.P2P[1:], 96), 0))
 	return nil
 }

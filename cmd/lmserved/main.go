@@ -1,8 +1,8 @@
 // Command lmserved is the long-running last-mile monitoring daemon: a
 // stream.Monitor wrapped in the internal/serve lifecycle — declarative
-// config file, per-target ingest with bounded concurrency, SIGHUP/poll
-// hot reload with target diffing, bin-boundary checkpoints, and an ops
-// HTTP endpoint (/metrics, /debug/pprof, /api/*).
+// config file, one ingest goroutine per target, all started at once,
+// SIGHUP/poll hot reload with target diffing, bin-boundary checkpoints,
+// and an ops HTTP endpoint (/metrics, /debug/pprof, /api/*).
 //
 // Usage:
 //

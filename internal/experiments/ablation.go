@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"time"
 
 	"github.com/last-mile-congestion/lastmile/internal/core"
@@ -61,7 +62,7 @@ func ablationHealthyFleet(o Options, days int) ([]*timeseries.Series, scenario.P
 	}
 	start := scenario.TokyoPeriod().Start
 	p := scenario.Period{Label: "ablation", Start: start, End: start.AddDate(0, 0, days)}
-	e, err := scenario.SimulateProbes(tk.ISPC.Probes, p, o.TraceroutesPerBin, o.Seed, 1)
+	e, err := scenario.SimulateProbes(tk.ISPC.Probes, p, o.TraceroutesPerBin, o.Seed)
 	if err != nil {
 		return nil, p, err
 	}
@@ -270,7 +271,6 @@ func AblationThresholds(o Options) (*AblationResult, error) {
 	cfg := scenario.DefaultConfig(o.Seed)
 	cfg.ASes = 160
 	cfg.TraceroutesPerBin = o.TraceroutesPerBin
-	cfg.Workers = o.Workers
 	world, err := scenario.Build(cfg)
 	if err != nil {
 		return nil, err
@@ -425,12 +425,12 @@ func AblationDiscard(o Options) (*AblationResult, error) {
 
 // RenderAblations runs every ablation and writes the results. The six
 // ablations are independent (each derives its randomness from its own
-// salt), so they fan out on o.Workers workers and render in the fixed
-// order once all have finished.
+// salt), so they fan out on GOMAXPROCS goroutines and render in the
+// fixed order once all have finished.
 func RenderAblations(w io.Writer, o Options) error {
 	type ab func(Options) (*AblationResult, error)
 	runs := []ab{AblationAggregation, AblationBinWidth, AblationWelch, AblationEstimator, AblationDiscard, AblationThresholds}
-	results, err := parallel.Map(context.Background(), o.withDefaults().Workers, len(runs), func(i int) (*AblationResult, error) {
+	results, err := parallel.Map(context.Background(), runtime.GOMAXPROCS(0), len(runs), func(i int) (*AblationResult, error) {
 		return runs[i](o)
 	})
 	if err != nil {

@@ -47,7 +47,7 @@ func ExtensionV6Delay(o Options) (*ExtensionV6DelayResult, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		res, err := scenario.SimulatePopulationDelayWorkers(fleet, p, o.TraceroutesPerBin, o.Seed, o.Workers)
+		res, err := scenario.SimulatePopulationDelay(fleet, p, o.TraceroutesPerBin, o.Seed)
 		if err != nil {
 			return nil, 0, err
 		}

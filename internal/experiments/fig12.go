@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"runtime"
 
 	"github.com/last-mile-congestion/lastmile/internal/core"
 	"github.com/last-mile-congestion/lastmile/internal/dsp"
@@ -55,11 +56,11 @@ func fig1Network(name string, asn uint32, cc string, utc float64, sev isp.Severi
 }
 
 // runFleetPeriods measures one network's fleet over the given periods,
-// fanning the periods out on o.Workers workers. Each period builds its
-// own devices and probes from period-keyed seeds, so the profiles are
-// identical at any worker count.
+// fanning the periods out on GOMAXPROCS goroutines. Each period builds
+// its own devices and probes from period-keyed seeds, so the profiles
+// are identical at any GOMAXPROCS.
 func runFleetPeriods(network *isp.Network, o Options, idBase int, periods []scenario.Period) ([]PeriodProfile, error) {
-	return parallel.Map(context.Background(), o.Workers, len(periods), func(i int) (PeriodProfile, error) {
+	return parallel.Map(context.Background(), runtime.GOMAXPROCS(0), len(periods), func(i int) (PeriodProfile, error) {
 		p := periods[i]
 		devices := network.BuildDevices(netsim.MixSeed(o.Seed, uint64(network.ASN), scenario.PeriodIndex(p)), p.COVIDShift)
 		n := scenario.FleetSizeFor(o.FleetSize, p)
@@ -67,7 +68,7 @@ func runFleetPeriods(network *isp.Network, o Options, idBase int, periods []scen
 		if err != nil {
 			return PeriodProfile{}, err
 		}
-		res, err := scenario.SimulatePopulationDelayWorkers(probes, p, o.TraceroutesPerBin, o.Seed, o.Workers)
+		res, err := scenario.SimulatePopulationDelay(probes, p, o.TraceroutesPerBin, o.Seed)
 		if err != nil {
 			return PeriodProfile{}, err
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"runtime"
 
 	"github.com/last-mile-congestion/lastmile/internal/isp"
 	"github.com/last-mile-congestion/lastmile/internal/netsim"
@@ -53,7 +54,7 @@ func Fig8(o Options) (*Fig8Result, error) {
 		probes                    int
 	}
 	periods := fig8Periods()
-	rows, err := parallel.Map(context.Background(), o.Workers, len(periods), func(i int) (fig8Row, error) {
+	rows, err := parallel.Map(context.Background(), runtime.GOMAXPROCS(0), len(periods), func(i int) (fig8Row, error) {
 		p := periods[i]
 		seed := netsim.MixSeed(o.Seed, uint64(broadband.ASN), scenario.PeriodIndex(p))
 		devices := broadband.BuildDevices(seed, p.COVIDShift)
@@ -66,7 +67,7 @@ func Fig8(o Options) (*Fig8Result, error) {
 		if err != nil {
 			return fig8Row{}, err
 		}
-		res, err := scenario.SimulatePopulationDelayWorkers(probes, p, o.TraceroutesPerBin, o.Seed, o.Workers)
+		res, err := scenario.SimulatePopulationDelay(probes, p, o.TraceroutesPerBin, o.Seed)
 		if err != nil {
 			return fig8Row{}, err
 		}
@@ -82,7 +83,7 @@ func Fig8(o Options) (*Fig8Result, error) {
 		}
 		anchors[0].IsAnchor = true
 		anchors[0].Availability = 1
-		anchor, err := scenario.SimulateProbes(anchors, p, o.TraceroutesPerBin, o.Seed, 1)
+		anchor, err := scenario.SimulateProbes(anchors, p, o.TraceroutesPerBin, o.Seed)
 		if err != nil {
 			return fig8Row{}, err
 		}

@@ -17,10 +17,10 @@
 //	Fig9     — IPv4 vs IPv6 throughput (Appendix C)
 package experiments
 
-import "runtime"
-
 // Options scales the experiments. The zero value selects paper-scale
-// parameters; tests use reduced scales.
+// parameters; tests use reduced scales. The expensive stages fan out on
+// GOMAXPROCS goroutines, and output is bit-identical at any GOMAXPROCS
+// (DESIGN.md §9).
 type Options struct {
 	// Seed drives all randomness (default 2020, the paper's year).
 	Seed uint64
@@ -34,14 +34,6 @@ type Options struct {
 	CDNClients int
 	// TraceroutesPerBin is the per-bin traceroute cadence (default 6).
 	TraceroutesPerBin int
-	// Workers bounds the worker pools the expensive stages fan out on:
-	// surveys over periods and ASes, fleets over probes, Tokyo over
-	// service arms, ablations over variants. 0 selects
-	// runtime.GOMAXPROCS(0); 1 reproduces the serial path exactly.
-	// Every stochastic draw is keyed by (seed, entity, time) and results
-	// are delivered in input order, so output is bit-identical at any
-	// worker count (see DESIGN.md).
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -59,9 +51,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TraceroutesPerBin == 0 {
 		o.TraceroutesPerBin = 6
-	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/last-mile-congestion/lastmile/internal/core"
@@ -10,9 +11,9 @@ import (
 )
 
 // These tests are the determinism contract that makes the parallel path
-// safe: a serial run (Workers: 1) and a wide run (Workers: 8) must agree
-// bit for bit on every survey verdict and every Tokyo series. Signals
-// carry NaN gap bins, so floats are compared by bit pattern.
+// safe: a serial run (GOMAXPROCS 1) and a wide run (GOMAXPROCS 8) must
+// agree bit for bit on every survey verdict and every Tokyo series.
+// Signals carry NaN gap bins, so floats are compared by bit pattern.
 
 func sameF64s(t *testing.T, label string, a, b []float64) {
 	t.Helper()
@@ -71,26 +72,28 @@ func sameSurvey(t *testing.T, label string, a, b *core.Survey) {
 // whole experiment twice. 77 ASes is the smallest world scenario.Build
 // accepts (the reported archetypes plus ten), and 3 traceroutes per bin
 // the lowest cadence it keeps.
-func equivOpts(workers int) Options {
-	return Options{
-		Seed:              2020,
-		WorldASes:         77,
-		FleetSize:         24,
-		CDNClients:        100,
-		TraceroutesPerBin: 3,
-		Workers:           workers,
+var equivOpts = Options{
+	Seed:              2020,
+	WorldASes:         77,
+	FleetSize:         24,
+	CDNClients:        100,
+	TraceroutesPerBin: 3,
+}
+
+// atProcs runs the experiment at GOMAXPROCS procs on equivOpts and
+// restores the previous setting.
+func atProcs[T any](t *testing.T, procs int, run func(Options) (T, error)) T {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	v, err := run(equivOpts)
+	if err != nil {
+		t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 	}
+	return v
 }
 
 func TestRunSurveysWorkerEquivalence(t *testing.T) {
-	serial, err := RunSurveys(equivOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := RunSurveys(equivOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, wide := atProcs(t, 1, RunSurveys), atProcs(t, 8, RunSurveys)
 	if len(serial.Longitudinal) != len(wide.Longitudinal) {
 		t.Fatalf("longitudinal count %d vs %d", len(serial.Longitudinal), len(wide.Longitudinal))
 	}
@@ -101,14 +104,7 @@ func TestRunSurveysWorkerEquivalence(t *testing.T) {
 }
 
 func TestRunTokyoWorkerEquivalence(t *testing.T) {
-	serial, err := RunTokyo(equivOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := RunTokyo(equivOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, wide := atProcs(t, 1, RunTokyo), atProcs(t, 8, RunTokyo)
 	for _, d := range []struct {
 		name string
 		a, b *timeseries.Series

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -16,8 +17,9 @@ import (
 // TestBatchStreamReplayEquivalence is the unification contract of the
 // shared incremental delay engine: streaming a completed measurement
 // period through stream.Monitor reproduces core.RunSurvey's signals and
-// classifications bit for bit, at every shard and worker count. Batch is
-// a replay — there is one pipeline, not two.
+// classifications bit for bit, at GOMAXPROCS 1 (one engine stripe, a
+// serial ClassifyAll) and at GOMAXPROCS 8. Batch is a replay — there is
+// one pipeline, not two.
 
 // buildReplayDataset generates six days of Atlas traceroutes for probes
 // drawn from three Tokyo ISPs with different congestion levels, so the
@@ -64,23 +66,12 @@ func TestBatchStreamReplayEquivalence(t *testing.T) {
 		t.Fatal("batch survey classified no AS")
 	}
 
-	for _, cfg := range []struct{ shards, workers int }{{1, 1}, {8, 8}} {
-		label := fmt.Sprintf("shards=%d,workers=%d", cfg.shards, cfg.workers)
-		m := stream.NewMonitor(stream.Options{
-			Window:  end.Sub(start),
-			Shards:  cfg.shards,
-			Workers: cfg.workers,
-		})
-		for _, ar := range results {
-			if err := m.Observe(ar.ASN, ar.Result); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-		}
+	for _, procs := range []int{1, 8} {
+		label := fmt.Sprintf("GOMAXPROCS=%d", procs)
+		m, verdicts, skipped := replayAtProcs(t, procs, results, end.Sub(start))
 		if st := m.Stats(); st.Dropped != 0 {
 			t.Fatalf("%s: replay dropped %d results", label, st.Dropped)
 		}
-
-		verdicts, skipped := m.ClassifyAll()
 		if len(verdicts) != batch.Len() {
 			t.Fatalf("%s: %d streaming verdicts vs %d batch results", label, len(verdicts), batch.Len())
 		}
@@ -110,4 +101,20 @@ func TestBatchStreamReplayEquivalence(t *testing.T) {
 			sameSeries(t, fmt.Sprintf("%s AS%v signal", label, v.ASN), want.Signal, v.Signal)
 		}
 	}
+}
+
+// replayAtProcs streams results through a new monitor with the given
+// window and classifies it, all at GOMAXPROCS procs, then restores the
+// previous setting.
+func replayAtProcs(t *testing.T, procs int, results []core.AttributedResult, window time.Duration) (*stream.Monitor, []*stream.Verdict, []stream.SkippedAS) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	m := stream.NewMonitor(stream.Options{Window: window})
+	for _, ar := range results {
+		if err := m.Observe(ar.ASN, ar.Result); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+	}
+	verdicts, skipped := m.ClassifyAll()
+	return m, verdicts, skipped
 }

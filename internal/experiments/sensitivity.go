@@ -44,7 +44,7 @@ func ProbeSensitivity(o Options) (*SensitivityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		e, err := scenario.SimulateProbes(fleet, p, o.TraceroutesPerBin, o.Seed, 1)
+		e, err := scenario.SimulateProbes(fleet, p, o.TraceroutesPerBin, o.Seed)
 		if err != nil {
 			return nil, err
 		}

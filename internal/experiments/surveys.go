@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 
 	"github.com/last-mile-congestion/lastmile/internal/apnic"
@@ -25,14 +26,13 @@ type SurveySet struct {
 
 // RunSurveys builds the world and runs all seven surveys. The periods
 // share one immutable world and every survey's draws are keyed by
-// (seed, ASN, period), so the periods fan out on o.Workers workers with
-// output identical to the serial run.
+// (seed, ASN, period), so the periods fan out on GOMAXPROCS goroutines
+// with output identical to the serial run.
 func RunSurveys(o Options) (*SurveySet, error) {
 	o = o.withDefaults()
 	cfg := scenario.DefaultConfig(o.Seed)
 	cfg.ASes = o.WorldASes
 	cfg.TraceroutesPerBin = o.TraceroutesPerBin
-	cfg.Workers = o.Workers
 	world, err := scenario.Build(cfg)
 	if err != nil {
 		return nil, err
@@ -41,7 +41,7 @@ func RunSurveys(o Options) (*SurveySet, error) {
 	periods := make([]scenario.Period, 0, len(longitudinal)+1)
 	periods = append(periods, longitudinal...)
 	periods = append(periods, scenario.COVIDPeriod())
-	surveys, err := parallel.Map(context.Background(), o.Workers, len(periods), func(i int) (*core.Survey, error) {
+	surveys, err := parallel.Map(context.Background(), runtime.GOMAXPROCS(0), len(periods), func(i int) (*core.Survey, error) {
 		s, err := world.RunSurvey(periods[i])
 		if err != nil {
 			return nil, fmt.Errorf("survey %s: %w", periods[i].Label, err)

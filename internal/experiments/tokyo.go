@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/netip"
+	"runtime"
 	"time"
 
 	"github.com/last-mile-congestion/lastmile/internal/bgp"
@@ -57,10 +58,10 @@ func RunTokyo(o Options) (*TokyoSet, error) {
 
 	// Delays (§4.1). The three fleets fan out as service arms, and each
 	// fleet fans out again over its probes; every draw is keyed by probe
-	// ID, so the results match the serial run at any worker count.
+	// ID, so the results match the serial run at any GOMAXPROCS.
 	delayArms := []*scenario.TokyoISP{tk.ISPA, tk.ISPB, tk.ISPC}
-	delays, err := parallel.Map(context.Background(), o.Workers, len(delayArms), func(i int) (*scenario.PopulationResult, error) {
-		return scenario.SimulatePopulationDelayWorkers(delayArms[i].Probes, p, o.TraceroutesPerBin, o.Seed, o.Workers)
+	delays, err := parallel.Map(context.Background(), runtime.GOMAXPROCS(0), len(delayArms), func(i int) (*scenario.PopulationResult, error) {
+		return scenario.SimulatePopulationDelay(delayArms[i].Probes, p, o.TraceroutesPerBin, o.Seed)
 	})
 	if err != nil {
 		return nil, err
@@ -138,7 +139,7 @@ func RunTokyo(o Options) (*TokyoSet, error) {
 	// identical to every estimator consuming one shared stream (see
 	// Estimator.Merge).
 	arms := []*scenario.TokyoISP{tk.ISPA, tk.ISPB, tk.ISPC, tk.ISPAMobile, tk.ISPBMobile, tk.ISPCMobile}
-	shards, err := parallel.Map(context.Background(), o.Workers, len(arms), func(i int) ([]*cdn.Estimator, error) {
+	shards, err := parallel.Map(context.Background(), runtime.GOMAXPROCS(0), len(arms), func(i int) ([]*cdn.Estimator, error) {
 		arm := arms[i]
 		if arm.CDNClients == 0 {
 			return nil, nil

@@ -19,7 +19,7 @@ import (
 // Pool instrumentation registers into the process-wide registry at init
 // time: pooled fan-outs happen all over the pipeline, so one shared
 // inflight gauge is the queue-depth signal operators read. The serial
-// path stays untouched — Workers=1 runs must reproduce historical
+// path stays untouched — a GOMAXPROCS=1 run must reproduce the serial
 // behaviour with zero added cost.
 var (
 	poolRuns     = telemetry.Default().Counter("parallel_pool_runs_total")
@@ -30,8 +30,8 @@ var (
 // Map runs fn for indices 0..n-1 on at most workers goroutines and
 // returns the results in input order. workers <= 1 (or n <= 1) runs
 // serially on the calling goroutine with no pool overhead — the path
-// Workers=1 callers use to reproduce historical serial behaviour
-// exactly.
+// callers passing GOMAXPROCS take at GOMAXPROCS=1, which reproduces the
+// serial behaviour exactly.
 //
 // Error semantics are first-error-wins in *input* order: the returned
 // error is the one fn produced at the lowest failing index, matching

@@ -115,20 +115,14 @@ type PopulationResult struct {
 
 // SimulatePopulationDelay runs the fast-path measurement for a whole
 // fleet and aggregates it (§2.1), returning the aggregated queuing delay
-// and the number of contributing probes.
+// and the number of contributing probes. The fleet's probes share one
+// AS, as BuildFleet's do; SimulateProbes observes them into one engine,
+// so the result is identical at any GOMAXPROCS.
 func SimulatePopulationDelay(probes []*atlas.Probe, p Period, perBin int, seed uint64) (*PopulationResult, error) {
-	return SimulatePopulationDelayWorkers(probes, p, perBin, seed, 1)
-}
-
-// SimulatePopulationDelayWorkers is SimulatePopulationDelay on a bounded
-// worker pool. The fleet's probes share one AS, as BuildFleet's do;
-// they are observed into one engine, so the result is identical at any
-// worker count.
-func SimulatePopulationDelayWorkers(probes []*atlas.Probe, p Period, perBin int, seed uint64, workers int) (*PopulationResult, error) {
 	if len(probes) == 0 {
 		return nil, errors.New("scenario: empty probe population")
 	}
-	e, err := SimulateProbes(probes, p, perBin, seed, workers)
+	e, err := SimulateProbes(probes, p, perBin, seed)
 	if err != nil {
 		return nil, err
 	}

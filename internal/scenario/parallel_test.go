@@ -2,34 +2,37 @@ package scenario
 
 import (
 	"math"
+	"runtime"
 	"testing"
+
+	"github.com/last-mile-congestion/lastmile/internal/core"
 )
 
+// surveyAtProcs runs w.RunSurvey(p) at GOMAXPROCS procs and restores
+// the previous setting.
+func surveyAtProcs(t *testing.T, w *World, p Period, procs int) *core.Survey {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	s, err := w.RunSurvey(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestRunSurveyParallelMatchesSerial is the package-level determinism
-// contract: the same world surveyed on one worker and on many workers
-// must produce bit-identical per-AS results. Run under -race it also
-// stresses the multi-worker survey path end to end.
+// contract: the same world surveyed at GOMAXPROCS 1 (the serial run) and
+// at GOMAXPROCS 8 must produce bit-identical per-AS results. Run under
+// -race it also stresses the parallel survey path end to end.
 func TestRunSurveyParallelMatchesSerial(t *testing.T) {
-	build := func(workers int) *World {
-		cfg := DefaultConfig(42)
-		cfg.ASes = 100
-		cfg.Workers = workers
-		w, err := Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
+	cfg := DefaultConfig(42)
+	cfg.ASes = 100
+	w, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial, parallel := build(1), build(8)
 	p := LongitudinalPeriods()[5]
-	a, err := serial.RunSurvey(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parallel.RunSurvey(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := surveyAtProcs(t, w, p, 1), surveyAtProcs(t, w, p, 8)
 	if a.Len() != b.Len() {
 		t.Fatalf("AS count differs: serial %d, parallel %d", a.Len(), b.Len())
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"sync"
 	"time"
 
@@ -208,12 +209,12 @@ func SimulateProbeDelay(e *engine.Engine, probe *atlas.Probe, p Period, perBin i
 }
 
 // SimulateProbes observes the fast-path measurement of every probe into
-// one new engine, on a bounded worker pool. Each probe's draws are keyed
+// one new engine, on GOMAXPROCS goroutines. Each probe's draws are keyed
 // by its ID and bins do not depend on arrival order, so the engine is
-// identical at any worker count.
-func SimulateProbes(probes []*atlas.Probe, p Period, perBin int, seed uint64, workers int) (*engine.Engine, error) {
+// identical at any GOMAXPROCS.
+func SimulateProbes(probes []*atlas.Probe, p Period, perBin int, seed uint64) (*engine.Engine, error) {
 	e := engine.New(engine.Options{})
-	err := parallel.ForEach(context.Background(), workers, len(probes), func(i int) error {
+	err := parallel.ForEach(context.Background(), runtime.GOMAXPROCS(0), len(probes), func(i int) error {
 		return SimulateProbeDelay(e, probes[i], p, perBin, seed)
 	})
 	if err != nil {
@@ -231,9 +232,9 @@ func (p Period) Bins() int {
 // PerProbeDelays measures one AS for a period and returns each probe's
 // queuing-delay series, in ascending probe ID — the input for
 // aggregation and for the §5 probe-variability bootstrap. Probes
-// without a usable baseline are skipped. Probes are measured on
-// w.Workers workers into one engine, so the series list is identical at
-// any worker count.
+// without a usable baseline are skipped. Probes are measured
+// concurrently into one engine, so the series list is identical at any
+// GOMAXPROCS.
 func (w *World) PerProbeDelays(a *ASInfo, p Period) ([]*timeseries.Series, error) {
 	e, err := w.measure(a, p)
 	if err != nil {
@@ -267,19 +268,19 @@ func (w *World) measure(a *ASInfo, p Period) (*engine.Engine, error) {
 	if len(probes) < 3 {
 		return nil, fmt.Errorf("scenario: %s has %d active probes (<3)", a.Network.Name, len(probes))
 	}
-	return SimulateProbes(probes, p, w.TraceroutesPerBin, w.Seed, w.Workers)
+	return SimulateProbes(probes, p, w.TraceroutesPerBin, w.Seed)
 }
 
 // RunSurvey measures and classifies every AS for one period (§3). ASes
 // with fewer than 3 active probes, or whose signal cannot be classified,
 // are skipped — mirroring the paper's monitoring bar. ASes are measured
-// on w.Workers workers; every stochastic draw is keyed by (seed, ASN,
-// period) and results are added in AS order, so the survey is identical
-// at any worker count.
+// on GOMAXPROCS goroutines; every stochastic draw is keyed by (seed,
+// ASN, period) and results are added in AS order, so the survey is
+// identical at any GOMAXPROCS.
 func (w *World) RunSurvey(p Period) (*core.Survey, error) {
 	survey := core.NewSurvey(p.Label)
 	opts := core.DefaultClassifierOptions()
-	results, err := parallel.Map(context.Background(), w.Workers, len(w.ASes), func(i int) (*core.ASResult, error) {
+	results, err := parallel.Map(context.Background(), runtime.GOMAXPROCS(0), len(w.ASes), func(i int) (*core.ASResult, error) {
 		a := w.ASes[i]
 		signal, n, err := w.ASSignal(a, p)
 		if err != nil {

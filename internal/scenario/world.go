@@ -25,11 +25,6 @@ type Config struct {
 	// 6, which preserves per-bin medians while cutting runtime 4×.
 	// Clamped to at least 3 so the paper's sanity filter stays active.
 	TraceroutesPerBin int
-	// Workers bounds the worker pool RunSurvey and PerProbeDelays fan
-	// out on. Values <= 1 run serially. Because every stochastic draw is
-	// keyed by (seed, entity, time) and results are delivered in input
-	// order, any worker count produces bit-identical output.
-	Workers int
 }
 
 // DefaultConfig returns the paper-scale world.

@@ -41,11 +41,16 @@ func restoredGroups(t *testing.T, path string) (ingested, groups int64) {
 }
 
 // TestDaemonCheckpointConsistentCut ticks the daemon's maintenance loop
-// while its targets ingest flat out, and restores every checkpoint it
-// writes, bases and segments alike. The window outlasts the data, so
-// nothing is evicted or dropped: each restored monitor's Ingested must
-// equal the sum of its bins' group counts. A checkpoint taken while an
-// Observe runs would count one and miss the other.
+// while its targets ingest, and restores every checkpoint it writes,
+// bases and segments alike. The sources are paced on the fake clock: a
+// record is released once the clock reaches its timestamp, so each tick
+// releases a quarter hour of every target's data, which the runners
+// observe while the tick's checkpoint is written. Ingest therefore
+// spans every tick up to the data's end, and a checkpoint lands
+// mid-ingest however the goroutines are scheduled. The window outlasts
+// the data, so nothing is evicted or dropped: each restored monitor's
+// Ingested must equal the sum of its bins' group counts. A checkpoint
+// taken while an Observe runs would count one and miss the other.
 func TestDaemonCheckpointConsistentCut(t *testing.T) {
 	dir := t.TempDir()
 	statePath := filepath.Join(dir, "state.lmw")
@@ -53,12 +58,11 @@ func TestDaemonCheckpointConsistentCut(t *testing.T) {
 	timelines := map[string][]soakObs{}
 	var targets string
 	var total int64
+	end := soakT0.Add(6 * time.Hour)
 	for i := 0; i < 4; i++ {
 		asn := bgp.ASN(64510 + i)
 		name := fmt.Sprintf("t%d", i)
-		// Data wholly before the clock's start: the sources release it
-		// at once, so ingest runs through many maintenance ticks.
-		tl := diurnalTimeline(asn, 10*i, soakT0.AddDate(0, 0, -6), soakT0, 10*time.Minute, float64(i))
+		tl := diurnalTimeline(asn, 10*i, soakT0, end, 20*time.Second, float64(i))
 		timelines["src-"+name] = tl
 		total += int64(len(tl))
 		if i > 0 {
@@ -81,15 +85,26 @@ func TestDaemonCheckpointConsistentCut(t *testing.T) {
 	run := make(chan error, 1)
 	go func() { run <- d.Run(ctx, nil) }()
 
+	// parked waits until the maintenance loop is between ticks, so the
+	// state file is complete, and every runner whose source still holds
+	// data is parked on the clock, so everything released so far has
+	// been observed. Each of them waits on exactly one timer.
+	parked := func() {
+		waiters := 1
+		for _, tl := range timelines {
+			if tl[len(tl)-1].ts.After(h.clock.Now()) {
+				waiters++
+			}
+		}
+		h.clock.BlockUntil(waiters)
+	}
 	var checked, midIngest int
 	for done := false; !done; {
-		// The maintenance loop is the clock's only waiter: parked on it,
-		// the loop is between ticks and the state file is complete.
-		h.clock.BlockUntil(1)
+		parked()
 		done = d.Monitor().Stats().Ingested == total
 		before := d.checkpoints.Value()
 		h.clock.Advance(d.tick)
-		h.clock.BlockUntil(1)
+		parked()
 		if d.checkpoints.Value() == before {
 			continue
 		}

@@ -87,7 +87,7 @@ type Config struct {
 	// MaxLateness tolerates out-of-order arrivals (default 1 hour).
 	MaxLateness Duration `json:"max_lateness,omitempty"`
 	// Thresholds overrides the classifier's daily-amplitude cutoffs in
-	// ms; the zero value selects the paper's defaults.
+	// ms; each zero field adopts the paper's default.
 	Thresholds ThresholdsConfig `json:"thresholds,omitempty"`
 
 	// PollInterval re-reads the config file this often; zero means
@@ -99,8 +99,9 @@ type Config struct {
 }
 
 // Validate rejects configs that cannot run: no targets, duplicate or
-// unnamed targets, negative durations or min_traceroutes, or a bin
-// width that is not a whole number of seconds.
+// unnamed targets, negative durations or min_traceroutes, a bin width
+// that is not a whole number of seconds, or thresholds that, with zeros
+// filled in, break 0 < low < mild < severe.
 func (c *Config) Validate() error {
 	if len(c.Targets) == 0 {
 		return errors.New("serve: config has no targets")
@@ -129,6 +130,11 @@ func (c *Config) Validate() error {
 	}
 	if c.MinTraceroutes < 0 {
 		return errors.New("serve: negative min_traceroutes")
+	}
+	// core.Classify checks the same, but only per AS at run time, where
+	// a bad cut-off would skip every AS as unclassifiable.
+	if err := c.Thresholds.resolve().Validate(); err != nil {
+		return fmt.Errorf("serve: thresholds: %w", err)
 	}
 	return nil
 }
@@ -237,29 +243,40 @@ type ThresholdsConfig struct {
 	Severe float64 `json:"severe,omitempty"`
 }
 
-// equal compares field-wise on float bits, so a NaN threshold compares
-// like any other value instead of making a config unequal to itself.
+// equal compares the cut-offs with zeros filled in, so a field left out
+// and the same default spelled out compare equal. It compares float
+// bits, so a NaN threshold compares like any other value instead of
+// making a config unequal to itself.
 func (t ThresholdsConfig) equal(o ThresholdsConfig) bool {
-	return math.Float64bits(t.Low) == math.Float64bits(o.Low) &&
-		math.Float64bits(t.Mild) == math.Float64bits(o.Mild) &&
-		math.Float64bits(t.Severe) == math.Float64bits(o.Severe)
+	a, b := t.resolve(), o.resolve()
+	return math.Float64bits(a.Low) == math.Float64bits(b.Low) &&
+		math.Float64bits(a.Mild) == math.Float64bits(b.Mild) &&
+		math.Float64bits(a.Severe) == math.Float64bits(b.Severe)
 }
 
-// isZero reports whether no threshold override is set.
-func (t ThresholdsConfig) isZero() bool { return t.equal(ThresholdsConfig{}) }
+// resolve returns the cut-offs with each zero field filled with the
+// paper's default (0.5 / 1 / 3 ms), so {"severe": 4} keeps the default
+// low and mild cut-offs.
+func (t ThresholdsConfig) resolve() core.Thresholds {
+	th := core.DefaultThresholds()
+	if t.Low != 0 {
+		th.Low = t.Low
+	}
+	if t.Mild != 0 {
+		th.Mild = t.Mild
+	}
+	if t.Severe != 0 {
+		th.Severe = t.Severe
+	}
+	return th
+}
 
 // classifier builds the classifier options from the config's threshold
 // overrides. The base is always the paper defaults — stream.Options
-// replaces a zero-MaxGapFrac ClassifierOptions wholesale, so partial
-// overrides must be layered onto a fully populated value.
+// replaces a zero-MaxGapFrac ClassifierOptions wholesale, so overrides
+// must be layered onto a fully populated value.
 func (c *Config) classifier() core.ClassifierOptions {
 	opts := core.DefaultClassifierOptions()
-	if !c.Thresholds.isZero() {
-		opts.Thresholds = core.Thresholds{
-			Low:    c.Thresholds.Low,
-			Mild:   c.Thresholds.Mild,
-			Severe: c.Thresholds.Severe,
-		}
-	}
+	opts.Thresholds = c.Thresholds.resolve()
 	return opts
 }

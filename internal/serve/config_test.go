@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/last-mile-congestion/lastmile/internal/core"
 )
 
 func TestParseConfigFull(t *testing.T) {
@@ -61,6 +63,13 @@ func TestParseConfigRejections(t *testing.T) {
 		{"fractional bin width", `{"bin_width": "90.5s", "targets": [{"name": "a"}]}`, "whole number of seconds"},
 		{"bad duration", `{"window": "fortnight", "targets": [{"name": "a"}]}`, "bad duration"},
 		{"bad duration type", `{"window": true, "targets": [{"name": "a"}]}`, "string or number"},
+		// Thresholds are checked with zeros filled from the paper's
+		// 0.5/1/3 ms, at load rather than by every Classify.
+		{"unordered thresholds", `{"thresholds": {"low": 5, "mild": 1, "severe": 3}, "targets": [{"name": "a"}]}`,
+			"serve: thresholds: core: thresholds must satisfy 0 < Low < Mild < Severe, got {Low:5 Mild:1 Severe:3}"},
+		{"low above default mild", `{"thresholds": {"low": 2}, "targets": [{"name": "a"}]}`,
+			"serve: thresholds: core: thresholds must satisfy 0 < Low < Mild < Severe, got {Low:2 Mild:1 Severe:3}"},
+		{"negative threshold", `{"thresholds": {"low": -1}, "targets": [{"name": "a"}]}`, "0 < Low < Mild < Severe"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,6 +117,13 @@ func TestReloadableFromFreezesEngineSemantics(t *testing.T) {
 	free.Targets = append(free.Targets, Target{Name: "b", ASN: 2, Source: "y"})
 	if err := free.ReloadableFrom(old); err != nil {
 		t.Fatalf("operational change rejected: %v", err)
+	}
+	// Thresholds compare with zeros filled in: leaving out low's default
+	// and spelling out mild's changes no cut-off.
+	same := base()
+	same.Thresholds = ThresholdsConfig{Mild: 1}
+	if err := same.ReloadableFrom(old); err != nil {
+		t.Fatalf("reload to the same filled-in thresholds rejected: %v", err)
 	}
 
 	// Engine-semantic and bind-once fields are frozen.
@@ -167,8 +183,17 @@ func TestDiffTargets(t *testing.T) {
 func TestClassifierLayersThresholdsOntoDefaults(t *testing.T) {
 	cfg := &Config{Thresholds: ThresholdsConfig{Low: 0.25, Mild: 2, Severe: 8}}
 	opts := cfg.classifier()
-	if opts.Thresholds.Low != 0.25 || opts.Thresholds.Severe != 8 {
+	if opts.Thresholds != (core.Thresholds{Low: 0.25, Mild: 2, Severe: 8}) {
 		t.Fatalf("thresholds not applied: %+v", opts.Thresholds)
+	}
+	// A partial override keeps the paper's other cut-offs, and the
+	// result passes the check core.Classify makes.
+	partial, err := ParseConfig([]byte(`{"thresholds": {"severe": 4}, "targets": [{"name": "a"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := partial.classifier().Thresholds; got != (core.Thresholds{Low: 0.5, Mild: 1, Severe: 4}) {
+		t.Fatalf(`{"severe": 4} yields %+v, want {Low:0.5 Mild:1 Severe:4}`, got)
 	}
 	// The non-threshold knobs must stay at the paper defaults — a zero
 	// MaxGapFrac would make stream.Options discard the whole classifier.
@@ -176,7 +201,7 @@ func TestClassifierLayersThresholdsOntoDefaults(t *testing.T) {
 		t.Fatal("MaxGapFrac zeroed: stream.Options would clobber the classifier")
 	}
 	zero := &Config{}
-	if zero.classifier().Thresholds.Severe == 0 {
-		t.Fatal("zero thresholds must select the paper defaults")
+	if got := zero.classifier().Thresholds; got != core.DefaultThresholds() {
+		t.Fatalf("zero thresholds yield %+v, want the paper defaults", got)
 	}
 }

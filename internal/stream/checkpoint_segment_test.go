@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -54,10 +55,12 @@ func openExpect(t *testing.T, path string, want []byte, warn bool, label string)
 // that re-creates a bin the sweep had just evicted. After every
 // checkpoint, base or segment, the state file must restore to a monitor
 // whose full Snapshot bytes equal the live monitor's, and the byte
-// counters must add up to what was written.
+// counters must add up to what was written. It runs at GOMAXPROCS 2,
+// so the engine has two stripes, each with its own sweep mark.
 func TestCheckpointSegmentsRestoreEveryCheckpoint(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	reg := telemetry.NewRegistry()
-	m := NewMonitor(Options{Window: 24 * time.Hour, Shards: 2, Metrics: reg})
+	m := NewMonitor(Options{Window: 24 * time.Hour, Metrics: reg})
 	path := filepath.Join(t.TempDir(), "state.lmw")
 	c := NewCheckpointer(m, path)
 	var checkpoints, bases, recreated int

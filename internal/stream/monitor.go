@@ -32,7 +32,9 @@ import (
 	"github.com/last-mile-congestion/lastmile/internal/traceroute"
 )
 
-// Options configures a Monitor.
+// Options configures a Monitor. The engine's lock stripes, keyed by
+// ASN, and the ClassifyAll fan-out both follow GOMAXPROCS; verdicts are
+// identical at any setting.
 type Options struct {
 	// Window is the sliding analysis window (default 15 days, the
 	// paper's measurement-period length).
@@ -50,13 +52,6 @@ type Options struct {
 	// Window+MaxLateness behind the newest observation are dropped
 	// (default 1 hour).
 	MaxLateness time.Duration
-	// Shards is the number of engine lock stripes ingestion is spread
-	// over, keyed by ASN (default GOMAXPROCS). Verdicts are identical
-	// at any shard count.
-	Shards int
-	// Workers bounds the ClassifyAll fan-out (default GOMAXPROCS).
-	// Output is identical at any worker count.
-	Workers int
 	// Metrics is the registry the monitor and its engine register their
 	// instrumentation into. Nil means a private registry; telemetry is
 	// observation-only either way — verdicts are bit-identical with or
@@ -71,12 +66,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Classifier.MaxGapFrac == 0 {
 		o.Classifier = core.DefaultClassifierOptions()
-	}
-	if o.Shards <= 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -127,7 +116,7 @@ func NewMonitor(opts Options) *Monitor {
 		MinTraceroutes: opts.MinTraceroutes,
 		Window:         opts.Window,
 		MaxLateness:    opts.MaxLateness,
-		Shards:         opts.Shards,
+		Shards:         runtime.GOMAXPROCS(0),
 		Metrics:        reg,
 	})
 	return newMonitorWithEngine(opts, eng, reg)
@@ -167,8 +156,8 @@ func (m *Monitor) Snapshot(w io.Writer) error { return m.eng.Snapshot(w) }
 // stopped. Semantic options left zero (BinWidth, MinTraceroutes,
 // MaxLateness — and Window, which deliberately skips the 15-day default
 // here) adopt the snapshot's values; non-zero values must match the
-// snapshot. Runtime options (Shards, Workers, Classifier, Metrics) come
-// from opts as usual.
+// snapshot. Runtime options (Classifier, Metrics) come from opts as
+// usual.
 //
 // When the base restores but a segment after it is torn or corrupt,
 // RestoreMonitor returns the monitor as of the last complete segment
@@ -187,7 +176,7 @@ func RestoreMonitor(r io.Reader, opts Options) (*Monitor, error) {
 		MinTraceroutes: raw.MinTraceroutes,
 		Window:         raw.Window,
 		MaxLateness:    raw.MaxLateness,
-		Shards:         opts.Shards,
+		Shards:         runtime.GOMAXPROCS(0),
 		Metrics:        reg,
 	})
 	if eng == nil {
@@ -312,8 +301,8 @@ func (m *Monitor) ClassifyAll() ([]*Verdict, []SkippedAS) {
 }
 
 // ClassifyWindow classifies every monitored AS over the window [start,
-// start+nBins*BinWidth) on the monitor's worker pool, so every verdict
-// covers the same window however far ingest moves meanwhile. Verdicts
+// start+nBins*BinWidth) on GOMAXPROCS goroutines; every verdict covers
+// that window however far ingest moves meanwhile. Verdicts
 // come back sorted by ASN; ASes that cannot be classified over the
 // window are returned separately with their reasons, in ASN order.
 func (m *Monitor) ClassifyWindow(start time.Time, nBins int) ([]*Verdict, []SkippedAS) {
@@ -326,7 +315,7 @@ func (m *Monitor) ClassifyWindow(start time.Time, nBins int) ([]*Verdict, []Skip
 	}
 	// classifyAS never returns a non-nil error through parallel.Map's
 	// error path, so the outer error is always nil.
-	outcomes, _ := parallel.Map(context.Background(), m.opts.Workers, len(asns), func(i int) (outcome, error) {
+	outcomes, _ := parallel.Map(context.Background(), runtime.GOMAXPROCS(0), len(asns), func(i int) (outcome, error) {
 		v, err := m.classifyAS(asns[i], start, nBins)
 		if err != nil {
 			return outcome{reason: err}, nil

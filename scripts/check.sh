@@ -147,25 +147,32 @@ stage "go test -bench (smoke, 1 iteration)"
 go test -run '^$' -bench . -benchtime 1x .
 
 # Hot-path gate: the ingest benchmarks must report exactly 0 allocs/op
-# at every shard width; lmvet's allocguard is the static half. 200000 uncached iterations amortise
-# pool warm-up and the growth of bin storage to steady state. For
-# whole-pipeline numbers, record runs with `bash bench/run.sh --record`
-# and judge them with `bash bench/run.sh compare`.
+# at one and at eight engine stripes; lmvet's allocguard is the static
+# half. The monitor's stripe count follows GOMAXPROCS, so `-cpu 1,8`
+# runs each benchmark at both widths: go test names the GOMAXPROCS=8
+# row with a -8 suffix and the GOMAXPROCS=1 row with none, and the gate
+# fails unless it parses a row of each. 200000 uncached iterations
+# amortise pool warm-up and the growth of bin storage to steady state.
+# For whole-pipeline numbers, record runs with
+# `bash bench/run.sh --record` and judge them with
+# `bash bench/run.sh compare`.
 #
 # Each gate captures go test's output once, prints it, and parses the
 # same text. Piping through `tee /dev/stderr` instead would reopen the
 # log at offset 0 under `check.sh > log 2>&1` and overwrite every
 # earlier stage's output.
-stage "zero-alloc ingest gate (BenchmarkMonitorObserve, BenchmarkSurveyFeed, 0 allocs/op)"
-out=$(go test -run '^$' -bench 'BenchmarkMonitorObserve|BenchmarkSurveyFeed' -benchmem -benchtime 200000x -count=1 .)
+stage "zero-alloc ingest gate (BenchmarkMonitorObserve, BenchmarkSurveyFeed, 0 allocs/op at -cpu 1,8)"
+out=$(go test -run '^$' -bench 'BenchmarkMonitorObserve|BenchmarkSurveyFeed' -benchmem -benchtime 200000x -count=1 -cpu 1,8 .)
 printf '%s\n' "${out}"
 awk '
       /^Benchmark/ && /allocs\/op/ {
         rows++
+        width[$1 ~ /-8$/ ? 8 : 1]++
         for (i = 2; i <= NF; i++) if ($i == "allocs/op" && $(i-1) != "0") bad++
       }
       END {
         if (rows == 0) { print "zero-alloc gate: no benchmark rows parsed" > "/dev/stderr"; exit 1 }
+        if (!(1 in width) || !(8 in width)) { print "zero-alloc gate: no row at GOMAXPROCS " ((1 in width) ? 8 : 1) > "/dev/stderr"; exit 1 }
         if (bad > 0)   { print "zero-alloc gate: " bad " row(s) allocate on the hot path" > "/dev/stderr"; exit 1 }
       }' <<<"${out}"
 
