@@ -20,22 +20,26 @@ import (
 var t0 = time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
 
 // testProbe is one probe of the test campaign; a negative bump means
-// its traceroutes never reach a public hop.
+// its traceroutes never reach a public hop, and days > 0 limits it to
+// the campaign's first days.
 type testProbe struct {
 	id   int
 	asn  lastmile.ASN
 	from string
 	bump float64
+	days int
 }
 
-// testProbes spans a congested AS, a flat AS and an AS with no usable
-// data, so the report holds classified rows and a skipped row.
+// testProbes spans a congested AS, a flat AS, an AS with no usable
+// data and an AS that reports on one day of eight, so the report holds
+// classified rows and both kinds of skipped row.
 var testProbes = []testProbe{
-	{1, 64500, "198.51.100.1", 5},
-	{2, 64500, "198.51.100.2", 5},
-	{3, 64501, "203.0.113.1", 0},
-	{4, 64501, "203.0.113.2", 0},
-	{5, 64502, "192.0.2.1", -1},
+	{1, 64500, "198.51.100.1", 5, 0},
+	{2, 64500, "198.51.100.2", 5, 0},
+	{3, 64501, "203.0.113.1", 0, 0},
+	{4, 64501, "203.0.113.2", 0, 0},
+	{5, 64502, "192.0.2.1", -1, 0},
+	{6, 64503, "192.0.2.129", 0, 1},
 }
 
 // campaign is one 8-day campaign written as a wire archive (AS in-band),
@@ -93,6 +97,9 @@ func writeCampaign(t *testing.T) campaign {
 	ww, jw := lastmile.NewBinaryResultWriter(&wireBuf), lastmile.NewResultWriter(&jsonBuf)
 	for ts := t0; ts.Before(t0.AddDate(0, 0, 8)); ts = ts.Add(10 * time.Minute) {
 		for _, p := range testProbes {
+			if p.days > 0 && !ts.Before(t0.AddDate(0, 0, p.days)) {
+				continue
+			}
 			delta := 2.0
 			if h := ts.Hour(); h >= 18 && h < 23 && p.bump > 0 {
 				delta += p.bump
@@ -145,8 +152,12 @@ func TestRunReportIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rows(want)
-	if len(r) != 3 || r["AS64500"][1] == "None" || r["AS64501"][1] != "None" || !strings.Contains(want, "(no usable data)") {
+	if len(r) != 4 || r["AS64500"][1] == "None" || r["AS64501"][1] != "None" || !strings.Contains(want, "(no usable data)") {
 		t.Fatalf("campaign does not discriminate:\n%s", want)
+	}
+	// The sparse AS's reason is Classify's error, labelled once.
+	if got, wantRow := strings.Join(r["AS64503"], " "), "1 (unclassifiable: core: 88% of bins are gaps (max 50%)) - -"; got != wantRow {
+		t.Fatalf("AS64503 row = %q, want %q", got, wantRow)
 	}
 	got, err := runReport(c.jsonl, "", c.probes)
 	if err != nil {

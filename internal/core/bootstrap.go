@@ -24,8 +24,8 @@ type BootstrapOptions struct {
 	Iterations int
 	// Seed drives the resampling.
 	Seed uint64
-	// Classifier configures the detector for each resample; the zero
-	// value selects DefaultClassifierOptions.
+	// Classifier configures the detector for each resample. It reaches
+	// Classify as set, and Classify gives each zero field its default.
 	Classifier ClassifierOptions
 }
 
@@ -63,9 +63,6 @@ func BootstrapAmplitude(perProbe []*timeseries.Series, opts BootstrapOptions) (*
 	}
 	if opts.Iterations <= 0 {
 		opts.Iterations = 200
-	}
-	if opts.Classifier.MaxGapFrac == 0 {
-		opts.Classifier = DefaultClassifierOptions()
 	}
 
 	classifyPopulation := func(pop []*timeseries.Series) (Classification, error) {

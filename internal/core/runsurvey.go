@@ -36,8 +36,8 @@ type SurveyOptions struct {
 	// derived from the data: Start is the start of the earliest
 	// record's bin, End the end of the latest's.
 	Start, End time.Time
-	// Classifier configures the detector; the zero value selects
-	// DefaultClassifierOptions.
+	// Classifier configures the detector. It reaches Classify as set,
+	// and Classify gives each zero field its default.
 	Classifier ClassifierOptions
 	// Workers bounds the per-AS classification fan-out (default
 	// GOMAXPROCS). Results are identical at any worker count.
@@ -45,8 +45,9 @@ type SurveyOptions struct {
 	// Shards is the engine's lock-stripe count (default 1). Results are
 	// identical at any shard count.
 	Shards int
-	// Metrics is the registry the survey's engine and phase timers
-	// register into. Nil means a private registry. Telemetry is
+	// Metrics is the registry the survey's engine, feed timer and
+	// classification pass (survey_* names, see ClassifyMetrics) register
+	// into. Nil means a private registry. Telemetry is
 	// observation-only: verdicts are bit-identical with or without it
 	// (pinned by TestRunSurveyMetricsEquivalence).
 	Metrics *telemetry.Registry
@@ -59,9 +60,6 @@ func (o SurveyOptions) withDefaults() SurveyOptions {
 	}
 	if o.MinTraceroutes == 0 {
 		o.MinTraceroutes = lm.DefaultMinTraceroutes
-	}
-	if o.Classifier.MaxGapFrac == 0 {
-		o.Classifier = DefaultClassifierOptions()
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -81,7 +79,8 @@ type SkippedAS struct {
 }
 
 // ErrNoUsableData marks an AS none of whose traceroutes carried a
-// usable last-mile segment.
+// usable last-mile segment: the ClassifyWindow skip reason for an AS
+// the engine holds no state for (engine.ErrNoState).
 var ErrNoUsableData = errors.New("no usable last-mile data")
 
 // errNilResult is allocated once; Add must not build error values per
@@ -115,8 +114,8 @@ func RunSurvey(period string, results []AttributedResult, opts SurveyOptions) (*
 // grows with the number of records, but by those samples only, not by a
 // copy of each record.
 //
-// The feed is serial and not safe for concurrent use; classification
-// in Survey fans out over SurveyOptions.Workers.
+// The feed is serial and not safe for concurrent use; Survey runs the
+// ClassifyWindow pass on SurveyOptions.Workers goroutines.
 //
 // survey_feed_seconds times the feed from the first Add to Survey. A
 // caller that decodes records in the same loop (lmsurvey) therefore
@@ -124,7 +123,7 @@ func RunSurvey(period string, results []AttributedResult, opts SurveyOptions) (*
 type SurveyFeed struct {
 	opts     SurveyOptions
 	eng      *engine.Engine
-	reg      *telemetry.Registry
+	classify *ClassifyMetrics
 	feedHist *telemetry.Histogram
 	// n counts the records added. ases holds every AS added, usable or
 	// not, so wholly unusable ASes surface as skipped.
@@ -151,7 +150,7 @@ func NewSurveyFeed(opts SurveyOptions) *SurveyFeed {
 			Shards:         opts.Shards,
 			Metrics:        reg,
 		}),
-		reg:      reg,
+		classify: NewClassifyMetrics(reg, "survey"),
 		feedHist: reg.Histogram("survey_feed_seconds", telemetry.DefLatencyBuckets),
 		ases:     make(map[bgp.ASN]struct{}),
 		scratch:  make([]float64, 0, 16),
@@ -231,51 +230,84 @@ func (f *SurveyFeed) Survey(period string) (*Survey, []SkippedAS, error) {
 		universe = append(universe, asn)
 	}
 	sort.Slice(universe, func(i, j int) bool { return universe[i] < universe[j] })
-	return classifySurvey(period, f.eng, universe, start, nBins, f.opts, f.reg)
+	verdicts, skipped := ClassifyWindow(f.eng, universe, start, nBins, f.opts.Classifier, f.opts.Workers, f.classify)
+	survey := NewSurvey(period)
+	for _, v := range verdicts {
+		survey.Add(v)
+	}
+	return survey, skipped, nil
 }
 
-// classifySurvey runs the §2.3 classification pass over a fed engine
-// for every AS of the sorted universe and assembles the survey.
-func classifySurvey(period string, eng *engine.Engine, universe []bgp.ASN, start time.Time, nBins int, opts SurveyOptions, reg *telemetry.Registry) (*Survey, []SkippedAS, error) {
-	engineASes := make(map[bgp.ASN]bool)
-	for _, asn := range eng.ASNs() {
-		engineASes[asn] = true
-	}
+// ClassifyMetrics instruments ClassifyWindow: the whole pass, its two
+// per-AS stages (window signal extraction and §2.3 classification), and
+// its outcome counts.
+type ClassifyMetrics struct {
+	runs, verdicts, skipped          *telemetry.Counter
+	pass, signalStage, classifyStage *telemetry.Histogram
+}
 
-	type verdict struct {
+// NewClassifyMetrics registers the pass's instruments in reg under
+// prefix: prefix_classify_runs_total, prefix_classify_seconds,
+// prefix_signal_stage_seconds, prefix_classify_stage_seconds,
+// prefix_verdicts_total and prefix_skipped_total.
+func NewClassifyMetrics(reg *telemetry.Registry, prefix string) *ClassifyMetrics {
+	return &ClassifyMetrics{
+		runs:          reg.Counter(prefix + "_classify_runs_total"),
+		verdicts:      reg.Counter(prefix + "_verdicts_total"),
+		skipped:       reg.Counter(prefix + "_skipped_total"),
+		pass:          reg.Histogram(prefix+"_classify_seconds", telemetry.DefLatencyBuckets),
+		signalStage:   reg.Histogram(prefix+"_signal_stage_seconds", telemetry.DefLatencyBuckets),
+		classifyStage: reg.Histogram(prefix+"_classify_stage_seconds", telemetry.DefLatencyBuckets),
+	}
+}
+
+// ClassifyWindow is the §2.3 classification pass of the survey, the
+// monitor and the simulator: for each AS of asns it reads the AS's
+// signal over the window [start, start+nBins*BinWidth) from eng and
+// classifies it with opts, on workers goroutines. Verdicts and skips
+// come back in the order of asns. An AS eng holds no state for is
+// skipped with ErrNoUsableData; every other skip carries the error of
+// engine.Signal or Classify as returned. A nil m instruments the pass
+// into a private registry.
+func ClassifyWindow(eng *engine.Engine, asns []bgp.ASN, start time.Time, nBins int, opts ClassifierOptions, workers int, m *ClassifyMetrics) ([]*ASResult, []SkippedAS) {
+	if m == nil {
+		m = NewClassifyMetrics(telemetry.NewRegistry(), "classify")
+	}
+	defer m.pass.Start().Stop()
+	m.runs.Inc()
+	type outcome struct {
 		result *ASResult
 		reason error
 	}
-	classifyTimer := reg.Histogram("survey_classify_seconds", telemetry.DefLatencyBuckets).Start()
-	verdicts, err := parallel.Map(context.Background(), opts.Workers, len(universe), func(i int) (verdict, error) {
-		asn := universe[i]
-		if !engineASes[asn] {
-			return verdict{reason: ErrNoUsableData}, nil
+	// The per-AS function never fails, so Map's error is always nil.
+	outcomes, _ := parallel.Map(context.Background(), workers, len(asns), func(i int) (outcome, error) {
+		st := m.signalStage.Start()
+		signal, probes, err := eng.Signal(asns[i], start, nBins)
+		st.Stop()
+		if errors.Is(err, engine.ErrNoState) {
+			return outcome{reason: ErrNoUsableData}, nil
 		}
-		signal, n, err := eng.Signal(asn, start, nBins)
 		if err != nil {
-			return verdict{reason: err}, nil
+			return outcome{reason: err}, nil
 		}
-		cls, err := Classify(signal, opts.Classifier)
+		ct := m.classifyStage.Start()
+		cls, err := Classify(signal, opts)
+		ct.Stop()
 		if err != nil {
-			return verdict{reason: fmt.Errorf("unclassifiable: %w", err)}, nil
+			return outcome{reason: err}, nil
 		}
-		return verdict{result: &ASResult{ASN: asn, Probes: n, Signal: signal, Classification: cls}}, nil
+		return outcome{result: &ASResult{ASN: asns[i], Probes: probes, Signal: signal, Classification: cls}}, nil
 	})
-	classifyTimer.Stop()
-	if err != nil {
-		return nil, nil, err
-	}
-
-	survey := NewSurvey(period)
+	var verdicts []*ASResult
 	var skipped []SkippedAS
-	for i, v := range verdicts {
-		switch {
-		case v.result != nil:
-			survey.Add(v.result)
-		default:
-			skipped = append(skipped, SkippedAS{ASN: universe[i], Reason: v.reason})
+	for i, o := range outcomes {
+		if o.result != nil {
+			verdicts = append(verdicts, o.result)
+		} else {
+			skipped = append(skipped, SkippedAS{ASN: asns[i], Reason: o.reason})
 		}
 	}
-	return survey, skipped, nil
+	m.verdicts.Add(int64(len(verdicts)))
+	m.skipped.Add(int64(len(skipped)))
+	return verdicts, skipped
 }

@@ -18,6 +18,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -557,6 +558,11 @@ func (e *Engine) Stats() Stats {
 	return out
 }
 
+// ErrNoState marks a Signal or ProbeDelays call for an AS the engine
+// holds no state for: none of its records reached Observe, or eviction
+// has dropped them all.
+var ErrNoState = errors.New("engine: no state")
+
 // Signal computes the §2.1 population queuing-delay signal of one AS
 // over the window [start, start + nBins*BinWidth): the per-bin median
 // across the AS's ProbeDelays. It returns the signal and the number of
@@ -608,7 +614,7 @@ func (e *Engine) medianSeries(asn bgp.ASN, start time.Time, nBins int) ([]*times
 	defer sh.mu.Unlock()
 	aw := sh.ases[asn]
 	if aw == nil || len(aw.probes) == 0 {
-		return nil, fmt.Errorf("engine: no state for %v", asn)
+		return nil, fmt.Errorf("%w for %v", ErrNoState, asn)
 	}
 	// Offsets are taken from start's whole second, so a key within the
 	// window's span never overflows, whatever the key or the start.

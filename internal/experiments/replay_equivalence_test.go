@@ -23,9 +23,11 @@ import (
 
 // buildReplayDataset generates six days of Atlas traceroutes for probes
 // drawn from three Tokyo ISPs with different congestion levels, so the
-// equivalence covers Severe, Mild and None verdicts at once. The feed
-// order is per probe (each probe's full timeline in turn), which also
-// exercises cross-probe out-of-order ingestion on the streaming side.
+// equivalence covers Severe, Mild and None verdicts at once, plus one
+// ISP_D probe that reports on the first day only, so that both sides
+// skip its AS as too sparse. The feed order is per probe (each probe's
+// full timeline in turn), which also exercises cross-probe out-of-order
+// ingestion on the streaming side.
 func buildReplayDataset(t testing.TB) (results []core.AttributedResult, start, end time.Time) {
 	t.Helper()
 	tk, err := scenario.BuildTokyo(2020, 10)
@@ -36,21 +38,24 @@ func buildReplayDataset(t testing.TB) (results []core.AttributedResult, start, e
 	start = period.Start
 	end = start.AddDate(0, 0, 6)
 	eng := atlas.NewEngine(2020)
+	run := func(p *atlas.Probe, until time.Time) {
+		if err := eng.Run(p, start, until, func(r *traceroute.Result) error {
+			results = append(results, core.AttributedResult{ASN: p.ASN, Result: r})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, isp := range []*scenario.TokyoISP{tk.ISPA, tk.ISPB, tk.ISPC} {
 		probes := isp.Probes
 		if len(probes) > 3 {
 			probes = probes[:3]
 		}
 		for _, p := range probes {
-			asn := p.ASN
-			if err := eng.Run(p, start, end, func(r *traceroute.Result) error {
-				results = append(results, core.AttributedResult{ASN: asn, Result: r})
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
+			run(p, end)
 		}
 	}
+	run(tk.ISPD.Probes[0], start.AddDate(0, 0, 1))
 	return results, start, end
 }
 
@@ -75,12 +80,13 @@ func TestBatchStreamReplayEquivalence(t *testing.T) {
 		if len(verdicts) != batch.Len() {
 			t.Fatalf("%s: %d streaming verdicts vs %d batch results", label, len(verdicts), batch.Len())
 		}
-		if len(skipped) != len(batchSkipped) {
-			t.Fatalf("%s: %d streaming skips vs %d batch skips", label, len(skipped), len(batchSkipped))
+		if len(skipped) != len(batchSkipped) || len(skipped) == 0 {
+			t.Fatalf("%s: %d streaming skips vs %d batch skips, want the sparse AS in both", label, len(skipped), len(batchSkipped))
 		}
 		for i := range skipped {
-			if skipped[i].ASN != batchSkipped[i].ASN {
-				t.Fatalf("%s: skip %d is AS%v, batch skipped AS%v", label, i, skipped[i].ASN, batchSkipped[i].ASN)
+			if skipped[i].ASN != batchSkipped[i].ASN || skipped[i].Reason.Error() != batchSkipped[i].Reason.Error() {
+				t.Fatalf("%s: skip %d is %v (%v), batch skipped %v (%v)", label, i,
+					skipped[i].ASN, skipped[i].Reason, batchSkipped[i].ASN, batchSkipped[i].Reason)
 			}
 		}
 		for _, v := range verdicts {

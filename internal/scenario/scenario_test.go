@@ -258,19 +258,15 @@ func TestSimulateProbeDelayFeedsPipeline(t *testing.T) {
 			break
 		}
 	}
-	sig, n, err := w.ASSignal(severe, p)
+	cls, err := w.surveyAS(severe, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n < 3 {
-		t.Fatalf("contributing probes = %d", n)
+	if cls.Probes < 3 {
+		t.Fatalf("contributing probes = %d", cls.Probes)
 	}
-	if sig.Len() != 720 {
-		t.Fatalf("signal bins = %d, want 720 (15 days of 30-min bins)", sig.Len())
-	}
-	cls, err := core.Classify(sig, core.DefaultClassifierOptions())
-	if err != nil {
-		t.Fatal(err)
+	if cls.Signal.Len() != 720 {
+		t.Fatalf("signal bins = %d, want 720 (15 days of 30-min bins)", cls.Signal.Len())
 	}
 	if cls.Class != core.Severe {
 		t.Fatalf("severe AS classified %v (amp %.2f)", cls.Class, cls.DailyAmplitude)
@@ -290,11 +286,7 @@ func TestFlatASClassifiesNone(t *testing.T) {
 			break
 		}
 	}
-	sig, _, err := w.ASSignal(flat, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls, err := core.Classify(sig, core.DefaultClassifierOptions())
+	cls, err := w.surveyAS(flat, p)
 	if err != nil {
 		t.Fatal(err)
 	}

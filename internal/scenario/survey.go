@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/last-mile-congestion/lastmile/internal/atlas"
+	"github.com/last-mile-congestion/lastmile/internal/bgp"
 	"github.com/last-mile-congestion/lastmile/internal/core"
 	"github.com/last-mile-congestion/lastmile/internal/engine"
 	"github.com/last-mile-congestion/lastmile/internal/ipnet"
@@ -247,16 +248,6 @@ func (w *World) PerProbeDelays(a *ASInfo, p Period) ([]*timeseries.Series, error
 	return qds, nil
 }
 
-// ASSignal computes one AS's aggregated queuing-delay signal for a
-// period, returning the signal and the number of contributing probes.
-func (w *World) ASSignal(a *ASInfo, p Period) (*timeseries.Series, int, error) {
-	e, err := w.measure(a, p)
-	if err != nil {
-		return nil, 0, err
-	}
-	return e.Signal(a.Network.ASN, p.Start, p.Bins())
-}
-
 // measure simulates the AS's active probes for a period into one
 // engine. An AS with fewer than 3 active probes is below the monitoring
 // bar.
@@ -271,31 +262,32 @@ func (w *World) measure(a *ASInfo, p Period) (*engine.Engine, error) {
 	return SimulateProbes(probes, p, w.TraceroutesPerBin, w.Seed)
 }
 
+// surveyAS measures one AS for a period into its own engine and
+// classifies it with the core.ClassifyWindow pass, returning the
+// verdict or the reason there is none.
+func (w *World) surveyAS(a *ASInfo, p Period) (*core.ASResult, error) {
+	e, err := w.measure(a, p)
+	if err != nil {
+		return nil, err
+	}
+	verdicts, skipped := core.ClassifyWindow(e, []bgp.ASN{a.Network.ASN}, p.Start, p.Bins(), core.DefaultClassifierOptions(), 1, nil)
+	if len(skipped) > 0 {
+		return nil, skipped[0].Reason
+	}
+	return verdicts[0], nil
+}
+
 // RunSurvey measures and classifies every AS for one period (§3). ASes
 // with fewer than 3 active probes, or whose signal cannot be classified,
 // are skipped — mirroring the paper's monitoring bar. ASes are measured
-// on GOMAXPROCS goroutines; every stochastic draw is keyed by (seed,
-// ASN, period) and results are added in AS order, so the survey is
-// identical at any GOMAXPROCS.
+// on GOMAXPROCS goroutines, each into its own engine; every stochastic
+// draw is keyed by (seed, ASN, period) and results are added in AS
+// order, so the survey is identical at any GOMAXPROCS.
 func (w *World) RunSurvey(p Period) (*core.Survey, error) {
 	survey := core.NewSurvey(p.Label)
-	opts := core.DefaultClassifierOptions()
 	results, err := parallel.Map(context.Background(), runtime.GOMAXPROCS(0), len(w.ASes), func(i int) (*core.ASResult, error) {
-		a := w.ASes[i]
-		signal, n, err := w.ASSignal(a, p)
-		if err != nil {
-			return nil, nil // below the monitoring bar this period
-		}
-		cls, err := core.Classify(signal, opts)
-		if err != nil {
-			return nil, nil
-		}
-		return &core.ASResult{
-			ASN:            a.Network.ASN,
-			Probes:         n,
-			Signal:         signal,
-			Classification: cls,
-		}, nil
+		res, _ := w.surveyAS(w.ASes[i], p) // nil for an AS skipped this period
+		return res, nil
 	})
 	if err != nil {
 		return nil, err

@@ -272,9 +272,8 @@ func (t ThresholdsConfig) resolve() core.Thresholds {
 }
 
 // classifier builds the classifier options from the config's threshold
-// overrides. The base is always the paper defaults — stream.Options
-// replaces a zero-MaxGapFrac ClassifierOptions wholesale, so overrides
-// must be layered onto a fully populated value.
+// overrides, layered onto the paper defaults one threshold at a time:
+// core.Classify fills in the thresholds only when all three are zero.
 func (c *Config) classifier() core.ClassifierOptions {
 	opts := core.DefaultClassifierOptions()
 	opts.Thresholds = c.Thresholds.resolve()

@@ -441,8 +441,9 @@ func TestServeSoakEquivalence(t *testing.T) {
 		t.Fatalf("%d daemon skips vs %d batch skips", len(snap.Skipped), len(batchSkipped))
 	}
 	for i := range snap.Skipped {
-		if snap.Skipped[i].ASN != batchSkipped[i].ASN {
-			t.Fatalf("skip %d: AS%v vs batch AS%v", i, snap.Skipped[i].ASN, batchSkipped[i].ASN)
+		if snap.Skipped[i].ASN != batchSkipped[i].ASN || snap.Skipped[i].Reason.Error() != batchSkipped[i].Reason.Error() {
+			t.Fatalf("skip %d: %v (%v) vs batch %v (%v)", i,
+				snap.Skipped[i].ASN, snap.Skipped[i].Reason, batchSkipped[i].ASN, batchSkipped[i].Reason)
 		}
 	}
 	for _, v := range snap.Verdicts {

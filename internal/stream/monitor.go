@@ -15,7 +15,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -27,7 +26,6 @@ import (
 	"github.com/last-mile-congestion/lastmile/internal/core"
 	"github.com/last-mile-congestion/lastmile/internal/engine"
 	"github.com/last-mile-congestion/lastmile/internal/lastmile"
-	"github.com/last-mile-congestion/lastmile/internal/parallel"
 	"github.com/last-mile-congestion/lastmile/internal/telemetry"
 	"github.com/last-mile-congestion/lastmile/internal/traceroute"
 )
@@ -45,8 +43,8 @@ type Options struct {
 	BinWidth time.Duration
 	// MinTraceroutes is the per-bin sanity threshold (default 3).
 	MinTraceroutes int
-	// Classifier configures the detector; the zero value selects
-	// core.DefaultClassifierOptions.
+	// Classifier configures the detector. It reaches core.Classify as
+	// set, and Classify gives each zero field its default.
 	Classifier core.ClassifierOptions
 	// MaxLateness tolerates out-of-order arrivals: results older than
 	// Window+MaxLateness behind the newest observation are dropped
@@ -63,9 +61,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Window == 0 {
 		o.Window = 15 * 24 * time.Hour
-	}
-	if o.Classifier.MaxGapFrac == 0 {
-		o.Classifier = core.DefaultClassifierOptions()
 	}
 	return o
 }
@@ -86,16 +81,10 @@ type Monitor struct {
 	opts Options
 	eng  *engine.Engine
 
-	// ClassifyAll stage instrumentation: whole-pass duration, the two
-	// per-AS stages (window signal extraction vs. §2.3 classification),
-	// and verdict/skip outcome counts.
-	classifyRuns    *telemetry.Counter
-	classifySeconds *telemetry.Histogram
-	signalStage     *telemetry.Histogram
-	classifyStage   *telemetry.Histogram
-	verdicts        *telemetry.Counter
-	skipped         *telemetry.Counter
-	ignored         *telemetry.Counter
+	// classify instruments the classification pass (stream_* names);
+	// ignored counts records without a usable last-mile segment.
+	classify *core.ClassifyMetrics
+	ignored  *telemetry.Counter
 
 	// Checkpointer accounting: bytes of successful base and segment
 	// writes, and failed checkpoints.
@@ -126,15 +115,10 @@ func NewMonitor(opts Options) *Monitor {
 // of NewMonitor and RestoreMonitor.
 func newMonitorWithEngine(opts Options, eng *engine.Engine, reg *telemetry.Registry) *Monitor {
 	return &Monitor{
-		opts:            opts,
-		eng:             eng,
-		classifyRuns:    reg.Counter("stream_classify_runs_total"),
-		classifySeconds: reg.Histogram("stream_classify_seconds", telemetry.DefLatencyBuckets),
-		signalStage:     reg.Histogram("stream_signal_stage_seconds", telemetry.DefLatencyBuckets),
-		classifyStage:   reg.Histogram("stream_classify_stage_seconds", telemetry.DefLatencyBuckets),
-		verdicts:        reg.Counter("stream_verdicts_total"),
-		skipped:         reg.Counter("stream_skipped_total"),
-		ignored:         reg.Counter("stream_ignored_total"),
+		opts:     opts,
+		eng:      eng,
+		classify: core.NewClassifyMetrics(reg, "stream"),
+		ignored:  reg.Counter("stream_ignored_total"),
 
 		checkpointBaseBytes:    reg.Counter(`stream_checkpoint_bytes_total{kind="base"}`),
 		checkpointSegmentBytes: reg.Counter(`stream_checkpoint_bytes_total{kind="segment"}`),
@@ -265,32 +249,18 @@ func (m *Monitor) Watermark() (Watermark, bool) { return m.eng.Watermark() }
 // the current window.
 type Verdict = core.ASResult
 
-// ClassifyAS classifies one AS from the current window: the offline
-// pipeline (§2.1 + §2.3) applied to the live engine shards.
+// ClassifyAS classifies one AS from the current window: the
+// core.ClassifyWindow pass over that AS alone.
 func (m *Monitor) ClassifyAS(asn bgp.ASN) (*Verdict, error) {
 	start, nBins, ok := m.eng.WindowBounds()
 	if !ok {
 		return nil, fmt.Errorf("stream: no observations yet for %v", asn)
 	}
-	return m.classifyAS(asn, start, nBins)
-}
-
-// classifyAS classifies one AS over the window [start,
-// start+nBins*BinWidth).
-func (m *Monitor) classifyAS(asn bgp.ASN, start time.Time, nBins int) (*Verdict, error) {
-	st := m.signalStage.Start()
-	signal, probes, err := m.eng.Signal(asn, start, nBins)
-	st.Stop()
-	if err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
+	verdicts, skipped := core.ClassifyWindow(m.eng, []bgp.ASN{asn}, start, nBins, m.opts.Classifier, 1, m.classify)
+	if len(skipped) > 0 {
+		return nil, skipped[0].Reason
 	}
-	ct := m.classifyStage.Start()
-	cls, err := core.Classify(signal, m.opts.Classifier)
-	ct.Stop()
-	if err != nil {
-		return nil, fmt.Errorf("stream: %v: %w", asn, err)
-	}
-	return &Verdict{ASN: asn, Probes: probes, Signal: signal, Classification: cls}, nil
+	return verdicts[0], nil
 }
 
 // ClassifyAll classifies every monitored AS over the current window,
@@ -301,37 +271,11 @@ func (m *Monitor) ClassifyAll() ([]*Verdict, []SkippedAS) {
 }
 
 // ClassifyWindow classifies every monitored AS over the window [start,
-// start+nBins*BinWidth) on GOMAXPROCS goroutines; every verdict covers
-// that window however far ingest moves meanwhile. Verdicts
-// come back sorted by ASN; ASes that cannot be classified over the
-// window are returned separately with their reasons, in ASN order.
+// start+nBins*BinWidth): the core.ClassifyWindow pass over the engine's
+// ASes on GOMAXPROCS goroutines. Every verdict covers that window
+// however far ingest moves meanwhile. Verdicts come back sorted by ASN;
+// ASes that cannot be classified over the window are returned
+// separately with their reasons, in ASN order.
 func (m *Monitor) ClassifyWindow(start time.Time, nBins int) ([]*Verdict, []SkippedAS) {
-	defer m.classifySeconds.Start().Stop()
-	m.classifyRuns.Inc()
-	asns := m.eng.ASNs()
-	type outcome struct {
-		v      *Verdict
-		reason error
-	}
-	// classifyAS never returns a non-nil error through parallel.Map's
-	// error path, so the outer error is always nil.
-	outcomes, _ := parallel.Map(context.Background(), runtime.GOMAXPROCS(0), len(asns), func(i int) (outcome, error) {
-		v, err := m.classifyAS(asns[i], start, nBins)
-		if err != nil {
-			return outcome{reason: err}, nil
-		}
-		return outcome{v: v}, nil
-	})
-	var verdicts []*Verdict
-	var skipped []SkippedAS
-	for i, o := range outcomes {
-		if o.v != nil {
-			verdicts = append(verdicts, o.v)
-		} else {
-			skipped = append(skipped, SkippedAS{ASN: asns[i], Reason: o.reason})
-		}
-	}
-	m.verdicts.Add(int64(len(verdicts)))
-	m.skipped.Add(int64(len(skipped)))
-	return verdicts, skipped
+	return core.ClassifyWindow(m.eng, m.eng.ASNs(), start, nBins, m.opts.Classifier, runtime.GOMAXPROCS(0), m.classify)
 }

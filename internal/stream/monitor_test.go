@@ -9,6 +9,8 @@ import (
 
 	"github.com/last-mile-congestion/lastmile/internal/bgp"
 	"github.com/last-mile-congestion/lastmile/internal/core"
+	"github.com/last-mile-congestion/lastmile/internal/dsp"
+	"github.com/last-mile-congestion/lastmile/internal/timeseries"
 	"github.com/last-mile-congestion/lastmile/internal/traceroute"
 )
 
@@ -33,10 +35,10 @@ func mkTrace(probeID int, ts time.Time, deltaMs float64) *traceroute.Result {
 	return r
 }
 
-// feedDiurnal streams days of traceroutes for nProbes with a 6-hour
-// daily bump of bumpMs.
-func feedDiurnal(t *testing.T, m *Monitor, asn bgp.ASN, nProbes, days int, bumpMs float64) {
-	t.Helper()
+// diurnalRecords builds days of traceroutes for nProbes with a 6-hour
+// daily bump of bumpMs, in time order.
+func diurnalRecords(asn bgp.ASN, nProbes, days int, bumpMs float64) []core.AttributedResult {
+	var out []core.AttributedResult
 	end := t0.AddDate(0, 0, days)
 	for ts := t0; ts.Before(end); ts = ts.Add(10 * time.Minute) {
 		delta := 2.0
@@ -44,9 +46,18 @@ func feedDiurnal(t *testing.T, m *Monitor, asn bgp.ASN, nProbes, days int, bumpM
 			delta += bumpMs
 		}
 		for p := 1; p <= nProbes; p++ {
-			if err := m.Observe(asn, mkTrace(p, ts, delta)); err != nil {
-				t.Fatal(err)
-			}
+			out = append(out, core.AttributedResult{ASN: asn, Result: mkTrace(p, ts, delta)})
+		}
+	}
+	return out
+}
+
+// feedDiurnal streams diurnalRecords into m.
+func feedDiurnal(t *testing.T, m *Monitor, asn bgp.ASN, nProbes, days int, bumpMs float64) {
+	t.Helper()
+	for _, ar := range diurnalRecords(asn, nProbes, days, bumpMs) {
+		if err := m.Observe(ar.ASN, ar.Result); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -288,5 +299,72 @@ func TestMonitorConcurrentReadersAndWriters(t *testing.T) {
 	st := m.Stats()
 	if want := int64(writers*perGoroutine + 3*24*6*2); st.Ingested+st.Dropped < want {
 		t.Fatalf("ingested+dropped = %d, want >= %d", st.Ingested+st.Dropped, want)
+	}
+}
+
+// TestFrontEndsPassPartialClassifierOptions pins that the survey, the
+// monitor and the bootstrap hand a partly set ClassifierOptions to
+// core.Classify as set, so each classifies like Classify with the same
+// options: Classify gives each zero field its default, and no front end
+// may swap the whole value for the defaults instead.
+func TestFrontEndsPassPartialClassifierOptions(t *testing.T) {
+	const asn = 64500
+	records := diurnalRecords(asn, 4, 8, 5)
+	for _, tc := range []struct {
+		name string
+		opts core.ClassifierOptions
+	}{
+		{"thresholds only", core.ClassifierOptions{Thresholds: core.Thresholds{Low: 50, Mild: 60, Severe: 70}}},
+		{"welch only", core.ClassifierOptions{Welch: dsp.WelchOptions{SegmentLength: 96, OverlapFrac: 0.5, Window: dsp.Hann}}},
+		{"defaults", core.DefaultClassifierOptions()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMonitor(Options{Window: 8 * 24 * time.Hour, Classifier: tc.opts})
+			for _, ar := range records {
+				if err := m.Observe(ar.ASN, ar.Result); err != nil {
+					t.Fatal(err)
+				}
+			}
+			start, nBins, _ := m.WindowBounds()
+			perProbe, err := m.eng.ProbeDelays(asn, start, nBins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			signal, err := timeseries.AggregateMedian(perProbe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Classify(signal, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			survey, _, err := core.RunSurvey("partial", records, core.SurveyOptions{Classifier: tc.opts})
+			if err != nil || survey.Results[asn] == nil {
+				t.Fatalf("RunSurvey: no verdict (%v)", err)
+			}
+			verdicts, _ := m.ClassifyAll()
+			if len(verdicts) != 1 {
+				t.Fatalf("ClassifyAll: %d verdicts", len(verdicts))
+			}
+			boot, err := core.BootstrapAmplitude(perProbe, core.BootstrapOptions{Iterations: 3, Classifier: tc.opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range []struct {
+				frontEnd string
+				class    core.Class
+				amp      float64
+			}{
+				{"RunSurvey", survey.Results[asn].Class, survey.Results[asn].DailyAmplitude},
+				{"Monitor.ClassifyAll", verdicts[0].Class, verdicts[0].DailyAmplitude},
+				{"BootstrapAmplitude", boot.Class, boot.Amplitude},
+			} {
+				if got.class != want.Class || math.Float64bits(got.amp) != math.Float64bits(want.DailyAmplitude) {
+					t.Errorf("%s: %v at %.4f ms, Classify: %v at %.4f ms",
+						got.frontEnd, got.class, got.amp, want.Class, want.DailyAmplitude)
+				}
+			}
+		})
 	}
 }
