@@ -596,3 +596,29 @@ func BenchmarkIngestReplayWire(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIngestScanAllWire reads the same wire archive through
+// ScanResults, which decodes an archive on GOMAXPROCS goroutines and
+// hands the results over in archive order. This day fits in the first
+// 128 KiB, which wire.ScanAll reads with the Scanner loop, so it should
+// read level with BenchmarkIngestReplayWire: a small archive pays
+// nothing for the parallel path.
+func BenchmarkIngestScanAllWire(b *testing.B) {
+	lines, _, wireArchive, _ := ingestBenchData(b)
+	b.SetBytes(int64(len(wireArchive)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		err := lastmile.ScanResults(bytes.NewReader(wireArchive), func(*lastmile.Result, lastmile.ASN) error {
+			n++
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n != len(lines) {
+			b.Fatalf("replayed %d of %d results", n, len(lines))
+		}
+	}
+}

@@ -274,8 +274,8 @@ func newSource(r io.Reader, cfg config, m *stream.Monitor, out io.Writer, endRun
 // scan feeds results until the input ends or Close stops it, then closes
 // results with any scan error left in scanErr. The sorting path reads
 // the whole input before its first send, so it decodes through
-// ScanResults, on every core for JSONL, and clones, since every result
-// is live until the sort. The streaming path hands out each result as
+// ScanResults, on every core for both encodings (traceroute.ScanAll,
+// wire.ScanAll), and clones, since every result is live until the sort. The streaming path hands out each result as
 // it arrives, through the per-record scanner, and copies into pooled
 // results (one CopyFrom per result, no steady-state allocation). A
 // scanner blocked in a read no close can interrupt exits when that read

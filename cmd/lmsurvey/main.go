@@ -20,12 +20,11 @@
 //	lmsurvey -in traces.jsonl -rib rib.txt -csv signals/
 //	lmsurvey -in archive.lmw
 //
-// A JSONL archive decodes on GOMAXPROCS goroutines
-// (lastmile.ScanResults), in batches of lines that reach the feed in
-// archive order; wire input decodes serially. The feed observes from
-// one goroutine into one engine, and the per-AS classification fans out
-// over GOMAXPROCS workers. The report is byte-identical at any
-// GOMAXPROCS.
+// The archive decodes on GOMAXPROCS goroutines (lastmile.ScanResults),
+// JSONL in batches of lines and wire input in batches of frames, which
+// reach the feed in archive order. The feed observes from one goroutine
+// into one engine, and the per-AS classification fans out over
+// GOMAXPROCS workers. The report is byte-identical at any GOMAXPROCS.
 package main
 
 import (
@@ -104,7 +103,7 @@ func run(out io.Writer, in, ribIn, probesIn, csvDir, metricsOut string) error {
 	reg := lastmile.DefaultMetrics()
 	feed := lastmile.NewSurveyFeed(lastmile.SurveyOptions{Metrics: reg})
 	probeASN := map[int]lastmile.ASN{}
-	asProbes := map[lastmile.ASN]map[int]bool{}
+	asProbes := map[lastmile.ASN]int{} // probes attributed to each AS
 	total, anchorsSkipped := 0, 0
 	err := lastmile.ScanResults(r, func(res *lastmile.Result, inBand lastmile.ASN) error {
 		total++
@@ -120,13 +119,12 @@ func run(out io.Writer, in, ribIn, probesIn, csvDir, metricsOut string) error {
 		}
 		asn, seen := probeASN[res.ProbeID]
 		if !seen {
+			// A probe's AS is fixed at its first record, so the probe
+			// counts towards its AS once, here.
 			asn = attribute(meta, rib, res.FromAddr, inBand)
 			probeASN[res.ProbeID] = asn
+			asProbes[asn]++
 		}
-		if asProbes[asn] == nil {
-			asProbes[asn] = map[int]bool{}
-		}
-		asProbes[asn][res.ProbeID] = true
 		return feed.Add(asn, res)
 	})
 	if err != nil {
@@ -181,7 +179,7 @@ func run(out io.Writer, in, ribIn, probesIn, csvDir, metricsOut string) error {
 			if errors.Is(reason, lastmile.ErrNoUsableData) {
 				label = "(no usable data)"
 			}
-			tb.AddRowf(asn.String(), len(asProbes[asn]), label, "-", "-", "")
+			tb.AddRowf(asn.String(), asProbes[asn], label, "-", "-", "")
 			continue
 		}
 		tb.AddRowf(asn.String(), res.Probes, res.Class.String(),

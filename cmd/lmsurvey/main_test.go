@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -144,9 +145,11 @@ func rows(out string) map[string][]string {
 }
 
 // TestRunReportIdentical: the wire archive and the JSONL archive
-// attributed by -probes print byte-identical reports.
+// attributed by -probes print byte-identical reports, at GOMAXPROCS 1,
+// where both decode serially, and at 4, where both decode in batches.
 func TestRunReportIdentical(t *testing.T) {
 	c := writeCampaign(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	want, err := runReport(c.wire, "", "")
 	if err != nil {
 		t.Fatal(err)
@@ -159,17 +162,24 @@ func TestRunReportIdentical(t *testing.T) {
 	if got, wantRow := strings.Join(r["AS64503"], " "), "1 (unclassifiable: core: 88% of bins are gaps (max 50%)) - -"; got != wantRow {
 		t.Fatalf("AS64503 row = %q, want %q", got, wantRow)
 	}
-	got, err := runReport(c.jsonl, "", c.probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("json report differs from wire\ngot:\n%s\nwant:\n%s", got, want)
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, in := range []struct{ archive, probes string }{{c.wire, ""}, {c.jsonl, c.probes}} {
+			got, err := runReport(in.archive, "", in.probes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("GOMAXPROCS=%d: %s report differs from the serial wire report\ngot:\n%s\nwant:\n%s",
+					procs, filepath.Ext(in.archive), got, want)
+			}
+		}
 	}
 }
 
 // TestRunTruncatedWireArchive: a truncated wire archive returns its
-// located CorruptError and prints nothing.
+// located CorruptError and prints nothing, at GOMAXPROCS 1 and 4, with
+// the same text at both.
 func TestRunTruncatedWireArchive(t *testing.T) {
 	c := writeCampaign(t)
 	data, err := os.ReadFile(c.wire)
@@ -178,13 +188,22 @@ func TestRunTruncatedWireArchive(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "truncated.wire")
 	writeFile(t, path, data[:len(data)-1])
-	out, err := runReport(path, "", "")
-	var ce *wire.CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want a *wire.CorruptError", err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var texts []string
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		out, err := runReport(path, "", "")
+		var ce *wire.CorruptError
+		if !errors.As(err, &ce) || !errors.Is(err, wire.ErrShortFrame) {
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want a *wire.CorruptError for a short frame", procs, err)
+		}
+		if out != "" {
+			t.Fatalf("GOMAXPROCS=%d: printed output for a corrupt archive:\n%s", procs, out)
+		}
+		texts = append(texts, err.Error())
 	}
-	if out != "" {
-		t.Fatalf("printed output for a corrupt archive:\n%s", out)
+	if texts[0] != texts[1] {
+		t.Fatalf("the error reads %q at GOMAXPROCS=1 and %q at 4", texts[0], texts[1])
 	}
 }
 

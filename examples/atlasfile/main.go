@@ -31,9 +31,9 @@ func main() {
 
 	// One pass: the feed estimates each traceroute's last-mile samples
 	// and bins them per probe as it is read, keeping nothing of the
-	// record, so the decoder's reused Result goes straight in. JSON
-	// archives decode on every core, in archive order; they carry no AS
-	// and land in AS0, while wire archives carry theirs.
+	// record, so the decoder's reused Result goes straight in. Both
+	// encodings decode on every core, in archive order. JSON archives
+	// carry no AS and land in AS0, while wire archives carry theirs.
 	feed := lastmile.NewSurveyFeed(lastmile.SurveyOptions{})
 	traceroutes := map[int]int{}
 	noSegment := 0

@@ -11,34 +11,43 @@ import (
 	"net/netip"
 )
 
-// Well-known special-purpose blocks. Initialised once at package load; all
-// literals are valid so MustParsePrefix cannot panic here.
+// The IPv6 special-purpose blocks. The IPv4 ones are decided from the
+// first two octets (private4).
 var (
-	rfc1918 = []netip.Prefix{
-		netip.MustParsePrefix("10.0.0.0/8"),
-		netip.MustParsePrefix("172.16.0.0/12"),
-		netip.MustParsePrefix("192.168.0.0/16"),
-	}
-	cgnat     = netip.MustParsePrefix("100.64.0.0/10")
-	linkLocal = netip.MustParsePrefix("169.254.0.0/16")
-	loopback4 = netip.MustParsePrefix("127.0.0.0/8")
-	ulaV6     = netip.MustParsePrefix("fc00::/7")
-	linkV6    = netip.MustParsePrefix("fe80::/10")
+	ulaV6  = netip.MustParsePrefix("fc00::/7")
+	linkV6 = netip.MustParsePrefix("fe80::/10")
 )
 
 // IsRFC1918 reports whether addr falls in one of the three RFC 1918
 // private IPv4 blocks.
 func IsRFC1918(addr netip.Addr) bool {
-	if !addr.Is4() && !addr.Is4In6() {
-		return false
-	}
-	a := addr.Unmap()
-	for _, p := range rfc1918 {
-		if p.Contains(a) {
-			return true
-		}
+	if a := addr.Unmap(); a.Is4() {
+		b := a.As4()
+		return rfc1918(b[0], b[1])
 	}
 	return false
+}
+
+// rfc1918 reports whether an IPv4 address with first octets o0 and o1
+// is in 10.0.0.0/8, 172.16.0.0/12 or 192.168.0.0/16.
+func rfc1918(o0, o1 byte) bool {
+	return o0 == 10 || o0 == 172 && o1&0xf0 == 16 || o0 == 192 && o1 == 168
+}
+
+// private4 reports whether an IPv4 address with first octets o0 and o1
+// is on the subscriber side: RFC 1918, 100.64.0.0/10 (CGNAT),
+// 169.254.0.0/16 (link-local) or 127.0.0.0/8 (loopback). Every one of
+// these blocks is at most 16 bits long, so two octets decide it.
+func private4(o0, o1 byte) bool {
+	switch o0 {
+	case 100:
+		return o1&0xc0 == 64
+	case 127:
+		return true
+	case 169:
+		return o1 == 254
+	}
+	return rfc1918(o0, o1)
 }
 
 // IsPrivate reports whether addr should be treated as belonging to the
@@ -51,7 +60,8 @@ func IsPrivate(addr netip.Addr) bool {
 	}
 	a := addr.Unmap()
 	if a.Is4() {
-		return IsRFC1918(a) || cgnat.Contains(a) || linkLocal.Contains(a) || loopback4.Contains(a)
+		b := a.As4()
+		return private4(b[0], b[1])
 	}
 	return ulaV6.Contains(a) || linkV6.Contains(a) || a.IsLoopback()
 }

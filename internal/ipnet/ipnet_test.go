@@ -64,6 +64,43 @@ func TestIsPrivate(t *testing.T) {
 	}
 }
 
+// TestIPv4ClassesMatchPrefixes pins the octet tests of IsPrivate and
+// IsRFC1918 to netip.Prefix.Contains on the blocks they stand for, over
+// every pair of first two octets, as plain IPv4 and mapped into IPv6.
+// Each block is at most 16 bits long, so the last two octets cannot
+// change the answer; they are set to vary anyway.
+func TestIPv4ClassesMatchPrefixes(t *testing.T) {
+	prefixes := func(ss ...string) []netip.Prefix {
+		ps := make([]netip.Prefix, len(ss))
+		for i, s := range ss {
+			ps[i] = netip.MustParsePrefix(s)
+		}
+		return ps
+	}
+	rfc := prefixes("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16")
+	private := append(prefixes("100.64.0.0/10", "169.254.0.0/16", "127.0.0.0/8"), rfc...)
+	in := func(ps []netip.Prefix, a netip.Addr) bool {
+		for _, p := range ps {
+			if p.Contains(a) {
+				return true
+			}
+		}
+		return false
+	}
+	for pair := 0; pair < 1<<16; pair++ {
+		v4 := netip.AddrFrom4([4]byte{byte(pair >> 8), byte(pair), byte(pair * 7), byte(pair * 13)})
+		wantPrivate, wantRFC := in(private, v4), in(rfc, v4)
+		for _, a := range []netip.Addr{v4, netip.AddrFrom16(v4.As16())} {
+			if got := IsPrivate(a); got != wantPrivate {
+				t.Fatalf("IsPrivate(%v) = %v, the prefixes say %v", a, got, wantPrivate)
+			}
+			if got := IsRFC1918(a); got != wantRFC {
+				t.Fatalf("IsRFC1918(%v) = %v, the prefixes say %v", a, got, wantRFC)
+			}
+		}
+	}
+}
+
 func TestIsPublic(t *testing.T) {
 	if !IsPublic(mustAddr(t, "8.8.8.8")) {
 		t.Error("8.8.8.8 should be public")

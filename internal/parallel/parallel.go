@@ -4,8 +4,10 @@
 // per-AS, per-probe, and per-period work is order-independent; this
 // package supplies the matching execution layer: results are delivered
 // in input order, making parallel output byte-identical to the serial
-// run regardless of scheduling. See DESIGN.md §9 for the determinism
-// argument.
+// run regardless of scheduling. Pipeline does the same for input that
+// arrives as a stream, such as a whole archive: batches are filled on
+// the caller's goroutine and delivered, processed, in fill order. See
+// DESIGN.md §9 for the determinism argument.
 package parallel
 
 import (

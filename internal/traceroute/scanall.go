@@ -5,7 +5,8 @@ import (
 	"io"
 	"runtime"
 	"slices"
-	"sync"
+
+	"github.com/last-mile-congestion/lastmile/internal/parallel"
 )
 
 // scanAllBatch is the number of line bytes at which ScanAll closes a
@@ -30,12 +31,13 @@ const scanAllBatch = 128 << 10
 //
 // The caller's goroutine splits the input into lines exactly as Scanner
 // does and hands batches of about 128 KiB of lines to GOMAXPROCS
-// decoding goroutines; fn runs on the caller's goroutine. A batch
-// carries its own parser and keeps its results' storage for reuse. At
-// most GOMAXPROCS+1 batches are in flight, the one being filled
-// included, so memory stays bounded however far the decoders run ahead,
-// and every decoder has exited when ScanAll returns. At GOMAXPROCS=1
-// ScanAll is the Scanner loop and starts no goroutine.
+// decoding goroutines through parallel.Pipeline; fn runs on the
+// caller's goroutine. A batch carries its own parser and keeps its
+// results' storage for reuse. At most GOMAXPROCS+1 batches are in
+// flight, the one being filled included, so memory stays bounded however
+// far the decoders run ahead, and every decoder has exited when ScanAll
+// returns. At GOMAXPROCS=1 ScanAll is the Scanner loop and starts no
+// goroutine.
 //
 // Streaming readers that must hand out each record as it arrives keep
 // the Scanner: ScanAll delivers a record only once its batch fills.
@@ -57,46 +59,12 @@ func scanAll(r io.Reader, fn func(*Result) error, workers, batchBytes int) error
 		return s.err
 	}
 
-	// ring holds the batches in flight, oldest at head, in input order.
-	// work has room for all of them, so handing one off never blocks.
-	ring := make([]*batch, workers+1)
-	work := make(chan *batch, len(ring))
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for range workers {
-		go decodeBatches(work, &wg)
-	}
-	defer func() {
-		close(work)
-		wg.Wait()
-	}()
-	head, queued := 0, 0
-	for more := true; more; {
-		if queued == len(ring) {
-			// Every batch is in flight: deliver the oldest to reuse it.
-			if err := ring[head].deliver(fn); err != nil {
-				return err
-			}
-			head = (head + 1) % len(ring)
-			queued--
-		}
-		slot := (head + queued) % len(ring)
-		b := ring[slot]
-		if b == nil {
-			b = newBatch(batchBytes)
-			ring[slot] = b
-		}
-		more = s.fill(b, batchBytes)
-		if len(b.ends) > 0 {
-			work <- b
-			queued++
-		}
-	}
-	for ; queued > 0; queued-- {
-		if err := ring[head].deliver(fn); err != nil {
-			return err
-		}
-		head = (head + 1) % len(ring)
+	err := parallel.Pipeline(workers,
+		func() *batch { return newBatch(batchBytes) },
+		func(b *batch) bool { return s.fill(b, batchBytes) },
+		func(b *batch) error { return b.deliver(fn) })
+	if err != nil {
+		return err
 	}
 	return s.err
 }
@@ -118,8 +86,6 @@ type batch struct {
 	// it, so what a call allocates does not depend on which decoder
 	// takes which batch.
 	p atlasParser
-	// done receives once per hand-off, when the decoder has finished.
-	done chan struct{}
 }
 
 // newBatch returns a batch sized for batchBytes of campaign-shaped
@@ -134,7 +100,6 @@ func newBatch(batchBytes int) *batch {
 			hops:    make([]HopResult, 0, size/160),
 			replies: make([]Reply, 0, size/48),
 		},
-		done: make(chan struct{}, 1),
 	}
 	b.p.arena = &b.arena
 	return b
@@ -162,18 +127,9 @@ func (s *Scanner) fill(b *batch, batchBytes int) bool {
 	return true
 }
 
-// decodeBatches decodes every batch sent on work, until work is closed.
-func decodeBatches(work <-chan *batch, wg *sync.WaitGroup) {
-	defer wg.Done()
-	for b := range work {
-		b.decode()
-		b.done <- struct{}{}
-	}
-}
-
-// decode parses b's lines into b.res, stopping at the first line that
+// Process decodes b's lines into b.res, stopping at the first line that
 // fails, with the error Scan would return for it.
-func (b *batch) decode() {
+func (b *batch) Process() {
 	b.res, b.err = slices.Grow(b.res[:0], len(b.ends))[:len(b.ends)], nil
 	b.arena.hops, b.arena.replies = b.arena.hops[:0], b.arena.replies[:0]
 	start := 0
@@ -187,11 +143,9 @@ func (b *batch) decode() {
 	}
 }
 
-// deliver waits until b is decoded, calls fn on its results in order,
-// and returns fn's first error or, after the last result, the decode
-// error.
+// deliver calls fn on b's results in order and returns fn's first
+// error or, after the last result, the decode error.
 func (b *batch) deliver(fn func(*Result) error) error {
-	<-b.done
 	for i := range b.res {
 		if err := fn(&b.res[i]); err != nil {
 			return err

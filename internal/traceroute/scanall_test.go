@@ -101,10 +101,11 @@ func errorChain(err error) string {
 	return strings.Join(types, " → ")
 }
 
-// decoders counts the goroutines running ScanAll's decoder.
+// decoders counts the goroutines running ScanAll's decoder, a
+// parallel.Pipeline worker.
 func decoders() int {
 	buf := make([]byte, 4<<20)
-	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("traceroute.decodeBatches("))
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("parallel.pipelineWorker["))
 }
 
 // waitNoDecoders fails t unless every decoder goroutine has exited.

@@ -99,8 +99,11 @@ type frameReader struct {
 	err      error
 	off      int64 // stream offset of the next unread byte
 	frameOff int64 // stream offset of the current frame's length prefix
-	frame    int   // 0-based index of the current frame
-	started  bool
+	// frame is the 0-based index of the current frame: the one being
+	// read, or the one whose payload next returned last, until the
+	// following call moves on.
+	frame   int
+	started bool
 }
 
 func newFrameReader(r io.Reader) frameReader {
@@ -161,10 +164,11 @@ func (f *frameReader) header(want byte) error {
 func (f *frameReader) next(want byte) ([]byte, error) {
 	if !f.started {
 		f.started = true
-		f.frameOff = f.off
 		if err := f.header(want); err != nil {
 			return nil, err
 		}
+	} else {
+		f.frame++
 	}
 	f.frameOff = f.off
 	ln, err := f.readUvarint()
@@ -174,12 +178,7 @@ func (f *frameReader) next(want byte) ([]byte, error) {
 	if ln > MaxFrame {
 		return nil, f.corruptHere(ErrFrameTooLarge)
 	}
-	payload, err := f.readPayload(ln)
-	if err != nil {
-		return nil, err
-	}
-	f.frame++
-	return payload, nil
+	return f.readPayload(ln)
 }
 
 // frameAllocStep bounds how far readPayload grows the frame buffer

@@ -109,23 +109,18 @@ func NewResultScanner(r io.Reader) ResultScanner {
 // ScanResults reads a whole archive, detecting its encoding as
 // NewResultScanner does, and calls fn on every result in archive order
 // with its in-band AS (0 for JSON). It returns what a NewResultScanner
-// loop that stops at fn's first error returns. JSONL decodes on
-// GOMAXPROCS goroutines (traceroute.ScanAll); wire input decodes on the
-// caller's goroutine. The *Result is valid only until fn returns.
+// loop that stops at fn's first error returns. Both encodings decode on
+// GOMAXPROCS goroutines, in batches that reach fn in archive order on
+// the caller's goroutine (traceroute.ScanAll for JSONL, wire.ScanAll
+// for wire archives). The *Result is valid only until fn returns.
 // Readers that must hand out each record as it arrives, such as a live
 // stream, keep NewResultScanner.
 func ScanResults(r io.Reader, fn func(*Result, ASN) error) error {
 	rd, isWire := sniffWire(r)
-	if !isWire {
-		return traceroute.ScanAll(rd, func(res *Result) error { return fn(res, 0) })
+	if isWire {
+		return wire.ScanAll(rd, fn)
 	}
-	sc := wire.NewScanner(rd)
-	for sc.Scan() {
-		if err := fn(sc.Result(), sc.ASN()); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
+	return traceroute.ScanAll(rd, func(res *Result) error { return fn(res, 0) })
 }
 
 // jsonResultScanner adapts the JSONL scanner, which has no in-band AS

@@ -127,9 +127,9 @@ race_run -count=10 'TestDaemonCheckpointConsistentCut' ./internal/serve/
 # Fuzz smoke: short coverage-guided runs over the two ingest decoders —
 # the Atlas JSON parser (which also differential-tests the zero-alloc
 # parser against encoding/json) and the binary wire codec's round-trip
-# target — over the parallel JSONL decode, which must hand fn what the
-# per-record Scanner loop hands it and return the loop's error, and
-# over engine restore, which canonicalises every bin it reads
+# target — over the parallel JSONL and wire decodes, each of which must
+# hand fn what its per-record Scanner loop hands it and return the
+# loop's error, and over engine restore, which canonicalises every bin it reads
 # (Snapshot -> Restore -> Snapshot must be a fixed point). Seeds
 # (testdata/fuzz + f.Add) always run under plain `go test`; these stages
 # give the mutator a few seconds to hunt for fresh panics.
@@ -139,6 +139,8 @@ stage "go test -fuzz (parallel JSONL decode against the Scanner, 5s smoke)"
 fuzz_smoke 'FuzzScanAllMatchesScanner' ./internal/traceroute/
 stage "go test -fuzz (wire codec, 5s smoke)"
 fuzz_smoke 'FuzzWireRoundTrip' ./internal/wire/
+stage "go test -fuzz (parallel wire decode against the Scanner, 5s smoke)"
+fuzz_smoke 'FuzzScanAllMatchesScanner' ./internal/wire/
 stage "go test -fuzz (engine restore, 5s smoke)"
 fuzz_smoke 'FuzzEngineRestore' ./internal/engine/
 
